@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, enum_from_name
 
 __all__ = [
     "DatasetKind",
@@ -35,11 +35,7 @@ class DatasetKind(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "DatasetKind":
-        key = str(name).strip().lower().replace("_", "").replace("-", "")
-        for member in cls:
-            if member.value.lower() == key:
-                return member
-        raise ConfigError(f"unknown dataset kind {name!r}")
+        return enum_from_name(cls, name, "dataset kind")
 
 
 @dataclass(frozen=True)

@@ -15,17 +15,19 @@ rule.
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, enum_from_name
 from .losses import LossSpec
 from .network import (
     GlobalVector,
     NetworkParams,
+    _block_slices,
     _check_input,
     _conform,
     apply_w_array,
@@ -67,11 +69,7 @@ class RelaxMode(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "RelaxMode":
-        key = str(name).strip().lower().replace("_", "").replace("-", "")
-        for member in cls:
-            if member.value.lower() == key:
-                return member
-        raise ConfigError(f"unknown relaxation mode {name!r}")
+        return enum_from_name(cls, name, "relaxation mode")
 
 
 @dataclass(frozen=True)
@@ -247,25 +245,63 @@ def mean_stress_velocities(
     return GlobalVector(dm, params.offsets), GlobalVector(ds, params.offsets)
 
 
-def _bundle_from_state(
-    params: NetworkParams,
-    x0: np.ndarray,
-    beta: np.ndarray,
-    m: np.ndarray,
-    s: np.ndarray,
-) -> GradientBundle:
-    pre = apply_w_array(params, m) + beta
-    delta = sigma_prime_array(params, pre) * s
+def _delta_at(
+    params: NetworkParams, beta: np.ndarray, m: np.ndarray, s: np.ndarray
+) -> np.ndarray:
+    """Pre-activation errors D(m) s at a state (m, s)."""
+    return sigma_prime_array(params, apply_w_array(params, m) + beta) * s
+
+
+def _grads_from_delta(
+    params: NetworkParams, x0: np.ndarray, m: np.ndarray, delta: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Gradients delta_l m_{l-1}^T and delta_l, as ``classical_backprop``
+    forms them for one sample and ``backprop_batch`` (batch mean) for columns."""
     weight_grads = []
     bias_grads = []
     prev = x0
-    offs = params.offsets
-    for i in range(params.depth):
-        block = delta[offs[i] : offs[i + 1]]
-        weight_grads.append(np.outer(block, prev))
-        bias_grads.append(block.copy())
-        prev = m[offs[i] : offs[i + 1]]
-    return GradientBundle(tuple(weight_grads), tuple(bias_grads))
+    for sl in _block_slices(params):
+        block = delta[sl]
+        if x0.ndim == 1:
+            weight_grads.append(np.outer(block, prev))
+            bias_grads.append(block.copy())
+        else:
+            weight_grads.append((block @ prev.T) / x0.shape[1])
+            bias_grads.append(block.mean(axis=1))
+        prev = m[sl]
+    return weight_grads, bias_grads
+
+
+def _twoL_wavefront(
+    params: NetworkParams, beta: np.ndarray, loss: LossSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Final (m, s, delta) of the 2L unit-step schedule, for (n,) or (n, B).
+
+    W is nilpotent: mean block l is final from step l, stress block l
+    from step 2L - l + 1, and no step reads any other block value. So
+    only the settling block of each step is computed: L forward block
+    steps sigma(W_l m_{l-1} + beta_l) that keep sigma' of the same
+    pre-activation, then s_L = grad C(m_L) and L - 1 backward block steps
+    s_l = W_{l+1}^T delta_{l+1}. These are backprop's floating-point
+    operations in backprop's order, so the outputs equal it bitwise.
+    """
+    slices = _block_slices(params)
+    m = np.empty_like(beta)
+    d = np.empty_like(beta)
+    for i, (sl, lp) in enumerate(zip(slices, params.layers)):
+        pre = beta[sl] if i == 0 else lp.weight @ m[slices[i - 1]] + beta[sl]
+        m[sl] = lp.spec.activation.apply(pre)
+        d[sl] = lp.spec.activation.derivative(pre)
+    s = np.empty_like(beta)
+    delta = np.empty_like(beta)
+    out_sl = params.output_slice
+    s[out_sl] = loss.gradient(m[out_sl])
+    delta[out_sl] = d[out_sl] * s[out_sl]
+    for i in range(params.depth - 2, -1, -1):
+        sl = slices[i]
+        s[sl] = params.layers[i + 1].weight.T @ delta[slices[i + 1]]
+        delta[sl] = d[sl] * s[sl]
+    return m, s, delta
 
 
 def gradient_from_equilibrium(
@@ -281,7 +317,32 @@ def gradient_from_equilibrium(
     m_arr = _conform(params, m)
     s_arr = _conform(params, s)
     beta = beta_array(params, x0)
-    return _bundle_from_state(params, x0, beta, m_arr, s_arr)
+    delta = _delta_at(params, beta, m_arr, s_arr)
+    return GradientBundle(*_grads_from_delta(params, x0, m_arr, delta))
+
+
+def _mean_stress_step(
+    params: NetworkParams,
+    beta: np.ndarray,
+    loss: LossSpec,
+    m: np.ndarray,
+    s: np.ndarray,
+    eta: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Euler step in mean/stress coordinates. At eta = 1 the update
+    m + eta (sigma(Wm + beta) - m) cancels to sigma(Wm + beta) (likewise
+    for s) and is applied in that form: the two-phase map of TwoL."""
+    out_sl = params.output_slice
+    pre = apply_w_array(params, m) + beta
+    d = sigma_prime_array(params, pre)
+    if eta == 1.0:
+        s1 = apply_wt_array(params, d * s)
+        s1[out_sl] = loss.gradient(m[out_sl])
+        return sigma_array(params, pre), s1
+    dm = sigma_array(params, pre) - m
+    ds = apply_wt_array(params, d * s) - s
+    ds[out_sl] += loss.gradient(m[out_sl])
+    return m + eta * dm, s + eta * ds
 
 
 def _require_single_sample(x0: np.ndarray) -> None:
@@ -317,13 +378,43 @@ def _finish(
     s: np.ndarray,
     trace: RelaxTrace,
 ) -> tuple[GlobalVector, GlobalVector, GradientBundle, RelaxTrace]:
-    bundle = _bundle_from_state(params, x0, beta, m, s)
+    bundle = GradientBundle(*_grads_from_delta(params, x0, m, _delta_at(params, beta, m, s)))
     return (
         GlobalVector(m, params.offsets),
         GlobalVector(s, params.offsets),
         bundle,
         trace,
     )
+
+
+def _relax_xz(
+    params: NetworkParams,
+    x0: np.ndarray,
+    loss: LossSpec,
+    cfg: RelaxConfig,
+    velocity: Callable[..., tuple[np.ndarray, np.ndarray]],
+    on_step: Optional[StepCallback],
+) -> tuple[GlobalVector, GlobalVector, GradientBundle, RelaxTrace]:
+    """Euler-relax (x, z) from zero under ``velocity(params, beta, loss, x, z)``."""
+    x0 = _check_input(params, x0)
+    _require_single_sample(x0)
+    beta = beta_array(params, x0)
+    x = np.zeros_like(beta)
+    z = np.zeros_like(beta)
+    trace = RelaxTrace()
+    for k in range(1, cfg.k_max + 1):
+        dx, dz = velocity(params, beta, loss, x, z)
+        x1 = x + cfg.eta * dx
+        z1 = z + cfg.eta * dz
+        delta = float(np.linalg.norm(x1 - x) + np.linalg.norm(z1 - z))
+        x, z = x1, z1
+        _record(params, trace, beta, loss, delta, 0.5 * (x + z), x - z)
+        if on_step is not None:
+            on_step(k, x.copy(), z.copy())
+        if delta < cfg.tol:
+            trace.converged = True
+            break
+    return _finish(params, x0, beta, 0.5 * (x + z), x - z, trace)
 
 
 def relax_dyadic(
@@ -344,25 +435,7 @@ def relax_dyadic(
     """
     if cfg.mode is not RelaxMode.DYADIC:
         raise ConfigError(f"relax_dyadic requires mode Dyadic, got {cfg.mode.value}")
-    x0 = _check_input(params, x0)
-    _require_single_sample(x0)
-    beta = beta_array(params, x0)
-    x = np.zeros_like(beta)
-    z = np.zeros_like(beta)
-    trace = RelaxTrace()
-    for k in range(1, cfg.k_max + 1):
-        dx, dz = _saddle_velocity_arrays(params, beta, loss, x, z)
-        x1 = x + cfg.eta * dx
-        z1 = z + cfg.eta * dz
-        delta = float(np.linalg.norm(x1 - x) + np.linalg.norm(z1 - z))
-        x, z = x1, z1
-        _record(params, trace, beta, loss, delta, 0.5 * (x + z), x - z)
-        if on_step is not None:
-            on_step(k, x.copy(), z.copy())
-        if delta < cfg.tol:
-            trace.converged = True
-            break
-    return _finish(params, x0, beta, 0.5 * (x + z), x - z, trace)
+    return _relax_xz(params, x0, loss, cfg, _saddle_velocity_arrays, on_step)
 
 
 def relax_mean_stress(
@@ -374,13 +447,12 @@ def relax_mean_stress(
 ) -> tuple[GlobalVector, GlobalVector, GradientBundle, RelaxTrace]:
     """Relax in mean/stress coordinates by forward Euler.
 
-    At eta = 1 the Euler update m + eta (sigma(Wm + beta) - m) cancels
-    algebraically to the plain map sigma(Wm + beta) (and likewise for
-    the stress), so the update is applied in its cancelled form. That
-    keeps the unit-step run identical, float for float, to the discrete
-    two-phase scheme, which is what makes the layerwise freezing of the
-    mean hold as exact equality of stored floats rather than up to
-    rounding. ``on_step`` receives (k, m, s) copies after each update.
+    At eta = 1 the update is applied in its cancelled form (see
+    ``_mean_stress_step``). That keeps the unit-step run identical,
+    float for float, to the discrete two-phase scheme, which is what
+    makes the layerwise freezing of the mean hold as exact equality of
+    stored floats rather than up to rounding. ``on_step`` receives
+    (k, m, s) copies after each update.
     """
     if cfg.mode is not RelaxMode.MEAN_STRESS:
         raise ConfigError(
@@ -389,24 +461,11 @@ def relax_mean_stress(
     x0 = _check_input(params, x0)
     _require_single_sample(x0)
     beta = beta_array(params, x0)
-    out_sl = params.output_slice
     m = np.zeros_like(beta)
     s = np.zeros_like(beta)
-    dead_beat = cfg.eta == 1.0
     trace = RelaxTrace()
     for k in range(1, cfg.k_max + 1):
-        pre = apply_w_array(params, m) + beta
-        d = sigma_prime_array(params, pre)
-        if dead_beat:
-            m1 = sigma_array(params, pre)
-            s1 = apply_wt_array(params, d * s)
-            s1[out_sl] = loss.gradient(m[out_sl])
-        else:
-            dm = sigma_array(params, pre) - m
-            ds = apply_wt_array(params, d * s) - s
-            ds[out_sl] += loss.gradient(m[out_sl])
-            m1 = m + cfg.eta * dm
-            s1 = s + cfg.eta * ds
+        m1, s1 = _mean_stress_step(params, beta, loss, m, s, cfg.eta)
         delta = float(np.linalg.norm(m1 - m) + np.linalg.norm(s1 - s))
         m, s = m1, s1
         _record(params, trace, beta, loss, delta, m, s)
@@ -424,30 +483,32 @@ def relax_twoL(
     loss: LossSpec,
     on_step: Optional[StepCallback] = None,
 ) -> tuple[GlobalVector, GlobalVector, GradientBundle]:
-    """Run exactly 2L unit-step updates of the discrete two-phase maps.
+    """Run the 2L unit-step schedule of the discrete two-phase maps.
 
     m settles to the forward activations within the first L steps; the
     stress then flushes to the exact stacked sensitivities by step 2L,
     at which point both maps are at their fixed point and the extracted
-    gradient is classical backprop's, up to floating-point associativity.
-    ``on_step`` receives (k, m, s) copies after each update.
+    gradient is classical backprop's, bit for bit.
+
+    Without ``on_step`` only the settling block of each step is
+    computed: L forward and L - 1 backward block steps, O(L) block
+    kernels (``_twoL_wavefront``). ``on_step`` receives (k, m, s) copies
+    after each update, so every step then updates the full state, an
+    O(L^2) sweep that shows every transient and ends in the same (m, s).
     """
     x0 = _check_input(params, x0)
     _require_single_sample(x0)
     beta = beta_array(params, x0)
-    out_sl = params.output_slice
-    m = np.zeros_like(beta)
-    s = np.zeros_like(beta)
-    for k in range(1, 2 * params.depth + 1):
-        pre = apply_w_array(params, m) + beta
-        d = sigma_prime_array(params, pre)
-        s1 = apply_wt_array(params, d * s)
-        s1[out_sl] = loss.gradient(m[out_sl])
-        m = sigma_array(params, pre)
-        s = s1
-        if on_step is not None:
+    if on_step is None:
+        m, s, delta = _twoL_wavefront(params, beta, loss)
+    else:
+        m = np.zeros_like(beta)
+        s = np.zeros_like(beta)
+        for k in range(1, 2 * params.depth + 1):
+            m, s = _mean_stress_step(params, beta, loss, m, s, 1.0)
             on_step(k, m.copy(), s.copy())
-    bundle = _bundle_from_state(params, x0, beta, m, s)
+        delta = _delta_at(params, beta, m, s)
+    bundle = GradientBundle(*_grads_from_delta(params, x0, m, delta))
     return GlobalVector(m, params.offsets), GlobalVector(s, params.offsets), bundle
 
 
@@ -479,26 +540,8 @@ def relax_split(
     """
     if cfg.mode is not RelaxMode.SPLIT:
         raise ConfigError(f"relax_split requires mode Split, got {cfg.mode.value}")
-    x0 = _check_input(params, x0)
-    _require_single_sample(x0)
-    beta = beta_array(params, x0)
-    out_sl = params.output_slice
-    x = np.zeros_like(beta)
-    z = np.zeros_like(beta)
-    trace = RelaxTrace()
-    for k in range(1, cfg.k_max + 1):
-        dx, dz = _split_velocity_arrays(params, beta, loss, x, z, cost_at_states)
-        x1 = x + cfg.eta * dx
-        z1 = z + cfg.eta * dz
-        delta = float(np.linalg.norm(x1 - x) + np.linalg.norm(z1 - z))
-        x, z = x1, z1
-        _record(params, trace, beta, loss, delta, 0.5 * (x + z), x - z)
-        if on_step is not None:
-            on_step(k, x.copy(), z.copy())
-        if delta < cfg.tol:
-            trace.converged = True
-            break
-    return _finish(params, x0, beta, 0.5 * (x + z), x - z, trace)
+    velocity = functools.partial(_split_velocity_arrays, cost_at_states=cost_at_states)
+    return _relax_xz(params, x0, loss, cfg, velocity, on_step)
 
 
 def _split_velocity_arrays(
@@ -507,7 +550,7 @@ def _split_velocity_arrays(
     loss: LossSpec,
     x: np.ndarray,
     z: np.ndarray,
-    cost_at_states: bool,
+    cost_at_states: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     out_sl = params.output_slice
     s = x - z
@@ -578,6 +621,9 @@ def relax_batch(
     counts are per sample, and the reduction to the mean bundle is a
     fixed-order matrix product, keeping results bit-reproducible.
 
+    TwoL runs the O(L) block wavefront of ``_twoL_wavefront``, bitwise
+    equal to ``backprop_batch``, and reports 2L iterations per column.
+
     Returns (weight_grads, bias_grads, iterations, converged) where the
     gradients are the mean over the batch.
     """
@@ -585,25 +631,15 @@ def relax_batch(
     if x0.ndim != 2:
         raise ShapeError("relax_batch takes column-stacked samples")
     beta = beta_array(params, x0)
-    out_sl = params.output_slice
     batch = x0.shape[1]
-    depth = params.depth
 
     if cfg.mode is RelaxMode.TWO_L:
-        m = np.zeros_like(beta)
-        s = np.zeros_like(beta)
-        for _ in range(2 * depth):
-            pre = apply_w_array(params, m) + beta
-            d = sigma_prime_array(params, pre)
-            s1 = apply_wt_array(params, d * s)
-            s1[out_sl] = loss.gradient(m[out_sl])
-            m = sigma_array(params, pre)
-            s = s1
-        weight_grads, bias_grads = _mean_grads_from_state(params, x0, beta, m, s)
+        m, _, delta = _twoL_wavefront(params, beta, loss)
+        weight_grads, bias_grads = _grads_from_delta(params, x0, m, delta)
         return (
             weight_grads,
             bias_grads,
-            np.full(batch, 2 * depth),
+            np.full(batch, 2 * params.depth),
             np.ones(batch, dtype=bool),
         )
 
@@ -612,28 +648,14 @@ def relax_batch(
     active = np.ones(batch, dtype=bool)
     iterations = np.full(batch, cfg.k_max)
     converged = np.zeros(batch, dtype=bool)
-    dead_beat = cfg.mode is RelaxMode.MEAN_STRESS and cfg.eta == 1.0
+    velocity = (
+        _saddle_velocity_arrays if cfg.mode is RelaxMode.DYADIC else _split_velocity_arrays
+    )
     for k in range(1, cfg.k_max + 1):
         if cfg.mode is RelaxMode.MEAN_STRESS:
-            m, s = first, second
-            pre = apply_w_array(params, m) + beta
-            d = sigma_prime_array(params, pre)
-            if dead_beat:
-                cand1 = sigma_array(params, pre)
-                cand2 = apply_wt_array(params, d * s)
-                cand2[out_sl] = loss.gradient(m[out_sl])
-            else:
-                dm = sigma_array(params, pre) - m
-                ds = apply_wt_array(params, d * s) - s
-                ds[out_sl] += loss.gradient(m[out_sl])
-                cand1 = m + cfg.eta * dm
-                cand2 = s + cfg.eta * ds
-        elif cfg.mode is RelaxMode.DYADIC:
-            dx, dz = _saddle_velocity_arrays(params, beta, loss, first, second)
-            cand1 = first + cfg.eta * dx
-            cand2 = second + cfg.eta * dz
-        else:  # SPLIT
-            dx, dz = _split_velocity_arrays(params, beta, loss, first, second, False)
+            cand1, cand2 = _mean_stress_step(params, beta, loss, first, second, cfg.eta)
+        else:
+            dx, dz = velocity(params, beta, loss, first, second)
             cand1 = first + cfg.eta * dx
             cand2 = second + cfg.eta * dz
         delta = np.linalg.norm(cand1 - first, axis=0) + np.linalg.norm(
@@ -654,27 +676,5 @@ def relax_batch(
         m, s = first, second
     else:
         m, s = 0.5 * (first + second), first - second
-    weight_grads, bias_grads = _mean_grads_from_state(params, x0, beta, m, s)
+    weight_grads, bias_grads = _grads_from_delta(params, x0, m, _delta_at(params, beta, m, s))
     return weight_grads, bias_grads, iterations, converged
-
-
-def _mean_grads_from_state(
-    params: NetworkParams,
-    x0: np.ndarray,
-    beta: np.ndarray,
-    m: np.ndarray,
-    s: np.ndarray,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    batch = x0.shape[1]
-    pre = apply_w_array(params, m) + beta
-    delta = sigma_prime_array(params, pre) * s
-    offs = params.offsets
-    weight_grads = []
-    bias_grads = []
-    prev = x0
-    for i in range(params.depth):
-        block = delta[offs[i] : offs[i + 1]]
-        weight_grads.append((block @ prev.T) / batch)
-        bias_grads.append(block.mean(axis=1))
-        prev = m[offs[i] : offs[i + 1]]
-    return weight_grads, bias_grads

@@ -20,3 +20,12 @@ class ConfigError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """Convergence was required (strict mode) but a relaxation did not converge."""
+
+
+def enum_from_name(cls, name, what: str):
+    """Member of ``cls`` named by ``name``, ignoring case, blanks, "_" and "-"."""
+    key = str(name).strip().lower().replace("_", "").replace("-", "")
+    for member in cls:
+        if member.value.lower() == key:
+            return member
+    raise ConfigError(f"unknown {what} {name!r}")

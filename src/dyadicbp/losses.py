@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp, softmax
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import NumericError, ShapeError, enum_from_name
 
 __all__ = ["LossKind", "LossSpec"]
 
@@ -24,11 +24,7 @@ class LossKind(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "LossKind":
-        key = str(name).strip().lower().replace("_", "").replace("-", "")
-        for member in cls:
-            if member.value.lower() == key:
-                return member
-        raise ConfigError(f"unknown loss kind {name!r}")
+        return enum_from_name(cls, name, "loss kind")
 
 
 @dataclass(frozen=True, eq=False)

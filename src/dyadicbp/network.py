@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import NumericError, ShapeError, enum_from_name
 
 __all__ = [
     "Activation",
@@ -51,11 +51,7 @@ class Activation(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "Activation":
-        key = str(name).strip().lower().replace("_", "").replace("-", "")
-        for member in cls:
-            if member.value.lower() == key:
-                return member
-        raise ConfigError(f"unknown activation {name!r}")
+        return enum_from_name(cls, name, "activation")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         if self is Activation.IDENTITY:
@@ -243,6 +239,11 @@ def _check_input(params: NetworkParams, x0: np.ndarray) -> np.ndarray:
             f"input has shape {x0.shape}, expected ({params.input_dim},) or "
             f"({params.input_dim}, B)"
         )
+    if x0.dtype != params.dtype:
+        # Any other float width would silently change the results' dtype.
+        if x0.dtype.kind not in "biu":
+            raise ShapeError(f"input dtype {x0.dtype} does not match parameters' {params.dtype}")
+        x0 = x0.astype(params.dtype)
     if not np.isfinite(x0).all():
         raise NumericError("network input contains non-finite entries")
     return x0

@@ -30,7 +30,7 @@ from .dynamics import (
     relax_split,
     relax_twoL,
 )
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, enum_from_name
 from .fidelity import FidelityReport, compare
 from .losses import LossKind, LossSpec
 from .network import (
@@ -74,11 +74,7 @@ class GradientMethod(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "GradientMethod":
-        key = name.strip().lower().replace("_", "").replace("-", "")
-        for member in cls:
-            if member.value.lower() == key:
-                return member
-        raise ConfigError(f"unknown gradient method {name!r}")
+        return enum_from_name(cls, name, "gradient method")
 
 
 _RELAX_MODE = {

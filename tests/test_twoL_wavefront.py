@@ -1,0 +1,172 @@
+"""TwoL conformance: the block wavefront equals backprop bit for bit.
+
+Untraced TwoL computes only the settling block of each step. These
+properties pin it to the references over every activation (ReLU with
+exact-zero pre-activations included), both losses, both precisions,
+depths 1-7 and batches 1-8, and pin the traced full sweep to the
+paper's settle steps: mean block l is final from step l, stress block
+l from step 2L - l + 1.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import ALL_ACTS
+from dyadicbp import (
+    Activation,
+    LossKind,
+    LossSpec,
+    RelaxConfig,
+    RelaxMode,
+    ShapeError,
+    classical_backprop,
+    forward_pass,
+    random_network,
+    relax_batch,
+    relax_twoL,
+)
+from dyadicbp.reference import backprop_batch
+
+
+@st.composite
+def twoL_batches(draw):
+    """A random (params, column batch, batch loss) over the full matrix."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    depth = draw(st.integers(1, 7))
+    batch = draw(st.integers(1, 8))
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    kind = draw(st.sampled_from(tuple(LossKind)))
+    # Zero biases and a zero input column put every pre-activation of
+    # that column exactly at 0, the ReLU kink.
+    kink = draw(st.booleans())
+    input_dim = int(rng.integers(1, 9))
+    widths = [int(rng.integers(1, 9)) for _ in range(depth)]
+    acts = [ALL_ACTS[int(rng.integers(len(ALL_ACTS)))] for _ in range(depth)]
+    params = random_network(
+        input_dim, widths, acts, rng, bias_std=0.0 if kink else 0.5, dtype=dtype
+    )
+    x = rng.standard_normal((input_dim, batch)).astype(dtype)
+    if kink:
+        x[:, int(rng.integers(batch))] = 0.0
+    out_dim = widths[-1]
+    if kind is LossKind.MSE:
+        target = rng.standard_normal((out_dim, batch))
+    else:
+        target = np.zeros((out_dim, batch))
+        target[rng.integers(out_dim, size=batch), np.arange(batch)] = 1.0
+    return params, x, LossSpec(kind, target.astype(dtype))
+
+
+def _column_loss(loss, j):
+    return LossSpec(loss.kind, loss.target[:, j])
+
+
+def _assert_bundle_equal(bundle, ref):
+    got_all = bundle.weight_grads + bundle.bias_grads
+    for got, want in zip(got_all, ref.weight_grads + ref.bias_grads):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@given(twoL_batches())
+def test_relax_batch_twoL_equals_backprop_batch(case):
+    params, x, loss = case
+    ws, bs, iters, conv = relax_batch(params, x, loss, RelaxConfig(mode=RelaxMode.TWO_L))
+    ref_w, ref_b = backprop_batch(params, x, loss)
+    assert np.all(iters == 2 * params.depth) and conv.all()
+    for got, want in zip(ws + bs, ref_w + ref_b):
+        assert got.dtype == params.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@given(twoL_batches())
+def test_relax_twoL_traced_and_untraced_equal_classical_backprop(case):
+    params, x, loss = case
+    for j in range(x.shape[1]):
+        x0, col_loss = x[:, j], _column_loss(loss, j)
+        ref, sens = classical_backprop(params, x0, col_loss)
+        _, acts = forward_pass(params, x0)
+        steps = []
+        for on_step in (None, lambda k, m, s: steps.append(k)):
+            m, s, bundle = relax_twoL(params, x0, col_loss, on_step=on_step)
+            np.testing.assert_array_equal(m.data, acts.data)
+            np.testing.assert_array_equal(s.data, sens.data)
+            _assert_bundle_equal(bundle, ref)
+        assert steps == list(range(1, 2 * params.depth + 1))
+
+
+@given(twoL_batches())
+def test_relax_batch_of_one_equals_relax_twoL(case):
+    params, x, loss = case
+    j = x.shape[1] - 1
+    one_loss = LossSpec(loss.kind, loss.target[:, j : j + 1])
+    cfg = RelaxConfig(mode=RelaxMode.TWO_L)
+    ws, bs, _, _ = relax_batch(params, x[:, j : j + 1], one_loss, cfg)
+    _, _, bundle = relax_twoL(params, x[:, j], _column_loss(loss, j))
+    for got, want in zip(ws + bs, bundle.weight_grads + bundle.bias_grads):
+        np.testing.assert_array_equal(got, want)
+
+
+@given(twoL_batches())
+def test_traced_blocks_freeze_at_their_settle_steps(case):
+    # Mean block l is bitwise constant from step l on, stress block l
+    # from step 2L - l + 1 on, and the frozen values are exactly what
+    # the untraced wavefront returns.
+    params, x, loss = case
+    x0, col_loss = x[:, 0], _column_loss(loss, 0)
+    states = []
+    relax_twoL(params, x0, col_loss, on_step=lambda k, m, s: states.append((m, s)))
+    m_final, s_final, _ = relax_twoL(params, x0, col_loss)
+    depth = params.depth
+    assert len(states) == 2 * depth
+    for layer in range(1, depth + 1):
+        sl = params.block_slice(layer)
+        for k in range(layer, 2 * depth + 1):
+            np.testing.assert_array_equal(states[k - 1][0][sl], m_final.data[sl])
+        for k in range(2 * depth - layer + 1, 2 * depth + 1):
+            np.testing.assert_array_equal(states[k - 1][1][sl], s_final.data[sl])
+
+
+def test_wavefront_settle_steps_are_the_first_final_ones():
+    # The settle steps are tight: on a generic Tanh chain the block
+    # still differs from its final value one step earlier.
+    rng = np.random.default_rng(5)
+    depth = 5
+    params = random_network(4, (6,) * depth, Activation.TANH, rng, bias_std=0.5)
+    x0 = rng.standard_normal(4)
+    loss = LossSpec(LossKind.MSE, rng.standard_normal(6))
+    states = []
+    relax_twoL(params, x0, loss, on_step=lambda k, m, s: states.append((m, s)))
+    m_final, s_final, _ = relax_twoL(params, x0, loss)
+    for layer in range(2, depth + 1):
+        sl = params.block_slice(layer)
+        assert not np.array_equal(states[layer - 2][0][sl], m_final.data[sl])
+        assert not np.array_equal(states[2 * depth - layer - 1][1][sl], s_final.data[sl])
+
+
+def test_float64_input_with_float32_params_is_rejected():
+    rng = np.random.default_rng(6)
+    params = random_network(3, (4, 2), Activation.TANH, rng, dtype=np.float32)
+    x = rng.standard_normal((3, 5))
+    loss = LossSpec(LossKind.MSE, np.zeros((2, 5), dtype=np.float32))
+    with pytest.raises(ShapeError, match="dtype"):
+        relax_twoL(params, x[:, 0], LossSpec(LossKind.MSE, loss.target[:, 0]))
+    with pytest.raises(ShapeError, match="dtype"):
+        relax_batch(params, x, loss, RelaxConfig(mode=RelaxMode.TWO_L))
+    with pytest.raises(ShapeError, match="dtype"):
+        classical_backprop(params, x[:, 0], LossSpec(LossKind.MSE, loss.target[:, 0]))
+    cfg = RelaxConfig(mode=RelaxMode.TWO_L)
+    ws, bs, _, _ = relax_batch(params, x.astype(np.float32), loss, cfg)
+    assert all(g.dtype == np.float32 for g in ws + bs)
+
+
+def test_integer_input_is_cast_to_parameter_dtype():
+    rng = np.random.default_rng(7)
+    params = random_network(3, (4, 2), Activation.TANH, rng, dtype=np.float32)
+    loss = LossSpec(LossKind.MSE, np.zeros(2, dtype=np.float32))
+    x_int = np.array([1, 0, -2])
+    _, _, bundle = relax_twoL(params, x_int, loss)
+    ref, _ = classical_backprop(params, x_int.astype(np.float32), loss)
+    _assert_bundle_equal(bundle, ref)
