@@ -9,10 +9,13 @@ components sit at their fixed point and the gradient read off the
 equilibrium is classical backprop's, float for float.
 
 The script runs the depth-9 reference architecture, compares against
-an independent backprop implementation, and prints the relaxation
-trace including the saddle energy, which lands on the plain task loss
-once the forward residual is gone.
+an independent backprop implementation (exiting nonzero if they differ
+in a single bit), and prints the relaxation trace including the saddle
+energy, which lands on the plain task loss once the forward residual
+is gone.
 """
+
+import sys
 
 import numpy as np
 
@@ -50,8 +53,10 @@ identical = all(
     np.array_equal(a, b) for a, b in zip(bundle.weight_grads, ref.weight_grads)
 ) and all(np.array_equal(a, b) for a, b in zip(bundle.bias_grads, ref.bias_grads))
 print("gradients bitwise identical to backprop:", identical)
-print("stress equals the stacked sensitivities bitwise:",
-      np.array_equal(s.data, sens.data))
+same_stress = np.array_equal(s.data, sens.data)
+print("stress equals the stacked sensitivities bitwise:", same_stress)
+if not (identical and same_stress):
+    sys.exit("TwoL is not bitwise equal to classical backprop")
 
 # --- the same thing as a monitored relaxation -------------------------------
 m, s, bundle, trace = relax_dyadic(params, x0, loss, RelaxConfig(eta=1.0))

@@ -21,13 +21,14 @@ import numpy as np
 import yaml
 
 from .datasets import generate_dataset, write_dataset_csv
-from .dynamics import RelaxMode, relax_dyadic, relax_mean_stress, relax_split
 from .errors import ConfigError, ConvergenceError, NumericError, ShapeError
 from .training import (
     ExperimentConfig,
     GradientMethod,
     SWEEP_FIELDS,
+    _ETA_DRIVEN,
     _random_instance,
+    _sample_gradient,
     check_gradients,
     sweep_eta,
     train,
@@ -35,13 +36,6 @@ from .training import (
 )
 
 __all__ = ["main"]
-
-_TRACED = {
-    GradientMethod.DYADIC: relax_dyadic,
-    GradientMethod.MEAN_STRESS: relax_mean_stress,
-    GradientMethod.SPLIT: relax_split,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; the contract wants 1."""
@@ -184,14 +178,13 @@ def _cmd_sweep(config: ExperimentConfig, etas: Sequence[float], trials: int) -> 
 
 
 def _cmd_relax(config: ExperimentConfig) -> int:
-    run = _TRACED.get(config.method)
-    if run is None:
+    if config.method not in _ETA_DRIVEN:
         raise ConfigError(
             f"relax needs a step-size-driven method, got {config.method.value}"
         )
     rng = np.random.default_rng(config.seed)
     params, x0, loss = _random_instance(config, rng)
-    _, _, _, trace = run(params, x0, loss, config.relax_config())
+    _, trace = _sample_gradient(params, x0, loss, config)
 
     depth = params.depth
     fieldnames = ("k", "delta_norm", "energy") + tuple(

@@ -7,7 +7,13 @@ forward activations, and the stress s = x - z, which relaxes to the
 stacked loss sensitivities. Forward Euler with unit step turns the flow
 into two exact discrete maps (the inertial term cancels), so the mean
 settles layer by layer in L steps and the stress flushes to the exact
-backprop sensitivities in the following L steps. All relaxation modes
+backprop sensitivities in the following L steps.
+
+One Euler loop, ``_relax``, runs every convergence-driven scheme (Dyadic,
+MeanStress, Split) for a single sample or a column batch: it starts
+from zero, takes the scheme's Euler step, freezes each column once its
+increment drops below the tolerance, and records a trace only when
+asked. TwoL runs the exact 2L schedule instead. All relaxation modes
 extract the gradient from the final (m, s) by the same outer-product
 rule.
 """
@@ -23,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError, enum_from_name
-from .losses import LossSpec
+from .losses import LossSpec, _check_target
 from .network import (
     GlobalVector,
     NetworkParams,
@@ -234,15 +240,23 @@ def mean_stress_velocities(
     gradient embedded in the output block.
     """
     x0 = _check_input(params, x0)
-    m_arr = _conform(params, m)
-    s_arr = _conform(params, s)
     beta = beta_array(params, x0)
-    pre = apply_w_array(params, m_arr) + beta
-    dm = sigma_array(params, pre) - m_arr
-    d = sigma_prime_array(params, pre)
-    ds = apply_wt_array(params, d * s_arr) - s_arr
-    ds[params.output_slice] += loss.gradient(m_arr[params.output_slice])
+    dm, ds = _mean_stress_field(params, beta, loss, _conform(params, m), _conform(params, s))
     return GlobalVector(dm, params.offsets), GlobalVector(ds, params.offsets)
+
+
+def _mean_stress_field(
+    params: NetworkParams,
+    beta: np.ndarray,
+    loss: LossSpec,
+    m: np.ndarray,
+    s: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    pre = apply_w_array(params, m) + beta
+    dm = sigma_array(params, pre) - m
+    ds = apply_wt_array(params, sigma_prime_array(params, pre) * s) - s
+    ds[params.output_slice] += loss.gradient(m[params.output_slice])
+    return dm, ds
 
 
 def _delta_at(
@@ -321,6 +335,28 @@ def gradient_from_equilibrium(
     return GradientBundle(*_grads_from_delta(params, x0, m_arr, delta))
 
 
+def _euler(v: np.ndarray, dv: np.ndarray, eta: float) -> np.ndarray:
+    """v + eta dv, written into the fresh velocity buffer dv: the floats
+    of v + eta * dv (IEEE addition commutes) without two temporaries."""
+    dv *= eta
+    dv += v
+    return dv
+
+
+def _euler_step(
+    velocity: Callable[..., tuple[np.ndarray, np.ndarray]],
+    params: NetworkParams,
+    beta: np.ndarray,
+    loss: LossSpec,
+    x: np.ndarray,
+    z: np.ndarray,
+    eta: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Euler step of (x, z) under ``velocity(params, beta, loss, x, z)``."""
+    dx, dz = velocity(params, beta, loss, x, z)
+    return _euler(x, dx, eta), _euler(z, dz, eta)
+
+
 def _mean_stress_step(
     params: NetworkParams,
     beta: np.ndarray,
@@ -332,22 +368,50 @@ def _mean_stress_step(
     """One Euler step in mean/stress coordinates. At eta = 1 the update
     m + eta (sigma(Wm + beta) - m) cancels to sigma(Wm + beta) (likewise
     for s) and is applied in that form: the two-phase map of TwoL."""
+    if eta != 1.0:
+        dm, ds = _mean_stress_field(params, beta, loss, m, s)
+        return _euler(m, dm, eta), _euler(s, ds, eta)
     out_sl = params.output_slice
     pre = apply_w_array(params, m) + beta
-    d = sigma_prime_array(params, pre)
-    if eta == 1.0:
-        s1 = apply_wt_array(params, d * s)
-        s1[out_sl] = loss.gradient(m[out_sl])
-        return sigma_array(params, pre), s1
-    dm = sigma_array(params, pre) - m
-    ds = apply_wt_array(params, d * s) - s
-    ds[out_sl] += loss.gradient(m[out_sl])
-    return m + eta * dm, s + eta * ds
+    s1 = apply_wt_array(params, sigma_prime_array(params, pre) * s)
+    s1[out_sl] = loss.gradient(m[out_sl])
+    return sigma_array(params, pre), s1
 
 
-def _require_single_sample(x0: np.ndarray) -> None:
-    if x0.ndim != 1:
-        raise ShapeError("relaxations take a single input vector; batch via training")
+def _split_velocity_arrays(
+    params: NetworkParams,
+    beta: np.ndarray,
+    loss: LossSpec,
+    x: np.ndarray,
+    z: np.ndarray,
+    cost_at_states: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    out_sl = params.output_slice
+    s = x - z
+    pre_x = apply_w_array(params, x) + beta
+    pre_z = apply_w_array(params, z) + beta
+    avg_drive = 0.5 * (sigma_array(params, pre_x) + sigma_array(params, pre_z))
+    d_x = sigma_prime_array(params, pre_x)
+    d_z = sigma_prime_array(params, pre_z)
+    if cost_at_states:
+        g_x = loss.gradient(x[out_sl])
+        g_z = loss.gradient(z[out_sl])
+    else:
+        g_x = g_z = loss.gradient(0.5 * (x[out_sl] + z[out_sl]))
+    dx = avg_drive - x + 0.5 * apply_wt_array(params, d_x * s)
+    dx[out_sl] += 0.5 * g_x
+    dz = avg_drive - z - 0.5 * apply_wt_array(params, d_z * s)
+    dz[out_sl] -= 0.5 * g_z
+    return dx, dz
+
+
+# The Euler step of each convergence-driven scheme. Dyadic and Split
+# step the doubled state (x, z); MeanStress steps (m, s) directly.
+_STEPS = {
+    RelaxMode.DYADIC: functools.partial(_euler_step, _saddle_velocity_arrays),
+    RelaxMode.MEAN_STRESS: _mean_stress_step,
+    RelaxMode.SPLIT: functools.partial(_euler_step, _split_velocity_arrays),
+}
 
 
 def _record(
@@ -359,10 +423,8 @@ def _record(
     m: np.ndarray,
     s: np.ndarray,
 ) -> None:
-    if not np.isfinite(delta):
-        raise NumericError("relaxation state diverged (non-finite step delta)")
     offs = params.offsets
-    trace.deltas.append(float(delta))
+    trace.deltas.append(delta)
     trace.energies.append(_energy_ms(params, beta, loss, m, s))
     trace.stress_block_norms.append(
         tuple(float(np.linalg.norm(s[offs[i] : offs[i + 1]])) for i in range(params.depth))
@@ -370,51 +432,112 @@ def _record(
     trace.iterations_used += 1
 
 
-def _finish(
+def _relax(
     params: NetworkParams,
-    x0: np.ndarray,
     beta: np.ndarray,
-    m: np.ndarray,
-    s: np.ndarray,
-    trace: RelaxTrace,
-) -> tuple[GlobalVector, GlobalVector, GradientBundle, RelaxTrace]:
-    bundle = GradientBundle(*_grads_from_delta(params, x0, m, _delta_at(params, beta, m, s)))
-    return (
-        GlobalVector(m, params.offsets),
-        GlobalVector(s, params.offsets),
-        bundle,
-        trace,
-    )
+    loss: LossSpec,
+    cfg: RelaxConfig,
+    step: Callable[..., tuple[np.ndarray, np.ndarray]],
+    trace: Optional[RelaxTrace] = None,
+    on_step: Optional[StepCallback] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Euler-relax an (n,) or (n, B) state from zero under ``step``.
+
+    The state is (x, z), or (m, s) in MeanStress mode. Each column
+    freezes once its summed increment norm drops below the tolerance; a
+    non-finite increment in a running column raises NumericError.
+    ``trace`` (single sample) receives one record per update and
+    ``on_step`` receives (k, first, second) copies. Returns the final
+    (m, s) and the per-column iterations and converged flags.
+    """
+    doubled = cfg.mode is not RelaxMode.MEAN_STRESS
+    batch = beta.ndim == 2
+    # One sample keeps the plain vector norm: axis=0 sums in another order.
+    axis = 0 if batch else None
+    columns = beta.shape[1:]
+    first = np.zeros_like(beta)
+    second = np.zeros_like(beta)
+    active = np.ones(columns, dtype=bool)
+    iterations = np.full(columns, cfg.k_max)
+    converged = np.zeros(columns, dtype=bool)
+
+    def mean_stress(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (0.5 * (a + b), a - b) if doubled else (a, b)
+
+    for k in range(1, cfg.k_max + 1):
+        cand1, cand2 = step(params, beta, loss, first, second, cfg.eta)
+        delta = np.linalg.norm(cand1 - first, axis=axis) + np.linalg.norm(
+            cand2 - second, axis=axis
+        )
+        # The column-masked tests run only once some delta is non-finite
+        # or below the tolerance, so a running sample pays two per step.
+        if not np.isfinite(delta).all() and (active & ~np.isfinite(delta)).any():
+            raise NumericError("relaxation state diverged (non-finite step delta)")
+        # Frozen columns keep their state. The candidates stay bound until
+        # the next step has allocated its own: freeing them sooner lets the
+        # allocator trim the heap top and fault it back in on every step.
+        if batch:
+            first = np.where(active, cand1, first)
+            second = np.where(active, cand2, second)
+        else:
+            first, second = cand1, cand2
+        if trace is not None:
+            _record(params, trace, beta, loss, float(delta), *mean_stress(first, second))
+        if on_step is not None:
+            on_step(k, first.copy(), second.copy())
+        done = delta < cfg.tol
+        if done.any():
+            newly = active & done
+            iterations[newly] = k
+            converged |= newly
+            active &= ~newly
+            if not active.any():
+                break
+    if trace is not None:
+        trace.converged = bool(converged)
+    return (*mean_stress(first, second), iterations, converged)
 
 
-def _relax_xz(
+def _require_single_sample(x0: np.ndarray) -> None:
+    if x0.ndim != 1:
+        raise ShapeError("relaxations take a single input vector; batch via training")
+
+
+def _prepare(
+    params: NetworkParams, x0: np.ndarray, loss: LossSpec, batch: bool = False
+) -> tuple[np.ndarray, LossSpec, np.ndarray]:
+    """Checked input and loss of one sample (or a column batch) and beta."""
+    x0 = _check_input(params, x0)
+    if not batch:
+        _require_single_sample(x0)
+    elif x0.ndim != 2:
+        raise ShapeError("relax_batch takes column-stacked samples")
+    return x0, _check_target(loss, params.dtype), beta_array(params, x0)
+
+
+def _equilibrium(
+    params: NetworkParams, x0: np.ndarray, m: np.ndarray, s: np.ndarray, delta: np.ndarray
+) -> tuple[GlobalVector, GlobalVector, GradientBundle]:
+    bundle = GradientBundle(*_grads_from_delta(params, x0, m, delta))
+    return GlobalVector(m, params.offsets), GlobalVector(s, params.offsets), bundle
+
+
+def _relax_sample(
     params: NetworkParams,
     x0: np.ndarray,
     loss: LossSpec,
     cfg: RelaxConfig,
-    velocity: Callable[..., tuple[np.ndarray, np.ndarray]],
     on_step: Optional[StepCallback],
+    mode: RelaxMode,
+    caller: str,
+    step: Optional[Callable[..., tuple[np.ndarray, np.ndarray]]] = None,
 ) -> tuple[GlobalVector, GlobalVector, GradientBundle, RelaxTrace]:
-    """Euler-relax (x, z) from zero under ``velocity(params, beta, loss, x, z)``."""
-    x0 = _check_input(params, x0)
-    _require_single_sample(x0)
-    beta = beta_array(params, x0)
-    x = np.zeros_like(beta)
-    z = np.zeros_like(beta)
+    if cfg.mode is not mode:
+        raise ConfigError(f"{caller} requires mode {mode.value}, got {cfg.mode.value}")
+    x0, loss, beta = _prepare(params, x0, loss)
     trace = RelaxTrace()
-    for k in range(1, cfg.k_max + 1):
-        dx, dz = velocity(params, beta, loss, x, z)
-        x1 = x + cfg.eta * dx
-        z1 = z + cfg.eta * dz
-        delta = float(np.linalg.norm(x1 - x) + np.linalg.norm(z1 - z))
-        x, z = x1, z1
-        _record(params, trace, beta, loss, delta, 0.5 * (x + z), x - z)
-        if on_step is not None:
-            on_step(k, x.copy(), z.copy())
-        if delta < cfg.tol:
-            trace.converged = True
-            break
-    return _finish(params, x0, beta, 0.5 * (x + z), x - z, trace)
+    m, s, _, _ = _relax(params, beta, loss, cfg, step or _STEPS[mode], trace, on_step)
+    return (*_equilibrium(params, x0, m, s, _delta_at(params, beta, m, s)), trace)
 
 
 def relax_dyadic(
@@ -433,9 +556,7 @@ def relax_dyadic(
     gradient, and the trace. ``on_step`` (if given) receives
     (k, x, z) copies after each update.
     """
-    if cfg.mode is not RelaxMode.DYADIC:
-        raise ConfigError(f"relax_dyadic requires mode Dyadic, got {cfg.mode.value}")
-    return _relax_xz(params, x0, loss, cfg, _saddle_velocity_arrays, on_step)
+    return _relax_sample(params, x0, loss, cfg, on_step, RelaxMode.DYADIC, "relax_dyadic")
 
 
 def relax_mean_stress(
@@ -454,27 +575,9 @@ def relax_mean_stress(
     stored floats rather than up to rounding. ``on_step`` receives
     (k, m, s) copies after each update.
     """
-    if cfg.mode is not RelaxMode.MEAN_STRESS:
-        raise ConfigError(
-            f"relax_mean_stress requires mode MeanStress, got {cfg.mode.value}"
-        )
-    x0 = _check_input(params, x0)
-    _require_single_sample(x0)
-    beta = beta_array(params, x0)
-    m = np.zeros_like(beta)
-    s = np.zeros_like(beta)
-    trace = RelaxTrace()
-    for k in range(1, cfg.k_max + 1):
-        m1, s1 = _mean_stress_step(params, beta, loss, m, s, cfg.eta)
-        delta = float(np.linalg.norm(m1 - m) + np.linalg.norm(s1 - s))
-        m, s = m1, s1
-        _record(params, trace, beta, loss, delta, m, s)
-        if on_step is not None:
-            on_step(k, m.copy(), s.copy())
-        if delta < cfg.tol:
-            trace.converged = True
-            break
-    return _finish(params, x0, beta, m, s, trace)
+    return _relax_sample(
+        params, x0, loss, cfg, on_step, RelaxMode.MEAN_STRESS, "relax_mean_stress"
+    )
 
 
 def relax_twoL(
@@ -496,9 +599,7 @@ def relax_twoL(
     after each update, so every step then updates the full state, an
     O(L^2) sweep that shows every transient and ends in the same (m, s).
     """
-    x0 = _check_input(params, x0)
-    _require_single_sample(x0)
-    beta = beta_array(params, x0)
+    x0, loss, beta = _prepare(params, x0, loss)
     if on_step is None:
         m, s, delta = _twoL_wavefront(params, beta, loss)
     else:
@@ -508,8 +609,7 @@ def relax_twoL(
             m, s = _mean_stress_step(params, beta, loss, m, s, 1.0)
             on_step(k, m.copy(), s.copy())
         delta = _delta_at(params, beta, m, s)
-    bundle = GradientBundle(*_grads_from_delta(params, x0, m, delta))
-    return GlobalVector(m, params.offsets), GlobalVector(s, params.offsets), bundle
+    return _equilibrium(params, x0, m, s, delta)
 
 
 def relax_split(
@@ -538,37 +638,9 @@ def relax_split(
     The flag exists so the bias is measurable; leave it off to converge
     to the exact-gradient equilibrium.
     """
-    if cfg.mode is not RelaxMode.SPLIT:
-        raise ConfigError(f"relax_split requires mode Split, got {cfg.mode.value}")
     velocity = functools.partial(_split_velocity_arrays, cost_at_states=cost_at_states)
-    return _relax_xz(params, x0, loss, cfg, velocity, on_step)
-
-
-def _split_velocity_arrays(
-    params: NetworkParams,
-    beta: np.ndarray,
-    loss: LossSpec,
-    x: np.ndarray,
-    z: np.ndarray,
-    cost_at_states: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    out_sl = params.output_slice
-    s = x - z
-    pre_x = apply_w_array(params, x) + beta
-    pre_z = apply_w_array(params, z) + beta
-    avg_drive = 0.5 * (sigma_array(params, pre_x) + sigma_array(params, pre_z))
-    d_x = sigma_prime_array(params, pre_x)
-    d_z = sigma_prime_array(params, pre_z)
-    if cost_at_states:
-        g_x = loss.gradient(x[out_sl])
-        g_z = loss.gradient(z[out_sl])
-    else:
-        g_x = g_z = loss.gradient(0.5 * (x[out_sl] + z[out_sl]))
-    dx = avg_drive - x + 0.5 * apply_wt_array(params, d_x * s)
-    dx[out_sl] += 0.5 * g_x
-    dz = avg_drive - z - 0.5 * apply_wt_array(params, d_z * s)
-    dz[out_sl] -= 0.5 * g_z
-    return dx, dz
+    step = functools.partial(_euler_step, velocity)
+    return _relax_sample(params, x0, loss, cfg, on_step, RelaxMode.SPLIT, "relax_split", step)
 
 
 def stability_check(
@@ -616,10 +688,11 @@ def relax_batch(
     """Relax a column batch and return batch-mean gradients.
 
     Samples are columns of ``x0`` with matching columns in the loss
-    target. Columns relax independently: each one stops (freezes) once
-    its own summed increment norm passes the tolerance, so iteration
-    counts are per sample, and the reduction to the mean bundle is a
-    fixed-order matrix product, keeping results bit-reproducible.
+    target. Columns relax independently in the same loop as the
+    single-sample relaxations: each one stops (freezes) once its own
+    summed increment norm passes the tolerance, so iteration counts are
+    per sample, and the reduction to the mean bundle is a fixed-order
+    matrix product, keeping results bit-reproducible.
 
     TwoL runs the O(L) block wavefront of ``_twoL_wavefront``, bitwise
     equal to ``backprop_batch``, and reports 2L iterations per column.
@@ -627,54 +700,14 @@ def relax_batch(
     Returns (weight_grads, bias_grads, iterations, converged) where the
     gradients are the mean over the batch.
     """
-    x0 = _check_input(params, x0)
-    if x0.ndim != 2:
-        raise ShapeError("relax_batch takes column-stacked samples")
-    beta = beta_array(params, x0)
-    batch = x0.shape[1]
-
+    x0, loss, beta = _prepare(params, x0, loss, batch=True)
     if cfg.mode is RelaxMode.TWO_L:
         m, _, delta = _twoL_wavefront(params, beta, loss)
-        weight_grads, bias_grads = _grads_from_delta(params, x0, m, delta)
-        return (
-            weight_grads,
-            bias_grads,
-            np.full(batch, 2 * params.depth),
-            np.ones(batch, dtype=bool),
-        )
-
-    first = np.zeros_like(beta)
-    second = np.zeros_like(beta)
-    active = np.ones(batch, dtype=bool)
-    iterations = np.full(batch, cfg.k_max)
-    converged = np.zeros(batch, dtype=bool)
-    velocity = (
-        _saddle_velocity_arrays if cfg.mode is RelaxMode.DYADIC else _split_velocity_arrays
-    )
-    for k in range(1, cfg.k_max + 1):
-        if cfg.mode is RelaxMode.MEAN_STRESS:
-            cand1, cand2 = _mean_stress_step(params, beta, loss, first, second, cfg.eta)
-        else:
-            dx, dz = velocity(params, beta, loss, first, second)
-            cand1 = first + cfg.eta * dx
-            cand2 = second + cfg.eta * dz
-        delta = np.linalg.norm(cand1 - first, axis=0) + np.linalg.norm(
-            cand2 - second, axis=0
-        )
-        if not np.isfinite(delta[active]).all():
-            raise NumericError("batch relaxation diverged (non-finite step delta)")
-        first = np.where(active, cand1, first)
-        second = np.where(active, cand2, second)
-        newly = active & (delta < cfg.tol)
-        iterations[newly] = k
-        converged |= newly
-        active &= ~newly
-        if not active.any():
-            break
-
-    if cfg.mode is RelaxMode.MEAN_STRESS:
-        m, s = first, second
+        batch = x0.shape[1]
+        iterations = np.full(batch, 2 * params.depth)
+        converged = np.ones(batch, dtype=bool)
     else:
-        m, s = 0.5 * (first + second), first - second
-    weight_grads, bias_grads = _grads_from_delta(params, x0, m, _delta_at(params, beta, m, s))
+        m, s, iterations, converged = _relax(params, beta, loss, cfg, _STEPS[cfg.mode])
+        delta = _delta_at(params, beta, m, s)
+    weight_grads, bias_grads = _grads_from_delta(params, x0, m, delta)
     return weight_grads, bias_grads, iterations, converged

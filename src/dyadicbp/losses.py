@@ -84,3 +84,17 @@ class LossSpec:
         if not np.isfinite(grad).all():
             raise NumericError("loss gradient is not finite")
         return grad
+
+
+def _check_target(loss: LossSpec, dtype: np.dtype) -> LossSpec:
+    """``loss`` with its target in the parameters' ``dtype``.
+
+    Integer and bool targets are cast. A float target of another width
+    is a ShapeError: it would silently change the gradients' dtype.
+    """
+    target = loss.target
+    if target.dtype == dtype:
+        return loss
+    if target.dtype.kind not in "biu":
+        raise ShapeError(f"loss target dtype {target.dtype} does not match parameters' {dtype}")
+    return LossSpec(loss.kind, target.astype(dtype))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .losses import LossSpec
+from .losses import LossSpec, _check_target
 from .network import (
     GlobalVector,
     NetworkParams,
@@ -99,6 +99,7 @@ def classical_backprop(
         doubled dynamics converges to.
     """
     x0 = _check_input(params, x0)
+    loss = _check_target(loss, params.dtype)
     pres, acts = forward_layers(params, x0)
     depth = params.depth
     grad = loss.gradient(acts[-1])
@@ -200,6 +201,7 @@ def backprop_batch(
     (the mean of the per-sample bundles).
     """
     x0 = _check_input(params, x0)
+    loss = _check_target(loss, params.dtype)
     batch = x0.shape[1]
     pres, acts = forward_layers(params, x0)
     depth = params.depth

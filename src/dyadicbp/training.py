@@ -24,6 +24,7 @@ from .datasets import DatasetKind, DatasetSpec, generate_dataset
 from .dynamics import (
     RelaxConfig,
     RelaxMode,
+    RelaxTrace,
     relax_batch,
     relax_dyadic,
     relax_mean_stress,
@@ -77,19 +78,49 @@ class GradientMethod(enum.Enum):
         return enum_from_name(cls, name, "gradient method")
 
 
-_RELAX_MODE = {
-    GradientMethod.DYADIC: RelaxMode.DYADIC,
-    GradientMethod.MEAN_STRESS: RelaxMode.MEAN_STRESS,
-    GradientMethod.TWO_L: RelaxMode.TWO_L,
-    GradientMethod.SPLIT: RelaxMode.SPLIT,
-}
-
 # Methods whose behaviour depends on the relaxation step size.
 _ETA_DRIVEN = frozenset(
     {GradientMethod.DYADIC, GradientMethod.MEAN_STRESS, GradientMethod.SPLIT}
 )
 
 _DESK_HIDDEN = (32,) * 8
+
+# The config file's sections, each with its keys in order; None is the
+# top level. A key names the field it sets, except "loss" (loss_kind);
+# the dataset section sets the fields of the DatasetSpec.
+_CONFIG_SECTIONS = (
+    (None, ("seed", "precision", "method", "loss", "fd_step")),
+    ("network", ("input_dim", "widths", "activation", "activations")),
+    ("relax", ("eta", "k_max", "tol")),
+    (
+        "optimizer",
+        ("lr_max", "lr_min", "momentum", "weight_decay", "epochs", "batch_size", "test_fraction"),
+    ),
+    ("dataset", ("kind", "n_samples", "noise", "classes", "path")),
+)
+# Top-level keys read from a config file but left out of the hash:
+# neither changes a computed number.
+_UNHASHED = ("out_dir", "strict")
+_FIELD_OF_KEY = {"loss": "loss_kind"}
+# Parsers of the keys whose file value is not the field value itself.
+_PARSE = {
+    "method": GradientMethod.from_name,
+    "loss": LossKind.from_name,
+    "input_dim": int,
+    "widths": lambda ws: tuple(int(w) for w in ws),
+    "activation": Activation.from_name,
+    "activations": lambda acts: tuple(Activation.from_name(a) for a in acts),
+    "kind": DatasetKind.from_name,
+}
+
+
+def _plain(value):
+    """A field value as the config file spells it."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -179,7 +210,7 @@ class ExperimentConfig:
         return lr_max, lr_min
 
     def relax_config(self) -> RelaxConfig:
-        mode = _RELAX_MODE.get(self.method, RelaxMode.DYADIC)
+        mode = RelaxMode.from_name(self.method.value)
         return RelaxConfig(eta=self.eta, k_max=self.k_max, tol=self.tol, mode=mode)
 
     def to_canonical(self) -> dict:
@@ -188,38 +219,15 @@ class ExperimentConfig:
         Excludes ``out_dir`` and ``strict``: neither changes a computed
         number, so runs differing only there share a hash.
         """
-        return {
-            "seed": self.seed,
-            "precision": self.precision,
-            "method": self.method.value,
-            "loss": self.loss_kind.value,
-            "fd_step": self.fd_step,
-            "network": {
-                "input_dim": self.input_dim,
-                "widths": list(self.widths) if self.widths is not None else None,
-                "activation": self.activation.value,
-                "activations": [a.value for a in self.activations]
-                if self.activations is not None
-                else None,
-            },
-            "relax": {"eta": self.eta, "k_max": self.k_max, "tol": self.tol},
-            "optimizer": {
-                "lr_max": self.lr_max,
-                "lr_min": self.lr_min,
-                "momentum": self.momentum,
-                "weight_decay": self.weight_decay,
-                "epochs": self.epochs,
-                "batch_size": self.batch_size,
-                "test_fraction": self.test_fraction,
-            },
-            "dataset": {
-                "kind": self.dataset.kind.value,
-                "n_samples": self.dataset.n_samples,
-                "noise": self.dataset.noise,
-                "classes": self.dataset.classes,
-                "path": self.dataset.path,
-            },
-        }
+        out: dict = {}
+        for section, keys in _CONFIG_SECTIONS:
+            owner = self.dataset if section == "dataset" else self
+            values = {k: _plain(getattr(owner, _FIELD_OF_KEY.get(k, k))) for k in keys}
+            if section is None:
+                out.update(values)
+            else:
+                out[section] = values
+        return out
 
     def config_hash(self) -> str:
         payload = json.dumps(self.to_canonical(), sort_keys=True).encode()
@@ -234,84 +242,29 @@ class ExperimentConfig:
         """
         if not isinstance(mapping, dict):
             raise ConfigError("config root must be a mapping")
-        kwargs: dict = {}
-        top_allowed = {
-            "seed",
-            "precision",
-            "method",
-            "out_dir",
-            "loss",
-            "strict",
-            "fd_step",
-            "network",
-            "relax",
-            "optimizer",
-            "dataset",
-        }
-        unknown = set(mapping) - top_allowed
+        top_keys = _CONFIG_SECTIONS[0][1] + _UNHASHED
+        unknown = set(mapping) - set(top_keys) - {s for s, _ in _CONFIG_SECTIONS[1:]}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-        def section(name: str, allowed: set) -> dict:
-            sub = mapping.get(name) or {}
-            if not isinstance(sub, dict):
-                raise ConfigError(f"config section {name!r} must be a mapping")
-            extra = set(sub) - allowed
-            if extra:
-                raise ConfigError(f"unknown keys in {name!r}: {sorted(extra)}")
-            return sub
-
-        for key in ("seed", "precision", "out_dir", "strict", "fd_step"):
-            if key in mapping and mapping[key] is not None:
-                kwargs[key] = mapping[key]
-        if mapping.get("method") is not None:
-            kwargs["method"] = GradientMethod.from_name(str(mapping["method"]))
-        if mapping.get("loss") is not None:
-            kwargs["loss_kind"] = LossKind.from_name(str(mapping["loss"]))
-
-        net = section("network", {"input_dim", "widths", "activation", "activations"})
-        if net.get("input_dim") is not None:
-            kwargs["input_dim"] = int(net["input_dim"])
-        if net.get("widths") is not None:
-            kwargs["widths"] = tuple(int(w) for w in net["widths"])
-        if net.get("activation") is not None:
-            kwargs["activation"] = Activation.from_name(str(net["activation"]))
-        if net.get("activations") is not None:
-            kwargs["activations"] = tuple(
-                Activation.from_name(str(a)) for a in net["activations"]
-            )
-
-        relax = section("relax", {"eta", "k_max", "tol"})
-        for key in ("eta", "k_max", "tol"):
-            if relax.get(key) is not None:
-                kwargs[key] = relax[key]
-
-        opt = section(
-            "optimizer",
-            {
-                "lr_max",
-                "lr_min",
-                "momentum",
-                "weight_decay",
-                "epochs",
-                "batch_size",
-                "test_fraction",
-            },
-        )
-        for key in opt:
-            if opt[key] is not None:
-                kwargs[key] = opt[key]
-
-        ds = section("dataset", {"kind", "n_samples", "noise", "classes", "path"})
+        kwargs: dict = {}
         ds_kwargs: dict = {}
-        if ds.get("kind") is not None:
-            ds_kwargs["kind"] = DatasetKind.from_name(str(ds["kind"]))
-        for key in ("n_samples", "noise", "classes", "path"):
-            if ds.get(key) is not None:
-                ds_kwargs[key] = ds[key]
+        for section, keys in _CONFIG_SECTIONS:
+            if section is None:
+                sub, keys = mapping, top_keys
+            else:
+                sub = mapping.get(section) or {}
+                if not isinstance(sub, dict):
+                    raise ConfigError(f"config section {section!r} must be a mapping")
+                extra = set(sub) - set(keys)
+                if extra:
+                    raise ConfigError(f"unknown keys in {section!r}: {sorted(extra)}")
+            into = ds_kwargs if section == "dataset" else kwargs
+            for key in keys:
+                if sub.get(key) is not None:
+                    value = _PARSE.get(key, lambda v: v)(sub[key])
+                    into[_FIELD_OF_KEY.get(key, key)] = value
         if ds_kwargs:
             kwargs["dataset"] = DatasetSpec(**ds_kwargs)
-
         return cls(**kwargs)
 
 
@@ -369,20 +322,6 @@ def _provenance(seed: int, config_hash: str) -> str:
     return f"# seed: {seed}\n# config: {config_hash}\n"
 
 
-def write_csv(
-    path,
-    fieldnames: Sequence[str],
-    rows: Iterable[dict],
-    seed: int,
-    config_hash: str,
-) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_provenance(seed, config_hash))
-        fh.write(",".join(fieldnames) + "\n")
-        for row in rows:
-            fh.write(",".join(format_cell(row.get(name)) for name in fieldnames) + "\n")
-
-
 class _IncrementalCsv:
     """Row-at-a-time CSV writer that flushes eagerly.
 
@@ -406,12 +345,23 @@ class _IncrementalCsv:
         self._fh.close()
 
 
+def write_csv(
+    path,
+    fieldnames: Sequence[str],
+    rows: Iterable[dict],
+    seed: int,
+    config_hash: str,
+) -> None:
+    writer = _IncrementalCsv(path, fieldnames, seed, config_hash)
+    try:
+        for row in rows:
+            writer.write_row(row)
+    finally:
+        writer.close()
+
+
 # ---------------------------------------------------------------------------
 # Gradient dispatch.
-
-
-def _as_bundle(weight_grads, bias_grads) -> GradientBundle:
-    return GradientBundle(tuple(weight_grads), tuple(bias_grads))
 
 
 def _fd_batch(
@@ -591,7 +541,7 @@ def train(config: ExperimentConfig, csv_path=None) -> TrainResult:
                         params, xb, LossSpec(config.loss_kind, yb)
                     )
                     fid_reports.append(
-                        compare(_as_bundle(ws, bs), _as_bundle(ref_w, ref_b))
+                        compare(GradientBundle(ws, bs), GradientBundle(ref_w, ref_b))
                     )
 
                 new_w, new_b = [], []
@@ -670,31 +620,33 @@ def _random_instance(
     return params, x0.astype(params.dtype), LossSpec(config.loss_kind, target)
 
 
-def _trial_gradient(
+def _sample_gradient(
     params: NetworkParams,
     x0: np.ndarray,
     loss: LossSpec,
     config: ExperimentConfig,
-) -> tuple:
-    """Gradient bundle for one sample plus (iterations, converged)."""
+) -> tuple[GradientBundle, Optional[RelaxTrace]]:
+    """Gradient of one sample by the configured method, and the trace of
+    a step-size-driven relaxation (None for the other methods).
+
+    The engines are read as module globals at each call, so rebinding
+    them here (as the benchmark's span tracer does) reaches every call.
+    """
     method = config.method
     if method is GradientMethod.BP:
-        bundle, _ = classical_backprop(params, x0, loss)
-        return bundle, None, True
+        return classical_backprop(params, x0, loss)[0], None
     if method is GradientMethod.FINITE_DIFF:
-        bundle = finite_difference_grad(params, x0, loss, h=config.fd_step)
-        return bundle, None, True
+        return finite_difference_grad(params, x0, loss, h=config.fd_step), None
     if method is GradientMethod.TWO_L:
-        _, _, bundle = relax_twoL(params, x0, loss)
-        return bundle, 2 * params.depth, True
-    cfg = config.relax_config()
+        return relax_twoL(params, x0, loss)[2], None
     if method is GradientMethod.DYADIC:
-        _, _, bundle, trace = relax_dyadic(params, x0, loss, cfg)
+        relax = relax_dyadic
     elif method is GradientMethod.MEAN_STRESS:
-        _, _, bundle, trace = relax_mean_stress(params, x0, loss, cfg)
+        relax = relax_mean_stress
     else:
-        _, _, bundle, trace = relax_split(params, x0, loss, cfg)
-    return bundle, trace.iterations_used, trace.converged
+        relax = relax_split
+    _, _, bundle, trace = relax(params, x0, loss, config.relax_config())
+    return bundle, trace
 
 
 def check_gradients(config: ExperimentConfig, trials: int = 20) -> list:
@@ -709,14 +661,19 @@ def check_gradients(config: ExperimentConfig, trials: int = 20) -> list:
     rows = []
     for t in range(trials):
         params, x0, loss = _random_instance(config, rng)
-        bundle, iterations, converged = _trial_gradient(params, x0, loss, config)
+        bundle, trace = _sample_gradient(params, x0, loss, config)
         ref, _ = classical_backprop(params, x0, loss)
         report = compare(bundle, ref)
+        if trace is not None:
+            iterations, converged = trace.iterations_used, trace.converged
+        else:
+            two_l = config.method is GradientMethod.TWO_L
+            iterations, converged = (2 * params.depth if two_l else None), True
         row = {
             "trial": t,
             "method": config.method.value,
             "iterations": iterations,
-            "converged": bool(converged),
+            "converged": converged,
         }
         row.update(report.to_record())
         rows.append(row)
@@ -757,12 +714,10 @@ def sweep_eta(
         iters = []
         convs = []
         for (params, x0, loss), ref in zip(instances, references):
-            bundle, iterations, converged = _trial_gradient(
-                params, x0, loss, eta_config
-            )
+            bundle, trace = _sample_gradient(params, x0, loss, eta_config)
             reports.append(compare(bundle, ref))
-            iters.append(iterations)
-            convs.append(float(converged))
+            iters.append(trace.iterations_used)
+            convs.append(float(trace.converged))
         cosines = [r.cosine_similarity for r in reports]
         rel_errs = [r.relative_error for r in reports if r.relative_error is not None]
         ratios = [r.norm_ratio for r in reports if r.norm_ratio is not None]

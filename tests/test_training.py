@@ -114,6 +114,36 @@ def test_config_hash_is_stable_and_sensitive():
     assert a.config_hash() != _small_config(eta=0.5).config_hash()
 
 
+def test_section_table_keeps_hashes_and_round_trips():
+    # Both hashes were produced by the hand-written section code that the
+    # section table replaced; a config file written from the canonical
+    # dict must read back to the same config.
+    full = ExperimentConfig(
+        seed=7,
+        precision=32,
+        method=GradientMethod.SPLIT,
+        widths=(8, 8, 3),
+        activations=(Activation.RELU, Activation.SIGMOID, Activation.IDENTITY),
+        loss_kind=LossKind.MSE,
+        eta=0.5,
+        k_max=200,
+        tol=1e-8,
+        lr_max=0.1,
+        lr_min=0.001,
+        momentum=0.5,
+        weight_decay=0.0,
+        epochs=3,
+        batch_size=16,
+        test_fraction=0.25,
+        fd_step=1e-6,
+        dataset=DatasetSpec(kind=DatasetKind.SPIRALS, n_samples=300, noise=0.1, classes=3),
+    )
+    assert ExperimentConfig().config_hash() == "bb392b4988a3"
+    assert full.config_hash() == "7734dbed1e03"
+    assert ExperimentConfig.from_mapping(full.to_canonical()) == full
+    assert ExperimentConfig.from_mapping(ExperimentConfig().to_canonical()) == ExperimentConfig()
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(precision=16)
