@@ -16,6 +16,14 @@ increment drops below the tolerance, and records a trace only when
 asked. TwoL runs the exact 2L schedule instead. All relaxation modes
 extract the gradient from the final (m, s) by the same outer-product
 rule.
+
+The steps write into a per-call workspace (``_Workspace``) of
+state-sized buffers, allocated once per relaxation, and evaluate sigma
+and sigma' in one pass per run of consecutive layers that share an
+activation (``network._sigma_pair_array``). A step allocates no
+state-sized array; its floats are those of the unfused per-layer step,
+including the additions of zero that fix the sign of a zero. The public
+velocity helpers run the same step code on a fresh workspace.
 """
 
 from __future__ import annotations
@@ -36,6 +44,8 @@ from .network import (
     _block_slices,
     _check_input,
     _conform,
+    _sigma_pair,
+    _sigma_pair_array,
     apply_w_array,
     apply_wt_array,
     beta_array,
@@ -155,10 +165,28 @@ class StabilityReport:
     max_backward_residual: float
 
 
-def _embed_output(params: NetworkParams, like: np.ndarray, block: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(like)
-    out[params.output_slice] = block
-    return out
+class _Workspace:
+    """The (n,) or (n, B) buffers of one relaxation call.
+
+    A step reads the state, writes its temporaries into ``m`` .. ``wt``
+    and its new state into ``next1``/``next2``; ``diff`` holds the
+    increment whose norm is the stopping quantity.
+    """
+
+    __slots__ = ("m", "s", "pre", "sig", "dsig", "wt", "next1", "next2", "diff")
+
+    def __init__(self, shape: tuple[int, ...], dtype: np.dtype) -> None:
+        for name in self.__slots__:
+            setattr(self, name, np.empty(shape, dtype=dtype))
+
+
+def _pre_activation(
+    params: NetworkParams, beta: np.ndarray, v: np.ndarray, ws: _Workspace
+) -> np.ndarray:
+    """W v + beta into ``ws.pre``; block 1 is 0 + beta_1, as in the sum of arrays."""
+    pre = apply_w_array(params, v, out=ws.pre)
+    pre += beta
+    return pre
 
 
 def _energy_ms(
@@ -185,6 +213,7 @@ def energy(params: NetworkParams, x0: np.ndarray, loss: LossSpec, state: DyadSta
     x = z (zero stress) the energy is exactly the task loss.
     """
     x0 = _check_input(params, x0)
+    loss = _check_target(loss, params.dtype)
     x = _conform(params, state.x)
     z = _conform(params, state.z)
     beta = beta_array(params, x0)
@@ -197,15 +226,28 @@ def _saddle_velocity_arrays(
     loss: LossSpec,
     x: np.ndarray,
     z: np.ndarray,
+    ws: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
-    m = 0.5 * (x + z)
-    s = x - z
-    pre = apply_w_array(params, m) + beta
-    f = sigma_array(params, pre) - m
-    d = sigma_prime_array(params, pre)
-    backward = 0.5 * (apply_wt_array(params, d * s) - s)
-    cost = _embed_output(params, f, 0.5 * loss.gradient(m[params.output_slice]))
-    return f + backward + cost, f - backward - cost
+    """(dx, dz) into ``ws.next1``/``ws.next2``."""
+    out_sl = params.output_slice
+    m = np.add(x, z, out=ws.m)
+    m *= 0.5
+    s = np.subtract(x, z, out=ws.s)
+    _sigma_pair_array(params, _pre_activation(params, beta, m, ws), ws.sig, ws.dsig)
+    f = np.subtract(ws.sig, m, out=ws.sig)
+    backward = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), out=ws.wt)
+    backward -= s
+    backward *= 0.5
+    half_g = 0.5 * loss.gradient(m[out_sl])
+    # dx = f + backward + cost with the loss gradient embedded in a zero
+    # vector: its zero rows still turn a -0.0 into +0.0, while
+    # subtracting them from dz changes no bit.
+    dx = np.add(f, backward, out=ws.next1)
+    dx[: out_sl.start] += 0.0
+    dx[out_sl] += half_g
+    dz = np.subtract(f, backward, out=ws.next2)
+    dz[out_sl] -= half_g
+    return dx, dz
 
 
 def saddle_velocities(
@@ -219,10 +261,12 @@ def saddle_velocities(
     velocity.
     """
     x0 = _check_input(params, x0)
+    loss = _check_target(loss, params.dtype)
     x = _conform(params, state.x)
     z = _conform(params, state.z)
     beta = beta_array(params, x0)
-    dx, dz = _saddle_velocity_arrays(params, beta, loss, x, z)
+    ws = _Workspace(beta.shape, np.result_type(beta, x, z))
+    dx, dz = _saddle_velocity_arrays(params, beta, loss, x, z, ws)
     return GlobalVector(dx, params.offsets), GlobalVector(dz, params.offsets)
 
 
@@ -240,8 +284,12 @@ def mean_stress_velocities(
     gradient embedded in the output block.
     """
     x0 = _check_input(params, x0)
+    loss = _check_target(loss, params.dtype)
     beta = beta_array(params, x0)
-    dm, ds = _mean_stress_field(params, beta, loss, _conform(params, m), _conform(params, s))
+    m_arr = _conform(params, m)
+    s_arr = _conform(params, s)
+    ws = _Workspace(beta.shape, np.result_type(beta, m_arr, s_arr))
+    dm, ds = _mean_stress_field(params, beta, loss, m_arr, s_arr, ws)
     return GlobalVector(dm, params.offsets), GlobalVector(ds, params.offsets)
 
 
@@ -251,10 +299,13 @@ def _mean_stress_field(
     loss: LossSpec,
     m: np.ndarray,
     s: np.ndarray,
+    ws: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
-    pre = apply_w_array(params, m) + beta
-    dm = sigma_array(params, pre) - m
-    ds = apply_wt_array(params, sigma_prime_array(params, pre) * s) - s
+    """(dm, ds) into ``ws.next1``/``ws.next2``."""
+    _sigma_pair_array(params, _pre_activation(params, beta, m, ws), ws.sig, ws.dsig)
+    dm = np.subtract(ws.sig, m, out=ws.next1)
+    ds = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), out=ws.next2)
+    ds -= s
     ds[params.output_slice] += loss.gradient(m[params.output_slice])
     return dm, ds
 
@@ -304,8 +355,7 @@ def _twoL_wavefront(
     d = np.empty_like(beta)
     for i, (sl, lp) in enumerate(zip(slices, params.layers)):
         pre = beta[sl] if i == 0 else lp.weight @ m[slices[i - 1]] + beta[sl]
-        m[sl] = lp.spec.activation.apply(pre)
-        d[sl] = lp.spec.activation.derivative(pre)
+        _sigma_pair(lp.spec.activation, pre, m[sl], d[sl])
     s = np.empty_like(beta)
     delta = np.empty_like(beta)
     out_sl = params.output_slice
@@ -336,8 +386,8 @@ def gradient_from_equilibrium(
 
 
 def _euler(v: np.ndarray, dv: np.ndarray, eta: float) -> np.ndarray:
-    """v + eta dv, written into the fresh velocity buffer dv: the floats
-    of v + eta * dv (IEEE addition commutes) without two temporaries."""
+    """v + eta dv, written into the velocity buffer dv: the floats of
+    v + eta * dv (IEEE addition commutes) without two temporaries."""
     dv *= eta
     dv += v
     return dv
@@ -351,9 +401,11 @@ def _euler_step(
     x: np.ndarray,
     z: np.ndarray,
     eta: float,
+    ws: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One Euler step of (x, z) under ``velocity(params, beta, loss, x, z)``."""
-    dx, dz = velocity(params, beta, loss, x, z)
+    """One Euler step of (x, z) under ``velocity(params, beta, loss, x, z, ws=ws)``,
+    into ``ws.next1``/``ws.next2``."""
+    dx, dz = velocity(params, beta, loss, x, z, ws=ws)
     return _euler(x, dx, eta), _euler(z, dz, eta)
 
 
@@ -364,18 +416,21 @@ def _mean_stress_step(
     m: np.ndarray,
     s: np.ndarray,
     eta: float,
+    ws: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One Euler step in mean/stress coordinates. At eta = 1 the update
-    m + eta (sigma(Wm + beta) - m) cancels to sigma(Wm + beta) (likewise
-    for s) and is applied in that form: the two-phase map of TwoL."""
+    """One Euler step in mean/stress coordinates, into ``ws.next1``/``ws.next2``.
+    At eta = 1 the update m + eta (sigma(Wm + beta) - m) cancels to
+    sigma(Wm + beta) (likewise for s) and is applied in that form: the
+    two-phase map of TwoL."""
     if eta != 1.0:
-        dm, ds = _mean_stress_field(params, beta, loss, m, s)
+        dm, ds = _mean_stress_field(params, beta, loss, m, s, ws)
         return _euler(m, dm, eta), _euler(s, ds, eta)
     out_sl = params.output_slice
-    pre = apply_w_array(params, m) + beta
-    s1 = apply_wt_array(params, sigma_prime_array(params, pre) * s)
+    m1 = ws.next1
+    _sigma_pair_array(params, _pre_activation(params, beta, m, ws), m1, ws.dsig)
+    s1 = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), out=ws.next2)
     s1[out_sl] = loss.gradient(m[out_sl])
-    return sigma_array(params, pre), s1
+    return m1, s1
 
 
 def _split_velocity_arrays(
@@ -385,22 +440,33 @@ def _split_velocity_arrays(
     x: np.ndarray,
     z: np.ndarray,
     cost_at_states: bool = False,
+    ws: Optional[_Workspace] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """(dx, dz) into ``ws.next1``/``ws.next2`` (a fresh workspace if None)."""
+    if ws is None:
+        ws = _Workspace(beta.shape, np.result_type(beta, x, z))
     out_sl = params.output_slice
-    s = x - z
-    pre_x = apply_w_array(params, x) + beta
-    pre_z = apply_w_array(params, z) + beta
-    avg_drive = 0.5 * (sigma_array(params, pre_x) + sigma_array(params, pre_z))
-    d_x = sigma_prime_array(params, pre_x)
-    d_z = sigma_prime_array(params, pre_z)
     if cost_at_states:
         g_x = loss.gradient(x[out_sl])
         g_z = loss.gradient(z[out_sl])
     else:
         g_x = g_z = loss.gradient(0.5 * (x[out_sl] + z[out_sl]))
-    dx = avg_drive - x + 0.5 * apply_wt_array(params, d_x * s)
+    s = np.subtract(x, z, out=ws.s)
+    # sigma and sigma' of x's pre-activation, then of z's; Split has no
+    # mean, so ws.m holds sigma(W z + beta).
+    _sigma_pair_array(params, _pre_activation(params, beta, x, ws), ws.sig, ws.dsig)
+    half_back = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), out=ws.wt)
+    half_back *= 0.5
+    _sigma_pair_array(params, _pre_activation(params, beta, z, ws), ws.m, ws.dsig)
+    avg_drive = np.add(ws.sig, ws.m, out=ws.sig)
+    avg_drive *= 0.5
+    dx = np.subtract(avg_drive, x, out=ws.next1)
+    dx += half_back
     dx[out_sl] += 0.5 * g_x
-    dz = avg_drive - z - 0.5 * apply_wt_array(params, d_z * s)
+    half_back = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), out=ws.wt)
+    half_back *= 0.5
+    dz = np.subtract(avg_drive, z, out=ws.next2)
+    dz -= half_back
     dz[out_sl] -= 0.5 * g_z
     return dx, dz
 
@@ -412,6 +478,20 @@ _STEPS = {
     RelaxMode.MEAN_STRESS: _mean_stress_step,
     RelaxMode.SPLIT: functools.partial(_euler_step, _split_velocity_arrays),
 }
+
+
+def _step_norm(new: np.ndarray, old: np.ndarray, diff: np.ndarray):
+    """np.linalg.norm of new - old, per column for (n, B), through ``diff``.
+
+    For columns this is the norm's own sum of squares along axis 0,
+    squared in place instead of into a new array. One sample keeps the
+    plain vector norm: axis=0 sums in another order.
+    """
+    np.subtract(new, old, out=diff)
+    if diff.ndim == 1:
+        return np.linalg.norm(diff)
+    np.multiply(diff, diff, out=diff)
+    return np.sqrt(np.add.reduce(diff, axis=0))
 
 
 def _record(
@@ -449,12 +529,14 @@ def _relax(
     ``trace`` (single sample) receives one record per update and
     ``on_step`` receives (k, first, second) copies. Returns the final
     (m, s) and the per-column iterations and converged flags.
+
+    All (n,) or (n, B) arrays of the loop live in one workspace made
+    per call: the step writes the next state into its spare pair, and
+    the two pairs swap, so a step allocates no state-sized array.
     """
     doubled = cfg.mode is not RelaxMode.MEAN_STRESS
-    batch = beta.ndim == 2
-    # One sample keeps the plain vector norm: axis=0 sums in another order.
-    axis = 0 if batch else None
     columns = beta.shape[1:]
+    ws = _Workspace(beta.shape, beta.dtype)
     first = np.zeros_like(beta)
     second = np.zeros_like(beta)
     active = np.ones(columns, dtype=bool)
@@ -465,22 +547,17 @@ def _relax(
         return (0.5 * (a + b), a - b) if doubled else (a, b)
 
     for k in range(1, cfg.k_max + 1):
-        cand1, cand2 = step(params, beta, loss, first, second, cfg.eta)
-        delta = np.linalg.norm(cand1 - first, axis=axis) + np.linalg.norm(
-            cand2 - second, axis=axis
-        )
+        cand1, cand2 = step(params, beta, loss, first, second, cfg.eta, ws)
+        delta = _step_norm(cand1, first, ws.diff) + _step_norm(cand2, second, ws.diff)
         # The column-masked tests run only once some delta is non-finite
         # or below the tolerance, so a running sample pays two per step.
         if not np.isfinite(delta).all() and (active & ~np.isfinite(delta)).any():
             raise NumericError("relaxation state diverged (non-finite step delta)")
-        # Frozen columns keep their state. The candidates stay bound until
-        # the next step has allocated its own: freeing them sooner lets the
-        # allocator trim the heap top and fault it back in on every step.
-        if batch:
-            first = np.where(active, cand1, first)
-            second = np.where(active, cand2, second)
-        else:
-            first, second = cand1, cand2
+        if not active.all():  # frozen columns keep their state
+            frozen = ~active
+            np.copyto(cand1, first, where=frozen)
+            np.copyto(cand2, second, where=frozen)
+        first, second, ws.next1, ws.next2 = cand1, cand2, first, second
         if trace is not None:
             _record(params, trace, beta, loss, float(delta), *mean_stress(first, second))
         if on_step is not None:
@@ -603,10 +680,12 @@ def relax_twoL(
     if on_step is None:
         m, s, delta = _twoL_wavefront(params, beta, loss)
     else:
+        ws = _Workspace(beta.shape, beta.dtype)
         m = np.zeros_like(beta)
         s = np.zeros_like(beta)
         for k in range(1, 2 * params.depth + 1):
-            m, s = _mean_stress_step(params, beta, loss, m, s, 1.0)
+            m1, s1 = _mean_stress_step(params, beta, loss, m, s, 1.0, ws)
+            m, s, ws.next1, ws.next2 = m1, s1, m, s
             on_step(k, m.copy(), s.copy())
         delta = _delta_at(params, beta, m, s)
     return _equilibrium(params, x0, m, s, delta)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -280,21 +280,33 @@ def beta_array(params: NetworkParams, x0: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_w_array(params: NetworkParams, arr: np.ndarray) -> np.ndarray:
-    """Action of the global W: block 1 -> 0, block l -> W_l @ block(l-1)."""
-    out = np.zeros_like(arr)
+def apply_w_array(
+    params: NetworkParams, arr: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Action of the global W: block 1 -> 0, block l -> W_l @ block(l-1).
+
+    Written into ``out`` when given (it must not overlap ``arr``).
+    """
     slices = _block_slices(params)
+    out = np.empty_like(arr) if out is None else out
+    out[slices[0]] = 0
     for i in range(1, params.depth):
-        out[slices[i]] = params.layers[i].weight @ arr[slices[i - 1]]
+        np.matmul(params.layers[i].weight, arr[slices[i - 1]], out=out[slices[i]])
     return out
 
 
-def apply_wt_array(params: NetworkParams, arr: np.ndarray) -> np.ndarray:
-    """Action of the global W transpose: block L -> 0, block l -> W_{l+1}^T @ block(l+1)."""
-    out = np.zeros_like(arr)
+def apply_wt_array(
+    params: NetworkParams, arr: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Action of the global W transpose: block L -> 0, block l -> W_{l+1}^T @ block(l+1).
+
+    Written into ``out`` when given (it must not overlap ``arr``).
+    """
     slices = _block_slices(params)
+    out = np.empty_like(arr) if out is None else out
+    out[slices[-1]] = 0
     for i in range(params.depth - 1):
-        out[slices[i]] = params.layers[i + 1].weight.T @ arr[slices[i + 1]]
+        np.matmul(params.layers[i + 1].weight.T, arr[slices[i + 1]], out=out[slices[i]])
     return out
 
 
@@ -312,6 +324,48 @@ def sigma_prime_array(params: NetworkParams, pre: np.ndarray) -> np.ndarray:
     for sl, lp in zip(_block_slices(params), params.layers):
         out[sl] = lp.spec.activation.derivative(pre[sl])
     return out
+
+
+def _activation_runs(params: NetworkParams) -> list[tuple[slice, Activation]]:
+    """Rows and activation of each run of consecutive blocks sharing one."""
+    runs: list[tuple[slice, Activation]] = []
+    for sl, lp in zip(_block_slices(params), params.layers):
+        act = lp.spec.activation
+        if runs and runs[-1][1] is act:
+            runs[-1] = (slice(runs[-1][0].start, sl.stop), act)
+        else:
+            runs.append((sl, act))
+    return runs
+
+
+def _sigma_pair(activation: Activation, v: np.ndarray, sig: np.ndarray, dsig: np.ndarray) -> None:
+    """sigma(v) into ``sig`` and sigma'(v) into ``dsig`` with one evaluation
+    of the transcendental: the floats of ``Activation.apply``/``derivative``.
+    ``sig`` may be ``v`` itself."""
+    if activation is Activation.TANH:
+        np.tanh(v, out=sig)
+        np.multiply(sig, sig, out=dsig)
+        np.subtract(1.0, dsig, out=dsig)
+    elif activation is Activation.SIGMOID:
+        expit(v, out=sig)
+        np.subtract(1.0, sig, out=dsig)
+        np.multiply(sig, dsig, out=dsig)
+    elif activation is Activation.RELU:
+        np.greater(v, 0, out=dsig)
+        np.maximum(v, 0, out=sig)
+    else:
+        np.copyto(sig, v)
+        dsig.fill(1)
+
+
+def _sigma_pair_array(
+    params: NetworkParams, pre: np.ndarray, sig: np.ndarray, dsig: np.ndarray
+) -> None:
+    """Blockwise sigma and sigma' of a stacked pre-activation, written into
+    ``sig`` and ``dsig``: one kernel call per run of consecutive blocks
+    that share an activation."""
+    for rows, act in _activation_runs(params):
+        _sigma_pair(act, pre[rows], sig[rows], dsig[rows])
 
 
 def forward_layers(

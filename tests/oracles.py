@@ -163,3 +163,124 @@ def neumann_bp(params, x0, kind, target):
         bias_grads.append(blk.copy())
         prev = act
     return weight_grads, bias_grads, s
+
+
+# The relaxation step as the package wrote it before the fused kernel and
+# the per-call workspace: per-block ``Activation.apply``/``derivative``
+# calls and a fresh array for every intermediate. The step-conformance
+# tests require the package's steps to give the same bits as this.
+
+
+def unfused_w(params, arr):
+    out = np.zeros_like(arr)
+    bounds = block_bounds(params)
+    for i in range(1, len(params.layers)):
+        (r0, r1), (c0, c1) = bounds[i], bounds[i - 1]
+        out[r0:r1] = params.layers[i].weight @ arr[c0:c1]
+    return out
+
+
+def unfused_wt(params, arr):
+    out = np.zeros_like(arr)
+    bounds = block_bounds(params)
+    for i in range(len(params.layers) - 1):
+        (r0, r1), (c0, c1) = bounds[i], bounds[i + 1]
+        out[r0:r1] = params.layers[i + 1].weight.T @ arr[c0:c1]
+    return out
+
+
+def unfused_sigma(params, pre):
+    out = np.empty_like(pre)
+    for (b0, b1), lp in zip(block_bounds(params), params.layers):
+        out[b0:b1] = lp.spec.activation.apply(pre[b0:b1])
+    return out
+
+
+def unfused_sigma_prime(params, pre):
+    out = np.empty_like(pre)
+    for (b0, b1), lp in zip(block_bounds(params), params.layers):
+        out[b0:b1] = lp.spec.activation.derivative(pre[b0:b1])
+    return out
+
+
+def _embed_output(params, like, block):
+    out = np.zeros_like(like)
+    b0, b1 = block_bounds(params)[-1]
+    out[b0:b1] = block
+    return out
+
+
+def _saddle_velocity(params, beta, loss, x, z):
+    b0, b1 = block_bounds(params)[-1]
+    m = 0.5 * (x + z)
+    s = x - z
+    pre = unfused_w(params, m) + beta
+    f = unfused_sigma(params, pre) - m
+    d = unfused_sigma_prime(params, pre)
+    backward = 0.5 * (unfused_wt(params, d * s) - s)
+    cost = _embed_output(params, f, 0.5 * loss.gradient(m[b0:b1]))
+    return f + backward + cost, f - backward - cost
+
+
+def _split_velocity(params, beta, loss, x, z, cost_at_states):
+    b0, b1 = block_bounds(params)[-1]
+    s = x - z
+    pre_x = unfused_w(params, x) + beta
+    pre_z = unfused_w(params, z) + beta
+    avg_drive = 0.5 * (unfused_sigma(params, pre_x) + unfused_sigma(params, pre_z))
+    d_x = unfused_sigma_prime(params, pre_x)
+    d_z = unfused_sigma_prime(params, pre_z)
+    if cost_at_states:
+        g_x = loss.gradient(x[b0:b1])
+        g_z = loss.gradient(z[b0:b1])
+    else:
+        g_x = g_z = loss.gradient(0.5 * (x[b0:b1] + z[b0:b1]))
+    dx = avg_drive - x + 0.5 * unfused_wt(params, d_x * s)
+    dx[b0:b1] += 0.5 * g_x
+    dz = avg_drive - z - 0.5 * unfused_wt(params, d_z * s)
+    dz[b0:b1] -= 0.5 * g_z
+    return dx, dz
+
+
+def _mean_stress(params, beta, loss, m, s, eta):
+    b0, b1 = block_bounds(params)[-1]
+    pre = unfused_w(params, m) + beta
+    if eta == 1.0:
+        s1 = unfused_wt(params, unfused_sigma_prime(params, pre) * s)
+        s1[b0:b1] = loss.gradient(m[b0:b1])
+        return unfused_sigma(params, pre), s1
+    dm = unfused_sigma(params, pre) - m
+    ds = unfused_wt(params, unfused_sigma_prime(params, pre) * s) - s
+    ds[b0:b1] += loss.gradient(m[b0:b1])
+    return m + eta * dm, s + eta * ds
+
+
+def unfused_step(mode, params, beta, loss, a, b, eta, cost_at_states=False):
+    """One Euler step of ``mode`` ("Dyadic", "MeanStress" or "Split") from
+    the state (a, b): (x, z), or (m, s) for MeanStress."""
+    if mode == "MeanStress":
+        return _mean_stress(params, beta, loss, a, b, eta)
+    if mode == "Dyadic":
+        da, db = _saddle_velocity(params, beta, loss, a, b)
+    else:
+        da, db = _split_velocity(params, beta, loss, a, b, cost_at_states)
+    return a + eta * da, b + eta * db
+
+
+def unfused_relax_states(mode, params, beta, loss, eta, k_max, tol):
+    """States after each step of a column batch relaxed from zero, each
+    column frozen once its summed increment norm drops below ``tol``."""
+    first = np.zeros_like(beta)
+    second = np.zeros_like(beta)
+    active = np.ones(beta.shape[1], dtype=bool)
+    states = []
+    for _ in range(k_max):
+        cand1, cand2 = unfused_step(mode, params, beta, loss, first, second, eta)
+        delta = np.linalg.norm(cand1 - first, axis=0) + np.linalg.norm(cand2 - second, axis=0)
+        first = np.where(active, cand1, first)
+        second = np.where(active, cand2, second)
+        states.append((first, second))
+        active &= ~(delta < tol)
+        if not active.any():
+            break
+    return states
