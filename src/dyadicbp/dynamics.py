@@ -738,10 +738,8 @@ def stability_check(
     """
     x0 = _check_input(params, x0)
     _require_single_sample(x0)
-    _, acts = forward_layers(params, x0)
-    m = np.concatenate(acts, axis=0)
-    pre = apply_w_array(params, m) + beta_array(params, x0)
-    d = sigma_prime_array(params, pre)
+    pres, _ = forward_layers(params, x0)
+    d = sigma_prime_array(params, np.concatenate(pres, axis=0))
     rng = np.random.default_rng(seed)
     max_fwd = 0.0
     max_bwd = 0.0

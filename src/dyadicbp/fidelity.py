@@ -110,8 +110,11 @@ def compare(
         dtypes = [g.dtype for g in test.weight_grads + reference.weight_grads]
         precision_floor = FLOOR_32 if any(dt == np.float32 for dt in dtypes) else FLOOR_64
 
-    t = test.flat().astype(np.float64)
-    r = reference.flat().astype(np.float64)
+    # One float64 (W, b) vector per layer; their concatenation is ``flat()``.
+    t_layers = [test.layer_flat(i).astype(np.float64, copy=False) for i in range(test.depth)]
+    r_layers = [reference.layer_flat(i).astype(np.float64, copy=False) for i in range(test.depth)]
+    t = np.concatenate(t_layers)
+    r = np.concatenate(r_layers)
     nt = float(np.linalg.norm(t))
     nr = float(np.linalg.norm(r))
     diff = float(np.linalg.norm(t - r))
@@ -126,11 +129,8 @@ def compare(
 
     per_cos = []
     per_logmis = []
-    for i in range(test.depth):
-        c = _cosine(
-            test.layer_flat(i).astype(np.float64),
-            reference.layer_flat(i).astype(np.float64),
-        )
+    for tl, rl in zip(t_layers, r_layers):
+        c = _cosine(tl, rl)
         per_cos.append(c)
         per_logmis.append(log_misalignment(c, precision_floor))
 

@@ -3,12 +3,17 @@ differences, and the Neumann closed form for the stacked sensitivities.
 
 These three share no algorithmic structure with the relaxation dynamics
 and serve as the references every dynamics-derived gradient is checked
-against.
+against. Backprop is one recursion (``_backprop``) on a sample or a
+column batch with two assemblies: ``classical_backprop`` forms the
+per-sample outer products, ``backprop_batch`` the batch means. The
+Neumann series takes its sigma' from the pre-activations of its own
+forward pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -19,10 +24,8 @@ from .network import (
     NetworkParams,
     _check_input,
     apply_wt_array,
-    beta_array,
     forward_layers,
     sigma_prime_array,
-    apply_w_array,
 )
 
 __all__ = [
@@ -83,6 +86,30 @@ class GradientBundle:
         )
 
 
+def _backprop(
+    params: NetworkParams, x0: np.ndarray, loss: LossSpec
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The backprop recursion on one sample (n0,) or a column batch (n0, B).
+
+    Yields (a_{l-1}, delta_l, sens_l) for l = L, ..., 1, where
+    sens_L = grad C, sens_l = W_{l+1}^T delta_{l+1} and
+    delta_l = sigma'_l(z_l) . sens_l. Layer by layer, so that a batch
+    can drop each delta once its gradients are formed: holding all L
+    deltas and sensitivities of a 64-column batch grew the training
+    loop's heap and slowed the relaxation calls between backprops.
+    """
+    x0 = _check_input(params, x0)
+    loss = _check_target(loss, params.dtype)
+    pres, acts = forward_layers(params, x0)
+    prev = [x0] + acts[:-1]
+    sens = loss.gradient(acts[-1])
+    for i in range(params.depth - 1, -1, -1):
+        delta = params.layers[i].spec.activation.derivative(pres[i]) * sens
+        yield prev[i], delta, sens
+        if i > 0:
+            sens = params.layers[i].weight.T @ delta
+
+
 def classical_backprop(
     params: NetworkParams, x0: np.ndarray, loss: LossSpec
 ) -> tuple[GradientBundle, GlobalVector]:
@@ -98,27 +125,11 @@ def classical_backprop(
         gradient at l = L), the quantity the stress variable of the
         doubled dynamics converges to.
     """
-    x0 = _check_input(params, x0)
-    loss = _check_target(loss, params.dtype)
-    pres, acts = forward_layers(params, x0)
-    depth = params.depth
-    grad = loss.gradient(acts[-1])
-
-    sens: list[np.ndarray] = [np.empty(0)] * depth
-    deltas: list[np.ndarray] = [np.empty(0)] * depth
-    sens[depth - 1] = grad
-    deltas[depth - 1] = (
-        params.layers[depth - 1].spec.activation.derivative(pres[depth - 1]) * grad
+    layers = list(_backprop(params, x0, loss))[::-1]
+    bundle = GradientBundle(
+        tuple(np.outer(d, a) for a, d, _ in layers), tuple(d.copy() for _, d, _ in layers)
     )
-    for i in range(depth - 2, -1, -1):
-        sens[i] = params.layers[i + 1].weight.T @ deltas[i + 1]
-        deltas[i] = params.layers[i].spec.activation.derivative(pres[i]) * sens[i]
-
-    prev = [x0] + acts[:-1]
-    weight_grads = tuple(np.outer(deltas[i], prev[i]) for i in range(depth))
-    bias_grads = tuple(deltas[i].copy() for i in range(depth))
-    bundle = GradientBundle(weight_grads, bias_grads)
-    return bundle, GlobalVector(np.concatenate(sens), params.offsets)
+    return bundle, GlobalVector(np.concatenate([s for _, _, s in layers]), params.offsets)
 
 
 def finite_difference_grad(
@@ -177,12 +188,10 @@ def neumann_stress(
     fixed point and g the loss gradient embedded in the output block.
     """
     x0 = _check_input(params, x0)
-    _, acts = forward_layers(params, x0)
-    stacked = np.concatenate(acts, axis=0)
-    pre = apply_w_array(params, stacked) + beta_array(params, x0)
-    dbar = sigma_prime_array(params, pre)
+    pres, acts = forward_layers(params, x0)
+    dbar = sigma_prime_array(params, np.concatenate(pres, axis=0))
 
-    g = np.zeros_like(stacked)
+    g = np.zeros_like(dbar)
     g[params.output_slice] = loss.gradient(acts[-1])
     s = g.copy()
     term = g
@@ -200,22 +209,5 @@ def backprop_batch(
     Returns per-layer weight and bias gradients averaged over the batch
     (the mean of the per-sample bundles).
     """
-    x0 = _check_input(params, x0)
-    loss = _check_target(loss, params.dtype)
-    batch = x0.shape[1]
-    pres, acts = forward_layers(params, x0)
-    depth = params.depth
-    delta = params.layers[depth - 1].spec.activation.derivative(pres[depth - 1]) * (
-        loss.gradient(acts[-1])
-    )
-    prev = [x0] + acts[:-1]
-    weight_grads = [np.empty(0)] * depth
-    bias_grads = [np.empty(0)] * depth
-    for i in range(depth - 1, -1, -1):
-        weight_grads[i] = (delta @ prev[i].T) / batch
-        bias_grads[i] = delta.mean(axis=1)
-        if i > 0:
-            delta = params.layers[i - 1].spec.activation.derivative(pres[i - 1]) * (
-                params.layers[i].weight.T @ delta
-            )
-    return weight_grads, bias_grads
+    grads = [((d @ a.T) / a.shape[1], d.mean(axis=1)) for a, d, _ in _backprop(params, x0, loss)]
+    return [w for w, _ in grads[::-1]], [b for _, b in grads[::-1]]

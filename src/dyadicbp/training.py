@@ -102,14 +102,54 @@ _CONFIG_SECTIONS = (
 # neither changes a computed number.
 _UNHASHED = ("out_dir", "strict")
 _FIELD_OF_KEY = {"loss": "loss_kind"}
-# Parsers of the keys whose file value is not the field value itself.
+
+
+def _typed(key: str, kinds: tuple, what: str):
+    """Parser of ``key`` that passes a value of ``kinds`` through unchanged
+    (a bool only where ``kinds`` names it) and raises ConfigError on
+    anything else. It never converts: a valid file's values, and so its
+    config hash, stay as written."""
+
+    def parse(value):
+        is_bool = isinstance(value, bool)
+        if not isinstance(value, kinds) or (is_bool and bool not in kinds):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _list_of(key: str, item):
+    """Parser of a list-valued ``key``: a tuple of ``item`` of each entry."""
+
+    def parse(value):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return tuple(item(v) for v in value)
+
+    return parse
+
+
+_INTEGER_KEYS = (
+    "seed", "precision", "input_dim", "k_max", "epochs", "batch_size", "n_samples", "classes"
+)
+_NUMBER_KEYS = (
+    "fd_step", "eta", "tol", "lr_max", "lr_min", "momentum", "weight_decay", "test_fraction",
+    "noise",
+)
+# Every key's parser: the file value, type-checked, or the field value
+# it names (an enum member, a tuple).
 _PARSE = {
+    **{key: _typed(key, (int,), "an integer") for key in _INTEGER_KEYS},
+    **{key: _typed(key, (int, float), "a number") for key in _NUMBER_KEYS},
+    "out_dir": _typed("out_dir", (str,), "a string"),
+    "path": _typed("path", (str,), "a string"),
+    "strict": _typed("strict", (bool,), "true or false"),
     "method": GradientMethod.from_name,
     "loss": LossKind.from_name,
-    "input_dim": int,
-    "widths": lambda ws: tuple(int(w) for w in ws),
+    "widths": _list_of("widths", _typed("widths", (int,), "a list of integers")),
     "activation": Activation.from_name,
-    "activations": lambda acts: tuple(Activation.from_name(a) for a in acts),
+    "activations": _list_of("activations", Activation.from_name),
     "kind": DatasetKind.from_name,
 }
 
@@ -164,6 +204,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.precision not in (32, 64):
             raise ConfigError(f"precision must be 32 or 64, got {self.precision}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.input_dim < 1:
+            raise ConfigError("input_dim must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -182,6 +226,8 @@ class ExperimentConfig:
                 raise ConfigError("widths must be positive")
         if self.activations is not None:
             object.__setattr__(self, "activations", tuple(self.activations))
+        if self.method not in (GradientMethod.BP, GradientMethod.FINITE_DIFF):
+            self.relax_config()  # fail on eta, k_max or tol before any output
 
     @property
     def dtype(self) -> np.dtype:
@@ -261,7 +307,7 @@ class ExperimentConfig:
             into = ds_kwargs if section == "dataset" else kwargs
             for key in keys:
                 if sub.get(key) is not None:
-                    value = _PARSE.get(key, lambda v: v)(sub[key])
+                    value = _PARSE[key](sub[key])
                     into[_FIELD_OF_KEY.get(key, key)] = value
         if ds_kwargs:
             kwargs["dataset"] = DatasetSpec(**ds_kwargs)

@@ -3,12 +3,24 @@
 Everything here rebuilds quantities with explicit dense matrices and
 plain per-layer loops, sharing no code with the package's
 operator-action kernels, so agreement between the two is evidence and
-not tautology.
+not tautology. The last two sections are the exception: they keep
+earlier package formulas as they were written, so that a rewrite of
+the package can be pinned to the same bits.
 """
+
+import math
 
 import numpy as np
 
 from dyadicbp import Activation, LossKind
+from dyadicbp.fidelity import _cosine, log_misalignment
+from dyadicbp.network import (
+    apply_w_array,
+    apply_wt_array,
+    beta_array,
+    forward_layers,
+    sigma_prime_array,
+)
 
 
 def block_bounds(params):
@@ -284,3 +296,68 @@ def unfused_relax_states(mode, params, beta, loss, eta, k_max, tol):
         if not active.any():
             break
     return states
+
+
+# The check-side formulas as the package wrote them before the oracles
+# took sigma' from the forward pass's own pre-activations: sigma' at
+# W m + beta(x0), recomputed through the package's operator actions,
+# and a compare that flattens every layer twice. The tests in
+# test_backprop_recursion.py require the package's oracles and metrics
+# to give the same bits.
+
+
+def recomputed_neumann_stress(params, x0, loss):
+    _, acts = forward_layers(params, x0)
+    stacked = np.concatenate(acts, axis=0)
+    dbar = sigma_prime_array(params, apply_w_array(params, stacked) + beta_array(params, x0))
+    b0, b1 = block_bounds(params)[-1]
+    g = np.zeros_like(stacked)
+    g[b0:b1] = loss.gradient(acts[-1])
+    s = g.copy()
+    term = g
+    for _ in range(len(params.layers) - 1):
+        term = apply_wt_array(params, dbar * term)
+        s += term
+    return s
+
+
+def recomputed_stability(params, x0, n_probes=8, seed=0):
+    """(max forward norm, max backward norm) of the nilpotency probe."""
+    _, acts = forward_layers(params, x0)
+    m = np.concatenate(acts, axis=0)
+    d = sigma_prime_array(params, apply_w_array(params, m) + beta_array(params, x0))
+    rng = np.random.default_rng(seed)
+    max_fwd = max_bwd = 0.0
+    for _ in range(n_probes):
+        v = rng.normal(size=state_size(params))
+        v /= np.linalg.norm(v)
+        u = v.copy()
+        w = v.copy()
+        for _ in range(len(params.layers)):
+            u = d * apply_w_array(params, u)
+            w = apply_wt_array(params, d * w)
+        max_fwd = max(max_fwd, float(np.linalg.norm(u)))
+        max_bwd = max(max_bwd, float(np.linalg.norm(w)))
+    return max_fwd, max_bwd
+
+
+def two_pass_compare(test, reference, precision_floor):
+    """The FidelityReport fields of ``compare``, from ``flat()`` for the
+    global metrics and a second ``layer_flat`` pass per layer."""
+    t = test.flat().astype(np.float64)
+    r = reference.flat().astype(np.float64)
+    nt = float(np.linalg.norm(t))
+    nr = float(np.linalg.norm(r))
+    diff = float(np.linalg.norm(t - r))
+    if nr > 0.0:
+        ratios = (diff / nr, nt / nr, math.inf if diff == 0.0 else (nr * nr) / (diff * diff))
+    else:
+        ratios = (None, None, None)
+    per_cos = tuple(
+        _cosine(
+            test.layer_flat(i).astype(np.float64), reference.layer_flat(i).astype(np.float64)
+        )
+        for i in range(test.depth)
+    )
+    per_logmis = tuple(log_misalignment(c, precision_floor) for c in per_cos)
+    return (_cosine(t, r),) + ratios + (per_cos, per_logmis, precision_floor)
