@@ -2,7 +2,7 @@
 
 Usage (from a checkout's root):
 
-    PYTHONPATH=src python scripts/output_hashes.py OUT_DIR
+    PYTHONPATH=src python scripts/output_hashes.py OUT_DIR [--against LISTING]
 
 The matrix covers every CLI subcommand that writes numbers:
 
@@ -14,17 +14,20 @@ The matrix covers every CLI subcommand that writes numbers:
   200 samples, eta 0.5, k_max 400) for Dyadic, MeanStress, Split, TwoL
   and BP at both precisions (10 files).
 
-Each line reads ``sha256  path`` with the path relative to OUT_DIR, so
-the outputs of two checkouts compare with ``diff``: run this script
-once with each checkout's ``src`` on PYTHONPATH and diff the listings.
-The imported package location and the CLI's own messages go to
-standard error.
+Each line reads ``sha256  path`` with the path relative to OUT_DIR.
+Save the listing of one checkout and pass it as ``--against LISTING``
+when running another: the script then prints, instead of the listing,
+each path whose digest differs or that is missing on either side, and
+exits 1 if there is any. The imported package location and the CLI's
+own messages go to standard error.
 """
 
+import argparse
 import contextlib
 import hashlib
 import sys
 from pathlib import Path
+from typing import Optional
 
 import dyadicbp
 from dyadicbp.cli import main
@@ -61,7 +64,30 @@ def runs(train_yaml: Path):
             yield f"train-{method}-{prec}", args
 
 
-def main_hashes(out: Path) -> int:
+def parse_listing(text: str) -> dict[str, str]:
+    """{path: sha256} of a listing this script printed."""
+    digests = {}
+    for line in text.splitlines():
+        if line.strip():
+            digest, path = line.split(maxsplit=1)
+            digests[path] = digest
+    return digests
+
+
+def mismatches(fresh: dict[str, str], saved: dict[str, str]) -> list[str]:
+    """One line per path that differs between two {path: sha256} maps."""
+    lines = []
+    for path in sorted(fresh.keys() | saved.keys()):
+        if path not in saved:
+            lines.append(f"not in listing: {path}")
+        elif path not in fresh:
+            lines.append(f"missing: {path}")
+        elif fresh[path] != saved[path]:
+            lines.append(f"differs: {path}")
+    return lines
+
+
+def main_hashes(out: Path, against: Optional[Path] = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     train_yaml = out / "train.yaml"
     train_yaml.write_text(TRAIN_CONFIG)
@@ -73,13 +99,25 @@ def main_hashes(out: Path) -> int:
         if code != 0:
             print(f"{name}: exit {code}", file=sys.stderr)
             status = 1
-    for path in sorted(out.glob("*/*.csv")):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(out)}")
-    return status
+    fresh = {
+        str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.glob("*/*.csv"))
+    }
+    if against is None:
+        for path, digest in fresh.items():
+            print(f"{digest}  {path}")
+        return status
+    saved = parse_listing(against.read_text())
+    lines = mismatches(fresh, saved)
+    print("\n".join(lines) if lines else f"all {len(saved)} outputs match {against}")
+    return 1 if lines else status
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(f"usage: {sys.argv[0]} OUT_DIR")
-    sys.exit(main_hashes(Path(sys.argv[1])))
+    parser = argparse.ArgumentParser(description="Hash the CLI's output CSVs.")
+    parser.add_argument("out_dir", type=Path, metavar="OUT_DIR")
+    parser.add_argument(
+        "--against", type=Path, metavar="LISTING", help="a saved listing to compare with"
+    )
+    args = parser.parse_args()
+    sys.exit(main_hashes(args.out_dir, args.against))

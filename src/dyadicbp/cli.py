@@ -184,7 +184,7 @@ def _cmd_relax(config: ExperimentConfig) -> int:
         )
     rng = np.random.default_rng(config.seed)
     params, x0, loss = _random_instance(config, rng)
-    _, trace = _sample_gradient(params, x0, loss, config)
+    _, trace = _sample_gradient(params, x0, loss, config, record_steps=True)
 
     depth = params.depth
     fieldnames = ("k", "delta_norm", "energy") + tuple(

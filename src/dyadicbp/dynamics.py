@@ -137,8 +137,9 @@ class RelaxTrace:
     Record i describes the state after update i + 1: the stopping
     quantity (the summed L2 norms of the two state increments), the
     energy, and the per-layer stress norms. ``iterations_used`` equals
-    the number of Euler updates performed, so all record lists have that
-    length.
+    the number of Euler updates performed, so with step records on all
+    record lists have that length; with ``record_steps=False`` they are
+    empty.
     """
 
     iterations_used: int = 0
@@ -150,13 +151,16 @@ class RelaxTrace:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Nilpotency residuals of the linearized dynamics around equilibrium.
+    """Nilpotency residuals of the block structure of W.
 
     Both linearization blocks are (nilpotent - identity): the mean block
     is D(m) W - I and the stress block is W^T D(m) - I, so applying
     (J + I) L times must annihilate any vector. The residuals are the
     largest norms remaining after L applications over random unit
-    probes; both spectra are exactly {-1}.
+    probes. Each application moves the exact zeros W writes into block 1
+    (W^T: block L) one block on, so for finite parameters both are 0.0
+    whatever D(m) is: they check the block structure of W, not the
+    transient of the linearization at the forward point.
     """
 
     depth: int
@@ -509,7 +513,6 @@ def _record(
     trace.stress_block_norms.append(
         tuple(float(np.linalg.norm(s[offs[i] : offs[i + 1]])) for i in range(params.depth))
     )
-    trace.iterations_used += 1
 
 
 def _relax(
@@ -570,8 +573,6 @@ def _relax(
             active &= ~newly
             if not active.any():
                 break
-    if trace is not None:
-        trace.converged = bool(converged)
     return (*mean_stress(first, second), iterations, converged)
 
 
@@ -607,13 +608,18 @@ def _relax_sample(
     on_step: Optional[StepCallback],
     mode: RelaxMode,
     caller: str,
+    record_steps: bool,
     step: Optional[Callable[..., tuple[np.ndarray, np.ndarray]]] = None,
 ) -> tuple[GlobalVector, GlobalVector, GradientBundle, RelaxTrace]:
     if cfg.mode is not mode:
         raise ConfigError(f"{caller} requires mode {mode.value}, got {cfg.mode.value}")
     x0, loss, beta = _prepare(params, x0, loss)
     trace = RelaxTrace()
-    m, s, _, _ = _relax(params, beta, loss, cfg, step or _STEPS[mode], trace, on_step)
+    records = trace if record_steps else None
+    m, s, iters, conv = _relax(params, beta, loss, cfg, step or _STEPS[mode], records, on_step)
+    if not record_steps:  # the last record's energy check
+        _energy_ms(params, beta, loss, m, s)
+    trace.iterations_used, trace.converged = int(iters), bool(conv)
     return (*_equilibrium(params, x0, m, s, _delta_at(params, beta, m, s)), trace)
 
 
@@ -623,6 +629,8 @@ def relax_dyadic(
     loss: LossSpec,
     cfg: RelaxConfig,
     on_step: Optional[StepCallback] = None,
+    *,
+    record_steps: bool = True,
 ) -> tuple[GlobalVector, GlobalVector, GradientBundle, RelaxTrace]:
     """Relax the doubled state (x, z) by forward Euler on the saddle flow.
 
@@ -631,9 +639,15 @@ def relax_dyadic(
     tolerance (or the iteration budget runs out, which is reported in
     the trace, not raised). Returns the mean, the stress, the extracted
     gradient, and the trace. ``on_step`` (if given) receives
-    (k, x, z) copies after each update.
+    (k, x, z) copies after each update. The trace records the delta,
+    energy and stress norms of every update only with ``record_steps``;
+    without, the same bits come back with the trace's counts alone, and
+    the energy (NumericError if not finite) is checked only at the end,
+    so a transient overflow of it with finite increments no longer raises.
     """
-    return _relax_sample(params, x0, loss, cfg, on_step, RelaxMode.DYADIC, "relax_dyadic")
+    return _relax_sample(
+        params, x0, loss, cfg, on_step, RelaxMode.DYADIC, "relax_dyadic", record_steps
+    )
 
 
 def relax_mean_stress(
@@ -642,6 +656,8 @@ def relax_mean_stress(
     loss: LossSpec,
     cfg: RelaxConfig,
     on_step: Optional[StepCallback] = None,
+    *,
+    record_steps: bool = True,
 ) -> tuple[GlobalVector, GlobalVector, GradientBundle, RelaxTrace]:
     """Relax in mean/stress coordinates by forward Euler.
 
@@ -650,10 +666,11 @@ def relax_mean_stress(
     float for float, to the discrete two-phase scheme, which is what
     makes the layerwise freezing of the mean hold as exact equality of
     stored floats rather than up to rounding. ``on_step`` receives
-    (k, m, s) copies after each update.
+    (k, m, s) copies after each update; ``record_steps`` as in ``relax_dyadic``.
     """
     return _relax_sample(
-        params, x0, loss, cfg, on_step, RelaxMode.MEAN_STRESS, "relax_mean_stress"
+        params, x0, loss, cfg, on_step, RelaxMode.MEAN_STRESS, "relax_mean_stress",
+        record_steps,
     )
 
 
@@ -698,6 +715,8 @@ def relax_split(
     cfg: RelaxConfig,
     cost_at_states: bool = False,
     on_step: Optional[StepCallback] = None,
+    *,
+    record_steps: bool = True,
 ) -> tuple[GlobalVector, GlobalVector, GradientBundle, RelaxTrace]:
     """Relax the decoupled split scheme: per-state drives and Jacobians.
 
@@ -715,11 +734,13 @@ def relax_split(
     the mean equation: for MSE the output-block stress converges to
     (I - H^2/4)^{-1} g = (4/3) g instead of g (H is the loss Hessian).
     The flag exists so the bias is measurable; leave it off to converge
-    to the exact-gradient equilibrium.
+    to the exact-gradient equilibrium. ``record_steps`` as in ``relax_dyadic``.
     """
     velocity = functools.partial(_split_velocity_arrays, cost_at_states=cost_at_states)
     step = functools.partial(_euler_step, velocity)
-    return _relax_sample(params, x0, loss, cfg, on_step, RelaxMode.SPLIT, "relax_split", step)
+    return _relax_sample(
+        params, x0, loss, cfg, on_step, RelaxMode.SPLIT, "relax_split", record_steps, step
+    )
 
 
 def stability_check(
@@ -728,13 +749,15 @@ def stability_check(
     n_probes: int = 8,
     seed: int = 0,
 ) -> StabilityReport:
-    """Probe the nilpotency of the linearized dynamics at the forward point.
+    """Check the block nilpotency of the linearized dynamics.
 
     Applies the (J + I) actions, v -> D(m) W v for the mean block and
-    v -> W^T (D(m) v) for the stress block, L times to random unit
-    vectors and reports the largest remaining norm. Exact arithmetic
-    gives exactly zero after L applications, which is why both spectra
-    are {-1} and the flow is uniformly contracting.
+    v -> W^T (D(m) v) for the stress block, with D(m) at the forward
+    point, L times to random unit vectors and reports the largest
+    remaining norm. Each application moves the zeros W (W^T) writes into
+    its first block one block on, so for finite parameters both are
+    exactly 0.0 whatever D(m) is: this checks the block structure of W,
+    not the transient before step L.
     """
     x0 = _check_input(params, x0)
     _require_single_sample(x0)

@@ -138,8 +138,19 @@ class NetworkParams:
                     f"previous width is {fan_in}"
                 )
             fan_in = lp.spec.width
-        offsets = np.concatenate([[0], np.cumsum([lp.spec.width for lp in self.layers])])
-        object.__setattr__(self, "_offsets", tuple(int(o) for o in offsets))
+        offsets = np.cumsum([0] + [lp.spec.width for lp in self.layers]).tolist()
+        # Frozen params fix the block layout: relaxation steps read it, not rebuild it.
+        slices = tuple(slice(offsets[i], offsets[i + 1]) for i in range(len(self.layers)))
+        runs: list[tuple[slice, Activation]] = []
+        for sl, lp in zip(slices, self.layers):
+            act = lp.spec.activation
+            if runs and runs[-1][1] is act:
+                runs[-1] = (slice(runs[-1][0].start, sl.stop), act)
+            else:
+                runs.append((sl, act))
+        object.__setattr__(self, "_offsets", tuple(offsets))
+        object.__setattr__(self, "_slices", slices)
+        object.__setattr__(self, "_runs", tuple(runs))
 
     @property
     def depth(self) -> int:
@@ -165,11 +176,11 @@ class NetworkParams:
         """Slice of global indices for layer ``layer`` (1-based)."""
         if not 1 <= layer <= self.depth:
             raise ShapeError(f"layer index {layer} outside 1..{self.depth}")
-        return slice(self.offsets[layer - 1], self.offsets[layer])
+        return self._slices[layer - 1]  # type: ignore[attr-defined]
 
     @property
     def output_slice(self) -> slice:
-        return self.block_slice(self.depth)
+        return self._slices[-1]  # type: ignore[attr-defined]
 
     def astype(self, dtype) -> "NetworkParams":
         dtype = np.dtype(dtype)
@@ -257,9 +268,8 @@ def _conform(params: NetworkParams, v: GlobalVector) -> np.ndarray:
     return v.data
 
 
-def _block_slices(params: NetworkParams) -> list[slice]:
-    offs = params.offsets
-    return [slice(offs[i], offs[i + 1]) for i in range(params.depth)]
+def _block_slices(params: NetworkParams) -> tuple[slice, ...]:
+    return params._slices  # type: ignore[attr-defined]
 
 
 def _bias_like(bias: np.ndarray, arr: np.ndarray) -> np.ndarray:
@@ -326,16 +336,9 @@ def sigma_prime_array(params: NetworkParams, pre: np.ndarray) -> np.ndarray:
     return out
 
 
-def _activation_runs(params: NetworkParams) -> list[tuple[slice, Activation]]:
+def _activation_runs(params: NetworkParams) -> tuple[tuple[slice, Activation], ...]:
     """Rows and activation of each run of consecutive blocks sharing one."""
-    runs: list[tuple[slice, Activation]] = []
-    for sl, lp in zip(_block_slices(params), params.layers):
-        act = lp.spec.activation
-        if runs and runs[-1][1] is act:
-            runs[-1] = (slice(runs[-1][0].start, sl.stop), act)
-        else:
-            runs.append((sl, act))
-    return runs
+    return params._runs  # type: ignore[attr-defined]
 
 
 def _sigma_pair(activation: Activation, v: np.ndarray, sig: np.ndarray, dsig: np.ndarray) -> None:

@@ -188,6 +188,7 @@ def neumann_stress(
     fixed point and g the loss gradient embedded in the output block.
     """
     x0 = _check_input(params, x0)
+    loss = _check_target(loss, params.dtype)
     pres, acts = forward_layers(params, x0)
     dbar = sigma_prime_array(params, np.concatenate(pres, axis=0))
 

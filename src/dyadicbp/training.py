@@ -671,9 +671,11 @@ def _sample_gradient(
     x0: np.ndarray,
     loss: LossSpec,
     config: ExperimentConfig,
+    record_steps: bool = False,
 ) -> tuple[GradientBundle, Optional[RelaxTrace]]:
     """Gradient of one sample by the configured method, and the trace of
-    a step-size-driven relaxation (None for the other methods).
+    a step-size-driven relaxation (None for the other methods), with
+    per-step records only if ``record_steps``.
 
     The engines are read as module globals at each call, so rebinding
     them here (as the benchmark's span tracer does) reaches every call.
@@ -691,7 +693,8 @@ def _sample_gradient(
         relax = relax_mean_stress
     else:
         relax = relax_split
-    _, _, bundle, trace = relax(params, x0, loss, config.relax_config())
+    cfg = config.relax_config()
+    _, _, bundle, trace = relax(params, x0, loss, cfg, record_steps=record_steps)
     return bundle, trace
 
 

@@ -1,0 +1,36 @@
+"""``scripts/output_hashes.py --against`` names every output whose
+digest differs from a saved listing, or that either side lacks."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_hashes.py"
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("output_hashes", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+hashes = _load_script()
+
+
+def test_listing_round_trips():
+    listing = "aa11  check-Dyadic-64-1.0/check.csv\nbb22  relax-Split-32-0.5/trajectory.csv\n"
+    assert hashes.parse_listing(listing) == {
+        "check-Dyadic-64-1.0/check.csv": "aa11",
+        "relax-Split-32-0.5/trajectory.csv": "bb22",
+    }
+
+
+def test_mismatches_name_each_differing_or_missing_path():
+    saved = {"a/x.csv": "1", "b/y.csv": "2", "c/z.csv": "3"}
+    assert hashes.mismatches(dict(saved), saved) == []
+    fresh = {"a/x.csv": "1", "b/y.csv": "9", "d/w.csv": "4"}
+    assert hashes.mismatches(fresh, saved) == [
+        "differs: b/y.csv",
+        "missing: c/z.csv",
+        "not in listing: d/w.csv",
+    ]

@@ -168,3 +168,22 @@ def test_gradient_bundle_interface():
     other = make_chain(rng, depth=2)
     with pytest.raises(ShapeError):
         zero.check_conformal(other)
+
+
+def test_neumann_stress_checks_the_target_dtype():
+    # A float64 target with float32 params would put a float64 loss
+    # gradient into float32 stress; classical_backprop rejects it too.
+    rng = np.random.default_rng(47)
+    params = random_network(3, (4, 2), Activation.TANH, rng, dtype=np.float32)
+    x0 = rng.standard_normal(3).astype(np.float32)
+    with pytest.raises(ShapeError):
+        neumann_stress(params, x0, LossSpec(LossKind.MSE, np.zeros(2)))
+    with pytest.raises(ShapeError):
+        classical_backprop(params, x0, LossSpec(LossKind.MSE, np.zeros(2)))
+    onehot = np.array([0, 1])
+    got = neumann_stress(params, x0, LossSpec(LossKind.SOFTMAX_CROSS_ENTROPY, onehot))
+    want = neumann_stress(
+        params, x0, LossSpec(LossKind.SOFTMAX_CROSS_ENTROPY, onehot.astype(np.float32))
+    )
+    assert got.data.dtype == np.float32
+    assert got.data.tobytes() == want.data.tobytes()

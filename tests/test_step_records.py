@@ -1,0 +1,175 @@
+"""Step records are opt-in: a single-sample relaxation with
+``record_steps=False`` returns the same bits, iteration count and
+converged flag as with records on, with empty per-step lists, and still
+raises NumericError on a state whose energy is not finite. The block
+layout that every step reads is computed once per NetworkParams."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import ALL_ACTS, make_chain, make_loss
+from dyadicbp import (
+    Activation,
+    LayerParams,
+    LayerSpec,
+    LossKind,
+    LossSpec,
+    NetworkParams,
+    NumericError,
+    RelaxConfig,
+    RelaxMode,
+    random_network,
+    relax_dyadic,
+    relax_mean_stress,
+    relax_split,
+)
+from dyadicbp.network import _activation_runs, _block_slices
+from dyadicbp.training import _with_arrays
+
+SINGLE = {
+    "Dyadic": relax_dyadic,
+    "MeanStress": relax_mean_stress,
+    "Split": relax_split,
+}
+
+
+def assert_same_bits(got, want):
+    """Equal dtype, shape and bytes: unlike array_equal, -0.0 != +0.0."""
+    got = np.asarray(got)
+    want = np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _zero_rows(params, rng):
+    """``params`` with about a third of each layer's rows (weights and
+    bias) set to zero, so those pre-activations are exactly 0 at every
+    step: ReLU sits on its kink there."""
+    layers = []
+    for lp in params.layers:
+        keep = rng.random(lp.spec.width) >= 1 / 3
+        weight = lp.weight * keep[:, None].astype(lp.weight.dtype)
+        layers.append(LayerParams(lp.spec, weight, lp.bias * keep.astype(lp.bias.dtype)))
+    return NetworkParams(params.input_dim, tuple(layers))
+
+
+@st.composite
+def record_cases(draw):
+    """A scheme (Split with or without cost_at_states), a network of
+    mixed activations with exact-zero pre-activations, a precision, a
+    loss and a step size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mode = draw(st.sampled_from(tuple(SINGLE)))
+    cost_at_states = mode == "Split" and draw(st.booleans())
+    dtype = draw(st.sampled_from((np.float64, np.float32)))
+    depth = draw(st.integers(1, 5))
+    acts = draw(st.lists(st.sampled_from(ALL_ACTS), min_size=depth, max_size=depth))
+    input_dim = int(rng.integers(1, 6))
+    widths = [int(rng.integers(1, 7)) for _ in acts]
+    params = random_network(input_dim, widths, acts, rng, bias_std=0.5, dtype=dtype)
+    params = _zero_rows(params, rng)
+    x0 = rng.standard_normal(input_dim).astype(dtype)
+    kind = draw(st.sampled_from(tuple(LossKind)))
+    loss = make_loss(rng, widths[-1], kind=kind, dtype=dtype)
+    eta = draw(st.sampled_from((0.5, 1.0)))
+    cfg = RelaxConfig(eta=eta, k_max=200, tol=1e-9, mode=RelaxMode.from_name(mode))
+    kwargs = {"cost_at_states": cost_at_states} if mode == "Split" else {}
+    return SINGLE[mode], params, x0, loss, cfg, kwargs
+
+
+@given(record_cases())
+def test_records_off_returns_the_same_bits(case):
+    relax, params, x0, loss, cfg, kwargs = case
+    m1, s1, b1, t1 = relax(params, x0, loss, cfg, **kwargs)
+    m2, s2, b2, t2 = relax(params, x0, loss, cfg, record_steps=False, **kwargs)
+    assert_same_bits(m2.data, m1.data)
+    assert_same_bits(s2.data, s1.data)
+    for got, want in zip(b2.weight_grads + b2.bias_grads, b1.weight_grads + b1.bias_grads):
+        assert_same_bits(got, want)
+    assert len(b2.weight_grads) == len(b1.weight_grads) == params.depth
+    assert t2.iterations_used == t1.iterations_used
+    assert t2.converged == t1.converged
+    assert type(t2.iterations_used) is int and type(t2.converged) is bool
+    assert t2.deltas == [] and t2.energies == [] and t2.stress_block_norms == []
+    n = t1.iterations_used
+    assert len(t1.deltas) == len(t1.energies) == len(t1.stress_block_norms) == n
+
+
+def test_blowup_raises_numeric_error_with_records_off():
+    # The case of test_dynamics' blow-up test: the step delta overflows.
+    rng = np.random.default_rng(88)
+    params = make_chain(rng, depth=2, acts=(Activation.IDENTITY,))
+    x0 = rng.standard_normal(params.input_dim)
+    loss = make_loss(rng, params.widths[-1], kind=LossKind.MSE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cfg = RelaxConfig(eta=4.0, k_max=1000, tol=1e-12)
+        with pytest.raises(NumericError):
+            relax_dyadic(params, x0, loss, cfg, record_steps=False)
+
+
+@pytest.mark.parametrize("mode", tuple(SINGLE))
+def test_final_state_with_non_finite_energy_raises_with_records_off(mode):
+    # float32, output near 4e19: every step delta and the gradient stay
+    # finite, but the loss at the output, 0.5 |m_L|^2, overflows. Records
+    # on raise at the first such update; records off run all k_max steps
+    # and raise on the energy of the state they would return.
+    dt = np.float32
+    weight = np.full((2, 1), 4e19, dtype=dt)
+    layer = LayerParams(LayerSpec(2, Activation.IDENTITY), weight, np.zeros(2, dt))
+    params = NetworkParams(1, (layer,))
+    x0 = np.ones(1, dtype=dt)
+    loss = LossSpec(LossKind.MSE, np.zeros(2, dt))
+    cfg = RelaxConfig(eta=0.1, k_max=60, tol=1e-6, mode=RelaxMode.from_name(mode))
+    steps = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NumericError):
+            SINGLE[mode](params, x0, loss, cfg, on_step=lambda k, a, b: steps.append(k))
+        assert len(steps) < cfg.k_max
+        steps.clear()
+        with pytest.raises(NumericError):
+            SINGLE[mode](
+                params, x0, loss, cfg, on_step=lambda k, a, b: steps.append(k), record_steps=False
+            )
+    assert steps == list(range(1, cfg.k_max + 1))
+
+
+def _fresh_layout(params):
+    """Block slices and activation runs rebuilt from the layer widths."""
+    slices = []
+    runs = []
+    start = 0
+    for lp in params.layers:
+        sl = slice(start, start + lp.spec.width)
+        slices.append(sl)
+        if runs and runs[-1][1] is lp.spec.activation:
+            runs[-1] = (slice(runs[-1][0].start, sl.stop), lp.spec.activation)
+        else:
+            runs.append((sl, lp.spec.activation))
+        start = sl.stop
+    return slices, runs
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(ALL_ACTS), min_size=1, max_size=6))
+def test_stored_layout_equals_a_fresh_one(seed, acts):
+    rng = np.random.default_rng(seed)
+    widths = [int(rng.integers(1, 7)) for _ in acts]
+    params = random_network(int(rng.integers(1, 6)), widths, acts, rng)
+    rebuilt = _with_arrays(
+        params,
+        [lp.weight * 2 for lp in params.layers],
+        [lp.bias + 1 for lp in params.layers],
+    )
+    for p in (params, params.astype(np.float32), rebuilt):
+        slices, runs = _fresh_layout(p)
+        assert list(_block_slices(p)) == slices
+        assert list(_activation_runs(p)) == runs
+        assert p.output_slice == slices[-1]
+        assert [p.block_slice(i + 1) for i in range(p.depth)] == slices
+        assert p.offsets == (0, *(sl.stop for sl in slices))
+        assert all(type(o) is int for o in p.offsets)
