@@ -1,0 +1,108 @@
+"""Median time per call of the relaxation step's kernels, in microseconds.
+
+Usage (from a checkout's root):
+
+    PYTHONPATH=src python scripts/kernel_times.py [--repeats N]
+
+Times ``apply_w_array``, ``apply_wt_array``, ``_sigma_pair_array``,
+``LossSpec.gradient``, ``LossSpec.value`` and one Dyadic Euler step
+(``dynamics._STEPS``, eta 0.5, into a preallocated workspace) on the
+reference depth-9 net (input 2, eight Tanh layers of width 32, an
+Identity output of width 2, cross-entropy loss) and on the depth-17 net
+with sixteen hidden layers. Each runs for a float32 single state (n,)
+and a float64 batch (n, 64), with BLAS pinned to one thread.
+
+Each of the N repeats (default 25) times a loop of calls sized to take
+about 5 ms; a line reads ``kernel  depth  dtype  shape  median_us``.
+"""
+
+import os
+
+for _key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_key] = "1"
+
+import argparse  # noqa: E402
+import statistics  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from dyadicbp import Activation, LossKind, LossSpec, RelaxMode, random_network  # noqa: E402
+from dyadicbp import dynamics  # noqa: E402
+from dyadicbp.network import (  # noqa: E402
+    _sigma_pair_array,
+    apply_w_array,
+    apply_wt_array,
+    beta_array,
+)
+
+DEPTHS = (9, 17)
+CASES = ((np.float32, None), (np.float64, 64))
+
+
+def kernel_calls(depth: int, dtype, batch):
+    """Zero-argument closures, one per kernel, on a fixed random instance."""
+    rng = np.random.default_rng(depth)
+    acts = [Activation.TANH] * (depth - 1) + [Activation.IDENTITY]
+    params = random_network(2, (32,) * (depth - 1) + (2,), acts, rng, dtype=dtype)
+    tail = () if batch is None else (batch,)
+    x0 = rng.standard_normal((2, *tail)).astype(dtype)
+    target = np.zeros((2, *tail), dtype=dtype)
+    target[0] = 1.0
+    loss = LossSpec(LossKind.SOFTMAX_CROSS_ENTROPY, target)
+    beta = beta_array(params, x0)
+    x, z = (rng.standard_normal(beta.shape).astype(dtype) for _ in range(2))
+    ws = dynamics._Workspace(beta.shape, beta.dtype)
+    out = np.empty_like(beta)
+    pre = apply_w_array(params, x) + beta
+    sig, dsig = np.empty_like(pre), np.empty_like(pre)
+    logits = x[params.output_slice]
+    step = dynamics._STEPS[RelaxMode.DYADIC]
+    return {
+        "apply_w_array": lambda: apply_w_array(params, x, out=out),
+        "apply_wt_array": lambda: apply_wt_array(params, x, out=out),
+        "_sigma_pair_array": lambda: _sigma_pair_array(params, pre, sig, dsig),
+        "LossSpec.gradient": lambda: loss.gradient(logits),
+        "LossSpec.value": lambda: loss.value(logits),
+        "dyadic_step": lambda: step(params, beta, loss, x, z, 0.5, ws),
+    }
+
+
+def median_us(call, repeats: int) -> float:
+    """Median over ``repeats`` loops of the time per call, in microseconds."""
+    start = time.perf_counter()
+    for _ in range(10):
+        call()
+    per_call = (time.perf_counter() - start) / 10
+    number = max(1, int(5e-3 / max(per_call, 1e-9)))
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(number):
+            call()
+        times.append((time.perf_counter() - start) / number)
+    return 1e6 * statistics.median(times)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Time the relaxation step's kernels.")
+    parser.add_argument("--repeats", type=int, default=25, help="timed loops per kernel")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    print(f"{'kernel':<20} {'depth':>5} {'dtype':>8} {'shape':>7} {'median_us':>10}")
+    for depth in DEPTHS:
+        for dtype, batch in CASES:
+            shape = "(n,)" if batch is None else f"(n,{batch})"
+            for name, call in kernel_calls(depth, dtype, batch).items():
+                us = median_us(call, args.repeats)
+                print(
+                    f"{name:<20} {'L' + str(depth):>5} {np.dtype(dtype).name:>8} "
+                    f"{shape:>7} {us:>10.2f}",
+                    flush=True,
+                )
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

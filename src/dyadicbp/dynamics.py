@@ -489,11 +489,11 @@ def _step_norm(new: np.ndarray, old: np.ndarray, diff: np.ndarray):
 
     For columns this is the norm's own sum of squares along axis 0,
     squared in place instead of into a new array. One sample keeps the
-    plain vector norm: axis=0 sums in another order.
+    vector norm's sqrt(diff . diff): axis=0 sums in another order.
     """
     np.subtract(new, old, out=diff)
     if diff.ndim == 1:
-        return np.linalg.norm(diff)
+        return np.sqrt(diff.dot(diff))
     np.multiply(diff, diff, out=diff)
     return np.sqrt(np.add.reduce(diff, axis=0))
 

@@ -3,6 +3,9 @@
 Softmax is folded into the cross-entropy loss, so the network output
 stays a plain elementwise-activated block (use an Identity output layer
 for classification) and the loss gradient is softmax(a_L) - y.
+
+Softmax and log-sum-exp are scipy's operations in scipy's order, in numpy
+alone (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41(4), 2021).
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .errors import NumericError, ShapeError, enum_from_name
 
@@ -69,7 +71,7 @@ class LossSpec:
             diff = output - self.target
             val = 0.5 * np.sum(diff * diff, axis=0)
         else:
-            val = logsumexp(output, axis=0) - np.sum(self.target * output, axis=0)
+            val = _logsumexp(output) - np.sum(self.target * output, axis=0)
         if not np.isfinite(val).all():
             raise NumericError("loss value is not finite")
         return float(val) if output.ndim == 1 else val
@@ -80,10 +82,21 @@ class LossSpec:
         if self.kind is LossKind.MSE:
             grad = output - self.target
         else:
-            grad = softmax(output, axis=0) - self.target
+            soft = np.exp(output - np.maximum.reduce(output, axis=0))
+            grad = soft / np.add.reduce(soft, axis=0) - self.target
         if not np.isfinite(grad).all():
             raise NumericError("loss gradient is not finite")
         return grad
+
+
+def _logsumexp(output: np.ndarray):
+    """scipy's ``logsumexp(output, axis=0)`` for real input: the m tied maxima
+    leave the shifted sum, then log1p(sum / m) + log(m) + max (m >= 1)."""
+    a_max = np.maximum.reduce(output, axis=0)
+    top = output == a_max
+    rest = np.exp(np.where(top, -np.inf, output) - a_max)
+    m = np.add.reduce(top, axis=0, dtype=rest.dtype)
+    return np.log1p(np.add.reduce(rest, axis=0) / m) + np.log(m) + a_max
 
 
 def _check_target(loss: LossSpec, dtype: np.dtype) -> LossSpec:

@@ -6,7 +6,7 @@ block per layer. The global weight operator W carries W_l on the
 subdiagonal block (l, l-1) and is strictly lower block-triangular, so
 W^L = 0 (and likewise for its transpose). W is never materialized as a
 dense matrix; :func:`apply_global_W` and :func:`apply_global_Wt` are
-its action, one per-layer matvec per block.
+its action, one stacked matmul per run of equal-shaped blocks.
 
 The private ``*_array`` helpers operate on raw ndarrays of shape (n,)
 for a single state or (n, B) for B independent states stacked as
@@ -17,6 +17,7 @@ columns; every public operation wraps them behind the
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -94,7 +95,8 @@ class LayerSpec:
 
 @dataclass(frozen=True, eq=False)
 class LayerParams:
-    """One layer's spec together with its weight matrix and bias vector."""
+    """One layer's spec, weight matrix and bias vector, read-only so that the
+    stacks of :class:`NetworkParams` cannot go stale (a view is copied first)."""
 
     spec: LayerSpec
     weight: np.ndarray
@@ -111,6 +113,11 @@ class LayerParams:
             )
         if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
             raise ValueError("layer parameters must be finite")
+        for name in ("weight", "bias"):
+            arr = getattr(self, name)
+            if arr.base is not None:  # a view: its base could still be written
+                object.__setattr__(self, name, arr := arr.copy(order="K"))
+            arr.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +125,8 @@ class NetworkParams:
     """The full parameter set of a depth-L chain network.
 
     Layers are ordered from input to output; ``layers[i].weight`` has
-    shape (n_{i+1}, n_i) with n_0 = ``input_dim``.
+    shape (n_{i+1}, n_i) with n_0 = ``input_dim``. Construction fixes the
+    block layout and stacks each run of consecutive equal-shaped W_2..W_L.
     """
 
     input_dim: int
@@ -148,9 +156,18 @@ class NetworkParams:
                 runs[-1] = (slice(runs[-1][0].start, sl.stop), act)
             else:
                 runs.append((sl, act))
+        # One stack per run of equal-shaped W_l (l >= 2); lo/hi: its input/output rows.
+        stacks = []
+        key = [(lp.weight.shape, lp.weight.dtype) for lp in self.layers]
+        for _, run in itertools.groupby(range(1, len(key)), key.__getitem__):
+            idx = list(run)
+            lo = slice(offsets[idx[0] - 1], offsets[idx[-1]])
+            hi = slice(offsets[idx[0]], offsets[idx[-1] + 1])
+            stacks.append((np.stack([self.layers[i].weight for i in idx]), lo, hi))
         object.__setattr__(self, "_offsets", tuple(offsets))
         object.__setattr__(self, "_slices", slices)
         object.__setattr__(self, "_runs", tuple(runs))
+        object.__setattr__(self, "_stacks", tuple(stacks))
 
     @property
     def depth(self) -> int:
@@ -295,13 +312,15 @@ def apply_w_array(
 ) -> np.ndarray:
     """Action of the global W: block 1 -> 0, block l -> W_l @ block(l-1).
 
+    One matmul per run of equal-shaped W_l, the bits of one per block.
     Written into ``out`` when given (it must not overlap ``arr``).
     """
-    slices = _block_slices(params)
     out = np.empty_like(arr) if out is None else out
-    out[slices[0]] = 0
-    for i in range(1, params.depth):
-        np.matmul(params.layers[i].weight, arr[slices[i - 1]], out=out[slices[i]])
+    out[_block_slices(params)[0]] = 0
+    tail = arr.shape[1:] or (1,)
+    for stack, lo, hi in params._stacks:  # type: ignore[attr-defined]
+        k, r, c = stack.shape
+        np.matmul(stack, arr[lo].reshape(k, c, *tail), out=out[hi].reshape(k, r, *tail))
     return out
 
 
@@ -310,13 +329,16 @@ def apply_wt_array(
 ) -> np.ndarray:
     """Action of the global W transpose: block L -> 0, block l -> W_{l+1}^T @ block(l+1).
 
-    Written into ``out`` when given (it must not overlap ``arr``).
+    As :func:`apply_w_array`, on a transposed view of each stack (BLAS's
+    transpose flag). Written into ``out`` when given (it must not overlap ``arr``).
     """
-    slices = _block_slices(params)
     out = np.empty_like(arr) if out is None else out
-    out[slices[-1]] = 0
-    for i in range(params.depth - 1):
-        np.matmul(params.layers[i + 1].weight.T, arr[slices[i + 1]], out=out[slices[i]])
+    out[_block_slices(params)[-1]] = 0
+    tail = arr.shape[1:] or (1,)
+    for stack, lo, hi in params._stacks:  # type: ignore[attr-defined]
+        k, r, c = stack.shape
+        wt = stack.transpose(0, 2, 1)
+        np.matmul(wt, arr[hi].reshape(k, r, *tail), out=out[lo].reshape(k, c, *tail))
     return out
 
 

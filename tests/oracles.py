@@ -3,7 +3,7 @@
 Everything here rebuilds quantities with explicit dense matrices and
 plain per-layer loops, sharing no code with the package's
 operator-action kernels, so agreement between the two is evidence and
-not tautology. The last two sections are the exception: they keep
+not tautology. The last three sections are the exception: they keep
 earlier package formulas as they were written, so that a rewrite of
 the package can be pinned to the same bits.
 """
@@ -15,6 +15,7 @@ import numpy as np
 from dyadicbp import Activation, LossKind
 from dyadicbp.fidelity import _cosine, log_misalignment
 from dyadicbp.network import (
+    _block_slices,
     apply_w_array,
     apply_wt_array,
     beta_array,
@@ -361,3 +362,26 @@ def two_pass_compare(test, reference, precision_floor):
     )
     per_logmis = tuple(log_misalignment(c, precision_floor) for c in per_cos)
     return (_cosine(t, r),) + ratios + (per_cos, per_logmis, precision_floor)
+
+
+# The global W actions as the package wrote them before the stacked
+# block plan: one matmul per block. The plan's kernels must give the
+# same bits as these.
+
+
+def per_block_w(params, arr, out=None):
+    slices = _block_slices(params)
+    out = np.empty_like(arr) if out is None else out
+    out[slices[0]] = 0
+    for i in range(1, params.depth):
+        np.matmul(params.layers[i].weight, arr[slices[i - 1]], out=out[slices[i]])
+    return out
+
+
+def per_block_wt(params, arr, out=None):
+    slices = _block_slices(params)
+    out = np.empty_like(arr) if out is None else out
+    out[slices[-1]] = 0
+    for i in range(params.depth - 1):
+        np.matmul(params.layers[i + 1].weight.T, arr[slices[i + 1]], out=out[slices[i]])
+    return out
