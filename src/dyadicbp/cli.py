@@ -24,9 +24,9 @@ from .datasets import generate_dataset, write_dataset_csv
 from .errors import ConfigError, ConvergenceError, NumericError, ShapeError
 from .training import (
     ExperimentConfig,
-    GradientMethod,
     SWEEP_FIELDS,
     _ETA_DRIVEN,
+    _PARSE,
     _random_instance,
     _sample_gradient,
     check_gradients,
@@ -95,6 +95,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Each override flag and the config field it sets; its value goes through
+# the parser that the same value from the YAML file goes through.
+_FLAG_FIELDS = {
+    "eta": "eta", "kmax": "k_max", "tol": "tol", "seed": "seed", "method": "method",
+    "precision": "precision", "out": "out_dir", "strict": "strict",
+}
+
+
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     mapping: dict = {}
     if args.config:
@@ -107,23 +115,11 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         mapping = loaded
     config = ExperimentConfig.from_mapping(mapping)
 
-    overrides: dict = {}
-    if args.eta is not None:
-        overrides["eta"] = args.eta
-    if args.kmax is not None:
-        overrides["k_max"] = args.kmax
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.method is not None:
-        overrides["method"] = GradientMethod.from_name(args.method)
-    if args.precision is not None:
-        overrides["precision"] = args.precision
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.strict is not None:
-        overrides["strict"] = args.strict
+    overrides = {
+        field: _PARSE[field](getattr(args, flag))
+        for flag, field in _FLAG_FIELDS.items()
+        if getattr(args, flag) is not None
+    }
     if overrides:
         config = dataclasses.replace(config, **overrides)
     return config
@@ -264,7 +260,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ShapeError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, FileNotFoundError, yaml.YAMLError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

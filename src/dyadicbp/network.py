@@ -12,6 +12,10 @@ The private ``*_array`` helpers operate on raw ndarrays of shape (n,)
 for a single state or (n, B) for B independent states stacked as
 columns; every public operation wraps them behind the
 :class:`GlobalVector` interface.
+
+Each activation formula is written once, in numpy: sigma in
+:meth:`Activation.apply`, sigma' in :func:`_sigma_pair` (together with
+sigma, at one pre-activation) and the logistic in :func:`_logistic`.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NumericError, ShapeError, enum_from_name
 
@@ -60,25 +63,19 @@ class Activation(enum.Enum):
         if self is Activation.TANH:
             return np.tanh(v)
         if self is Activation.SIGMOID:
-            return expit(v)
+            return _logistic(v, np.empty_like(v))
         return np.maximum(v, 0)
 
     def derivative(self, v: np.ndarray) -> np.ndarray:
-        """Exact elementwise derivative at pre-activation v.
+        """Exact elementwise derivative at pre-activation v (:func:`_sigma_pair`).
 
         For ReLU the derivative at exactly 0 is defined as 0; every
         gradient method in the package must share this convention or the
         exact-equality claims between them break at kink points.
         """
-        if self is Activation.IDENTITY:
-            return np.ones_like(v)
-        if self is Activation.TANH:
-            t = np.tanh(v)
-            return 1.0 - t * t
-        if self is Activation.SIGMOID:
-            p = expit(v)
-            return p * (1.0 - p)
-        return (v > 0).astype(v.dtype)
+        dsig = np.empty_like(v)
+        _sigma_pair(self, v, np.empty_like(v), dsig)
+        return dsig
 
 
 @dataclass(frozen=True)
@@ -345,17 +342,16 @@ def apply_wt_array(
 def sigma_array(params: NetworkParams, pre: np.ndarray) -> np.ndarray:
     """Blockwise activation sigma applied to a stacked pre-activation."""
     out = np.empty_like(pre)
-    for sl, lp in zip(_block_slices(params), params.layers):
-        out[sl] = lp.spec.activation.apply(pre[sl])
+    for rows, act in _activation_runs(params):
+        out[rows] = act.apply(pre[rows])
     return out
 
 
 def sigma_prime_array(params: NetworkParams, pre: np.ndarray) -> np.ndarray:
     """Blockwise exact activation derivative at a stacked pre-activation."""
-    out = np.empty_like(pre)
-    for sl, lp in zip(_block_slices(params), params.layers):
-        out[sl] = lp.spec.activation.derivative(pre[sl])
-    return out
+    dsig = np.empty_like(pre)
+    _sigma_pair_array(params, pre, np.empty_like(pre), dsig)
+    return dsig
 
 
 def _activation_runs(params: NetworkParams) -> tuple[tuple[slice, Activation], ...]:
@@ -363,16 +359,23 @@ def _activation_runs(params: NetworkParams) -> tuple[tuple[slice, Activation], .
     return params._runs  # type: ignore[attr-defined]
 
 
+def _logistic(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The logistic 1 / (1 + e^(-v)) written into ``out``, which may be ``v``."""
+    with np.errstate(over="ignore"):  # v -> -inf: e^(-v) = inf gives an exact 0
+        np.exp(np.negative(v, out=out), out=out)
+    return np.divide(1.0, np.add(out, 1.0, out=out), out=out)
+
+
 def _sigma_pair(activation: Activation, v: np.ndarray, sig: np.ndarray, dsig: np.ndarray) -> None:
     """sigma(v) into ``sig`` and sigma'(v) into ``dsig`` with one evaluation
-    of the transcendental: the floats of ``Activation.apply``/``derivative``.
-    ``sig`` may be ``v`` itself."""
+    of the transcendental. The package's only sigma' formulas: ``derivative``
+    calls this, and ``sig`` holds the floats of ``apply``. ``sig`` may be ``v``."""
     if activation is Activation.TANH:
         np.tanh(v, out=sig)
         np.multiply(sig, sig, out=dsig)
         np.subtract(1.0, dsig, out=dsig)
     elif activation is Activation.SIGMOID:
-        expit(v, out=sig)
+        _logistic(v, sig)
         np.subtract(1.0, sig, out=dsig)
         np.multiply(sig, dsig, out=dsig)
     elif activation is Activation.RELU:

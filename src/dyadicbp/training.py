@@ -222,8 +222,8 @@ class ExperimentConfig:
             raise ConfigError("fd_step must be positive")
         if self.widths is not None:
             object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-            if any(w < 1 for w in self.widths):
-                raise ConfigError("widths must be positive")
+            if not self.widths or any(w < 1 for w in self.widths):
+                raise ConfigError("widths must be a non-empty list of positive integers")
         if self.activations is not None:
             object.__setattr__(self, "activations", tuple(self.activations))
         if self.method not in (GradientMethod.BP, GradientMethod.FINITE_DIFF):
