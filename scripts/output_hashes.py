@@ -1,4 +1,4 @@
-"""Write a fixed matrix of 40 output CSVs through the CLI and print their SHA-256.
+"""Write a fixed matrix of 43 output CSVs through the CLI and print their SHA-256.
 
 Usage (from a checkout's root):
 
@@ -12,7 +12,9 @@ The matrix covers every CLI subcommand that writes numbers:
   at both precisions (6 files);
 - ``train`` on a small two-moons net (widths 16, 16, 16, 2; 2 epochs,
   200 samples, eta 0.5, k_max 400) for Dyadic, MeanStress, Split, TwoL
-  and BP at both precisions (10 files).
+  and BP at both precisions (10 files);
+- ``gen-data`` for TwoMoons (2 classes), Spirals (3 classes) and
+  GaussianBlobs (4 classes), 200 samples each (3 files).
 
 Each line reads ``sha256  path`` with the path relative to OUT_DIR.
 Save the listing of one checkout and pass it as ``--against LISTING``
@@ -47,9 +49,28 @@ dataset:
   n_samples: 200
 """
 
+# The gen-data config of each synthetic dataset kind.
+DATASET_CONFIGS = {
+    "TwoMoons": "dataset:\n  kind: TwoMoons\n  n_samples: 200\n",
+    "Spirals": "dataset:\n  kind: Spirals\n  n_samples: 200\n  classes: 3\n",
+    "GaussianBlobs": "dataset:\n  kind: GaussianBlobs\n  n_samples: 200\n  classes: 4\n",
+}
 
-def runs(train_yaml: Path):
-    """(subdirectory, CLI arguments) of each run in the matrix."""
+
+def config_files(out: Path) -> dict[str, str]:
+    """Write each YAML config of the matrix into ``out``; {name: path}."""
+    texts = {"train": TRAIN_CONFIG, **DATASET_CONFIGS}
+    paths = {}
+    for name, text in texts.items():
+        path = out / f"{name}.yaml"
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+def runs(configs: dict[str, str]):
+    """(subdirectory, CLI arguments) of each run in the matrix, given the
+    paths of ``config_files``."""
     for method in METHODS:
         for prec in PRECISIONS:
             for eta in ("1.0", "0.5"):
@@ -60,8 +81,10 @@ def runs(train_yaml: Path):
             yield f"sweep-{method}-{prec}", [*sweep, "--etas", "0.25,0.5,1.0", "--trials", "3"]
     for method in TRAIN_METHODS:
         for prec in PRECISIONS:
-            args = ["train", "--config", str(train_yaml), "--method", method, "--precision", prec]
+            args = ["train", "--config", configs["train"], "--method", method, "--precision", prec]
             yield f"train-{method}-{prec}", args
+    for kind in DATASET_CONFIGS:
+        yield f"gen-data-{kind}", ["gen-data", "--config", configs[kind]]
 
 
 def parse_listing(text: str) -> dict[str, str]:
@@ -89,11 +112,10 @@ def mismatches(fresh: dict[str, str], saved: dict[str, str]) -> list[str]:
 
 def main_hashes(out: Path, against: Optional[Path] = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    train_yaml = out / "train.yaml"
-    train_yaml.write_text(TRAIN_CONFIG)
+    configs = config_files(out)
     print(f"dyadicbp from {Path(dyadicbp.__file__).parent}", file=sys.stderr)
     status = 0
-    for name, args in runs(train_yaml):
+    for name, args in runs(configs):
         with contextlib.redirect_stdout(sys.stderr):
             code = main([*args, "--out", str(out / name)])
         if code != 0:

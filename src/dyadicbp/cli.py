@@ -106,8 +106,11 @@ _FLAG_FIELDS = {
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     mapping: dict = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                loaded = yaml.safe_load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not UTF-8: {exc}") from exc
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
@@ -125,26 +128,23 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _out_dir(config: ExperimentConfig) -> Path:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# Each _cmd_* writes its output and returns what did not converge, or
+# None; _run turns that into a ConvergenceError under --strict.
 
 
-def _cmd_gen_data(config: ExperimentConfig) -> int:
+def _cmd_gen_data(config: ExperimentConfig) -> None:
     features, onehot = generate_dataset(config.dataset, config.seed)
-    path = _out_dir(config) / "dataset.csv"
+    path = Path(config.out_dir) / "dataset.csv"
     write_dataset_csv(path, features, onehot, config.seed, config.config_hash())
     print(
         f"wrote {path}: {features.shape[0]} samples, "
         f"{features.shape[1]} features, {onehot.shape[1]} classes"
     )
-    return 0
 
 
-def _cmd_check(config: ExperimentConfig, trials: int) -> int:
+def _cmd_check(config: ExperimentConfig, trials: int) -> Optional[str]:
     rows = check_gradients(config, trials)
-    path = _out_dir(config) / "check.csv"
+    path = Path(config.out_dir) / "check.csv"
     write_csv(path, list(rows[0].keys()), rows, config.seed, config.config_hash())
     cosines = [row["cos"] for row in rows]
     rel_errs = [row["rel_err"] for row in rows if row["rel_err"] is not None]
@@ -152,15 +152,13 @@ def _cmd_check(config: ExperimentConfig, trials: int) -> int:
     print(f"  cos: mean {np.mean(cosines):.17g}, min {np.min(cosines):.17g}")
     if rel_errs:
         print(f"  rel_err: mean {np.mean(rel_errs):.3e}, max {np.max(rel_errs):.3e}")
-    if config.strict and not all(row["converged"] for row in rows):
-        bad = sum(1 for row in rows if not row["converged"])
-        raise ConvergenceError(f"{bad} of {len(rows)} trials did not converge")
-    return 0
+    bad = sum(1 for row in rows if not row["converged"])
+    return f"{bad} of {len(rows)} trials did not converge" if bad else None
 
 
-def _cmd_sweep(config: ExperimentConfig, etas: Sequence[float], trials: int) -> int:
+def _cmd_sweep(config: ExperimentConfig, etas: Sequence[float], trials: int) -> Optional[str]:
     rows = sweep_eta(config, etas, trials)
-    path = _out_dir(config) / "sweep.csv"
+    path = Path(config.out_dir) / "sweep.csv"
     write_csv(path, SWEEP_FIELDS, rows, config.seed, config.config_hash())
     print(f"wrote {path}: {len(rows)} step sizes, {trials} trials each")
     for row in rows:
@@ -168,12 +166,11 @@ def _cmd_sweep(config: ExperimentConfig, etas: Sequence[float], trials: int) -> 
             f"  eta={row['eta']:g}: mean iterations {row['mean_iterations']:.2f}, "
             f"min cos {row['min_cos']:.17g}"
         )
-    if config.strict and any(row["frac_converged"] < 1.0 for row in rows):
-        raise ConvergenceError("some sweep trials did not converge")
-    return 0
+    unconverged = any(row["frac_converged"] < 1.0 for row in rows)
+    return "some sweep trials did not converge" if unconverged else None
 
 
-def _cmd_relax(config: ExperimentConfig) -> int:
+def _cmd_relax(config: ExperimentConfig) -> Optional[str]:
     if config.method not in _ETA_DRIVEN:
         raise ConfigError(
             f"relax needs a step-size-driven method, got {config.method.value}"
@@ -182,33 +179,25 @@ def _cmd_relax(config: ExperimentConfig) -> int:
     params, x0, loss = _random_instance(config, rng)
     _, trace = _sample_gradient(params, x0, loss, config, record_steps=True)
 
-    depth = params.depth
-    fieldnames = ("k", "delta_norm", "energy") + tuple(
-        f"stress_{i}" for i in range(1, depth + 1)
-    )
-    rows = []
-    for k in range(trace.iterations_used):
-        row = {
-            "k": k + 1,
-            "delta_norm": trace.deltas[k],
-            "energy": trace.energies[k],
-        }
-        for i in range(depth):
-            row[f"stress_{i + 1}"] = trace.stress_block_norms[k][i]
-        rows.append(row)
-    path = _out_dir(config) / "trajectory.csv"
+    # One row per Euler update, with the stress norm of each layer.
+    stress = tuple(f"stress_{i}" for i in range(1, params.depth + 1))
+    fieldnames = ("k", "delta_norm", "energy") + stress
+    records = zip(trace.deltas, trace.energies, trace.stress_block_norms)
+    rows = [
+        {"k": k, "delta_norm": delta, "energy": energy, **dict(zip(stress, norms))}
+        for k, (delta, energy, norms) in enumerate(records, start=1)
+    ]
+    path = Path(config.out_dir) / "trajectory.csv"
     write_csv(path, fieldnames, rows, config.seed, config.config_hash())
     state = "converged" if trace.converged else "did not converge"
     print(f"wrote {path}: {trace.iterations_used} iterations, {state}")
-    if config.strict and not trace.converged:
-        raise ConvergenceError(
-            f"relaxation did not converge within {config.k_max} iterations"
-        )
-    return 0
+    if not trace.converged:
+        return f"relaxation did not converge within {config.k_max} iterations"
+    return None
 
 
-def _cmd_train(config: ExperimentConfig) -> int:
-    path = _out_dir(config) / "train.csv"
+def _cmd_train(config: ExperimentConfig) -> Optional[str]:
+    path = Path(config.out_dir) / "train.csv"
     result = train(config, csv_path=path)
     last = result.rows[-1]
     print(f"wrote {path}: {len(result.rows)} rows, method={config.method.value}")
@@ -217,16 +206,9 @@ def _cmd_train(config: ExperimentConfig) -> int:
         f"train_acc {last['train_acc']:.4f}, test_acc "
         + (f"{last['test_acc']:.4f}" if last["test_acc"] is not None else "n/a")
     )
-    unconverged = [
-        row
-        for row in result.rows
-        if row.get("frac_converged") is not None and row["frac_converged"] < 1.0
-    ]
-    if config.strict and unconverged:
-        raise ConvergenceError(
-            f"{len(unconverged)} epochs contained unconverged relaxations"
-        )
-    return 0
+    fracs = [row.get("frac_converged") for row in result.rows]
+    bad = sum(1 for frac in fracs if frac is not None and frac < 1.0)
+    return f"{bad} epochs contained unconverged relaxations" if bad else None
 
 
 def _parse_etas(text: str) -> list:
@@ -241,14 +223,18 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     args = _build_parser().parse_args(argv)
     config = _build_config(args)
     if args.command == "gen-data":
-        return _cmd_gen_data(config)
-    if args.command == "check":
-        return _cmd_check(config, args.trials)
-    if args.command == "sweep":
-        return _cmd_sweep(config, _parse_etas(args.etas), args.trials)
-    if args.command == "relax":
-        return _cmd_relax(config)
-    return _cmd_train(config)
+        unconverged = _cmd_gen_data(config)
+    elif args.command == "check":
+        unconverged = _cmd_check(config, args.trials)
+    elif args.command == "sweep":
+        unconverged = _cmd_sweep(config, _parse_etas(args.etas), args.trials)
+    elif args.command == "relax":
+        unconverged = _cmd_relax(config)
+    else:
+        unconverged = _cmd_train(config)
+    if config.strict and unconverged:
+        raise ConvergenceError(unconverged)
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -260,7 +246,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ShapeError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+    except (ConfigError, OSError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

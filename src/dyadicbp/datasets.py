@@ -128,13 +128,12 @@ def _load_csv(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
     path = Path(spec.path)
     if not path.exists():
         raise ConfigError(f"dataset file not found: {path}")
-    rows: list[list[str]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append(line.split(","))
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"dataset file {path} is not UTF-8: {exc}") from exc
+    rows = [line.split(",") for line in lines if line and not line.startswith("#")]
     if rows:
         try:
             float(rows[0][0])
@@ -196,6 +195,7 @@ def write_dataset_csv(
     if labels.ndim == 2:  # one-hot in, label column out
         labels = labels.argmax(axis=1)
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"# seed: {seed}\n")
         if config_hash:

@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
@@ -317,6 +318,10 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # CSV plumbing shared by train / check / sweep and the CLI.
 
+# The columns of FidelityReport.to_record() that train averages per
+# epoch, each logged as ``fid_<key>``.
+_FID_KEYS = ("cos", "rel_err", "norm_ratio", "snr")
+
 TRAIN_FIELDS = (
     "epoch",
     "lr",
@@ -325,11 +330,7 @@ TRAIN_FIELDS = (
     "test_acc",
     "mean_iterations",
     "frac_converged",
-    "fid_cos",
-    "fid_rel_err",
-    "fid_norm_ratio",
-    "fid_snr",
-)
+) + tuple(f"fid_{key}" for key in _FID_KEYS)
 
 # check.csv rows extend these with the FidelityReport columns, whose
 # per-layer entries depend on the network depth.
@@ -372,11 +373,14 @@ class _IncrementalCsv:
     """Row-at-a-time CSV writer that flushes eagerly.
 
     Training can abort mid-run on numeric failure; everything logged
-    so far must already be on disk when that happens.
+    so far must already be on disk when that happens.  The file's
+    directory is created on open, so a run that fails before its first
+    row leaves no output directory behind.
     """
 
     def __init__(self, path, fieldnames: Sequence[str], seed: int, config_hash: str):
         self.fieldnames = tuple(fieldnames)
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         self._fh: IO[str] = open(path, "w", encoding="utf-8", newline="")
         self._fh.write(_provenance(seed, config_hash))
         self._fh.write(",".join(self.fieldnames) + "\n")
@@ -411,15 +415,15 @@ def write_csv(
 
 
 def _fd_batch(
-    params: NetworkParams, xb: np.ndarray, targets: np.ndarray, config: ExperimentConfig
+    params: NetworkParams, xb: np.ndarray, loss: LossSpec, config: ExperimentConfig
 ) -> tuple:
     """Mean finite-difference gradient over the columns of ``xb``."""
     batch = xb.shape[1]
     acc_w = [np.zeros_like(lp.weight, dtype=np.float64) for lp in params.layers]
     acc_b = [np.zeros_like(lp.bias, dtype=np.float64) for lp in params.layers]
     for j in range(batch):
-        loss = LossSpec(config.loss_kind, targets[:, j])
-        bundle = finite_difference_grad(params, xb[:, j], loss, h=config.fd_step)
+        sample_loss = LossSpec(loss.kind, loss.target[:, j])
+        bundle = finite_difference_grad(params, xb[:, j], sample_loss, h=config.fd_step)
         for i in range(len(acc_w)):
             acc_w[i] += bundle.weight_grads[i]
             acc_b[i] += bundle.bias_grads[i]
@@ -431,7 +435,7 @@ def _fd_batch(
 
 
 def _batch_gradients(
-    params: NetworkParams, xb: np.ndarray, targets: np.ndarray, config: ExperimentConfig
+    params: NetworkParams, xb: np.ndarray, loss: LossSpec, config: ExperimentConfig
 ) -> tuple:
     """Per-batch mean gradients plus relaxation bookkeeping.
 
@@ -440,15 +444,12 @@ def _batch_gradients(
     BP and finite differences.
     """
     if config.method is GradientMethod.BP:
-        loss = LossSpec(config.loss_kind, targets)
         ws, bs = backprop_batch(params, xb, loss)
         return ws, bs, None, None
     if config.method is GradientMethod.FINITE_DIFF:
-        ws, bs = _fd_batch(params, xb, targets, config)
+        ws, bs = _fd_batch(params, xb, loss, config)
         return ws, bs, None, None
-    loss = LossSpec(config.loss_kind, targets)
-    ws, bs, iters, conv = relax_batch(params, xb, loss, config.relax_config())
-    return ws, bs, iters, conv
+    return relax_batch(params, xb, loss, config.relax_config())
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +501,16 @@ def _mean_or_none(values) -> Optional[float]:
     return float(np.mean(vals))
 
 
+def _draw_network(
+    config: ExperimentConfig, input_dim: int, classes: int, rng: np.random.Generator
+) -> NetworkParams:
+    """Random network of the configured widths (an output layer of
+    ``classes`` by default) and activations, in the configured precision."""
+    widths = config.resolved_widths(classes)
+    acts = config.resolved_activations(len(widths))
+    return random_network(input_dim, widths, acts, rng, dtype=config.dtype)
+
+
 def train(config: ExperimentConfig, csv_path=None) -> TrainResult:
     """SGD with Nesterov momentum and cosine annealing.
 
@@ -513,15 +524,11 @@ def train(config: ExperimentConfig, csv_path=None) -> TrainResult:
     features, onehot = generate_dataset(config.dataset, config.seed)
     n, input_dim = features.shape
     classes = onehot.shape[1]
-    widths = config.resolved_widths(classes)
-    if widths[-1] != classes:
+    params = _draw_network(config, input_dim, classes, rng)
+    if params.widths[-1] != classes:
         raise ConfigError(
-            f"output width {widths[-1]} does not match {classes} classes"
+            f"output width {params.widths[-1]} does not match {classes} classes"
         )
-    acts = config.resolved_activations(len(widths))
-    params = random_network(input_dim, widths, acts, rng)
-    if config.precision == 32:
-        params = params.astype(np.float32)
     dtype = params.dtype
 
     n_test = int(round(config.test_fraction * n))
@@ -536,34 +543,26 @@ def train(config: ExperimentConfig, csv_path=None) -> TrainResult:
     y_train_cols = np.ascontiguousarray(y_train.T.astype(dtype))
 
     lr_max, lr_min = config.resolved_lr()
-    vel_w = [np.zeros_like(lp.weight) for lp in params.layers]
-    vel_b = [np.zeros_like(lp.bias) for lp in params.layers]
+    # Every weight, then every bias: the order _with_arrays takes them in.
+    arrays = [lp.weight for lp in params.layers] + [lp.bias for lp in params.layers]
+    velocities = [np.zeros_like(arr) for arr in arrays]
 
     writer = None
     if csv_path is not None:
         writer = _IncrementalCsv(csv_path, TRAIN_FIELDS, config.seed, config.config_hash())
     rows: list = []
 
-    def log(row: dict) -> None:
-        rows.append(row)
+    def log_epoch(params: NetworkParams, epoch: int, lr=None, **columns) -> None:
+        """Log the row of ``epoch``: ``params`` on the train and test sets."""
+        train_loss, train_acc = _evaluate(params, x_train, y_train, config.loss_kind)
+        test_acc = _evaluate(params, x_test, y_test, config.loss_kind)[1] if n_test else None
+        rows.append(dict(epoch=epoch, lr=lr, train_loss=train_loss, train_acc=train_acc,
+                         test_acc=test_acc, **columns))
         if writer is not None:
-            writer.write_row(row)
+            writer.write_row(rows[-1])
 
     try:
-        train_loss, train_acc = _evaluate(params, x_train, y_train, config.loss_kind)
-        if x_test.shape[1] > 0:
-            _, test_acc = _evaluate(params, x_test, y_test, config.loss_kind)
-        else:
-            test_acc = None
-        log(
-            {
-                "epoch": 0,
-                "lr": None,
-                "train_loss": train_loss,
-                "train_acc": train_acc,
-                "test_acc": test_acc,
-            }
-        )
+        log_epoch(params, 0)
 
         n_train = x_train.shape[1]
         mu = config.momentum
@@ -573,63 +572,41 @@ def train(config: ExperimentConfig, csv_path=None) -> TrainResult:
             order = rng.permutation(n_train)
             iter_counts: list = []
             conv_flags: list = []
-            fid_reports: list = []
+            fid_records: list = []
             for start in range(0, n_train, config.batch_size):
                 idx = order[start : start + config.batch_size]
                 xb = x_train[:, idx]
-                yb = y_train_cols[:, idx]
-                ws, bs, iters, conv = _batch_gradients(params, xb, yb, config)
+                loss = LossSpec(config.loss_kind, y_train_cols[:, idx])
+                ws, bs, iters, conv = _batch_gradients(params, xb, loss, config)
                 if iters is not None:
                     iter_counts.append(float(np.mean(iters)))
                     conv_flags.append(float(np.mean(conv)))
                 if config.method is not GradientMethod.BP:
-                    ref_w, ref_b = backprop_batch(
-                        params, xb, LossSpec(config.loss_kind, yb)
-                    )
-                    fid_reports.append(
-                        compare(GradientBundle(ws, bs), GradientBundle(ref_w, ref_b))
-                    )
+                    ref_w, ref_b = backprop_batch(params, xb, loss)
+                    report = compare(GradientBundle(ws, bs), GradientBundle(ref_w, ref_b))
+                    fid_records.append(report.to_record())
 
-                new_w, new_b = [], []
-                for i, lp in enumerate(params.layers):
-                    gw = ws[i] + wd * lp.weight
-                    gb = bs[i] + wd * lp.bias
-                    vel_w[i] = mu * vel_w[i] + gw
-                    vel_b[i] = mu * vel_b[i] + gb
-                    new_w.append((lp.weight - lr * (gw + mu * vel_w[i])).astype(dtype))
-                    new_b.append((lp.bias - lr * (gb + mu * vel_b[i])).astype(dtype))
-                for arr in new_w + new_b:
-                    if not np.all(np.isfinite(arr)):
+                for i, grad in enumerate([*ws, *bs]):
+                    grad = grad + wd * arrays[i]
+                    velocities[i] = mu * velocities[i] + grad
+                    arrays[i] = (arrays[i] - lr * (grad + mu * velocities[i])).astype(dtype)
+                    if not np.all(np.isfinite(arrays[i])):
                         raise NumericError(
                             f"parameters diverged in epoch {epoch}; partial log kept"
                         )
-                params = _with_arrays(params, new_w, new_b)
+                params = _with_arrays(params, arrays[: params.depth], arrays[params.depth :])
 
-            train_loss, train_acc = _evaluate(params, x_train, y_train, config.loss_kind)
-            if x_test.shape[1] > 0:
-                _, test_acc = _evaluate(params, x_test, y_test, config.loss_kind)
-            else:
-                test_acc = None
-            log(
-                {
-                    "epoch": epoch,
-                    "lr": lr,
-                    "train_loss": train_loss,
-                    "train_acc": train_acc,
-                    "test_acc": test_acc,
-                    "mean_iterations": _mean_or_none(iter_counts),
-                    "frac_converged": _mean_or_none(conv_flags),
-                    "fid_cos": _mean_or_none(
-                        r.cosine_similarity for r in fid_reports
-                    ),
-                    "fid_rel_err": _mean_or_none(
-                        r.relative_error for r in fid_reports
-                    ),
-                    "fid_norm_ratio": _mean_or_none(
-                        r.norm_ratio for r in fid_reports
-                    ),
-                    "fid_snr": _mean_or_none(r.snr for r in fid_reports),
-                }
+            fidelity = {
+                f"fid_{key}": _mean_or_none(rec[key] for rec in fid_records)
+                for key in _FID_KEYS
+            }
+            log_epoch(
+                params,
+                epoch,
+                lr,
+                mean_iterations=_mean_or_none(iter_counts),
+                frac_converged=_mean_or_none(conv_flags),
+                **fidelity,
             )
     finally:
         if writer is not None:
@@ -648,22 +625,16 @@ def _random_instance(
     config: ExperimentConfig, rng: np.random.Generator
 ) -> tuple:
     """One random (params, input, loss) triple for a fidelity trial."""
-    classes = config.dataset.classes
-    widths = config.resolved_widths(classes)
-    acts = config.resolved_activations(len(widths))
-    params = random_network(config.input_dim, widths, acts, rng)
+    params = _draw_network(config, config.input_dim, config.dataset.classes, rng)
     x0 = rng.standard_normal(config.input_dim)
-    out_dim = widths[-1]
+    out_dim = params.widths[-1]
     if config.loss_kind is LossKind.MSE:
         target = rng.standard_normal(out_dim)
     else:
         target = np.zeros(out_dim)
         target[int(rng.integers(out_dim))] = 1.0
-    if config.precision == 32:
-        params = params.astype(np.float32)
-        x0 = x0.astype(np.float32)
-        target = target.astype(np.float32)
-    return params, x0.astype(params.dtype), LossSpec(config.loss_kind, target)
+    dtype = params.dtype
+    return params, x0.astype(dtype), LossSpec(config.loss_kind, target.astype(dtype))
 
 
 def _sample_gradient(

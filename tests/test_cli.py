@@ -322,6 +322,34 @@ def test_check_strict_nonconvergence_exits_3(tmp_path, small_cfg):
     assert (out / "check.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "args, yaml_text, message",
+    (
+        (["sweep", "--etas", "0.05", "--kmax", "3", "--trials", "2"], SMALL_YAML, "some sweep"),
+        (["train", "--method", "Dyadic", "--eta", "0.05", "--kmax", "2"], TRAIN_YAML, "2 epochs"),
+    ),
+    ids=("sweep", "train"),
+)
+def test_strict_sweep_and_train_exit_3_after_writing(tmp_path, capsys, args, yaml_text, message):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml_text)
+    out = tmp_path / "run"
+    full = args + ["--config", str(cfg), "--out", str(out)]
+    assert main(full) == 0  # reported, not fatal
+    assert main(full + ["--strict"]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert len(list(out.glob("*.csv"))) == 1
+
+
+def test_strict_converged_runs_exit_0(tmp_path, capsys):
+    cfg = tmp_path / "train.yaml"
+    cfg.write_text(TRAIN_YAML)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
+    assert main(["gen-data", "--out", str(out), "--strict"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_train_divergence_exits_2(tmp_path, capsys):
     cfg = tmp_path / "diverge.yaml"
     cfg.write_text(

@@ -1,5 +1,5 @@
 """Bad inputs the CLI must report as ``error:`` with exit 1, never as a
-traceback, and before it writes any output CSV."""
+traceback, and before it creates the output directory."""
 
 import pytest
 
@@ -9,14 +9,16 @@ NOT_UTF8 = b"# \xff\xfe\n"
 
 
 def run_cli(command, cfg, tmp_path, capsys):
-    """Run ``command`` with config ``cfg``; assert exit 1, ``error:`` and no CSV."""
+    """Run ``command`` with config ``cfg``; assert exit 1, ``error:`` and no
+    output directory, and return stderr."""
     out = tmp_path / "run"
     code = main([command, "--config", str(cfg), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
-    assert not list(out.rglob("*.csv"))
+    assert not out.exists()
+    return err
 
 
 def csv_dataset_config(tmp_path, data_path):
@@ -44,7 +46,7 @@ def test_config_path_that_is_a_directory_exits_1(tmp_path, capsys):
 def test_non_utf8_config_exits_1(tmp_path, capsys):
     cfg = tmp_path / "latin.yaml"
     cfg.write_bytes(b"seed: 1\n" + NOT_UTF8)
-    run_cli("train", cfg, tmp_path, capsys)
+    assert str(cfg) in run_cli("train", cfg, tmp_path, capsys)
 
 
 def test_dataset_path_that_is_a_directory_exits_1(tmp_path, capsys):
@@ -55,12 +57,16 @@ def test_dataset_path_that_is_a_directory_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "body",
-    (NOT_UTF8 + b"0.1,0.2,0\n0.3,0.4,1\n", b"0.1,0.2,0\ninf,0.4,1\n0.5,0.6,1\n"),
+    "body, names_file",
+    (
+        (NOT_UTF8 + b"0.1,0.2,0\n0.3,0.4,1\n", True),
+        (b"0.1,0.2,0\ninf,0.4,1\n0.5,0.6,1\n", False),
+    ),
     ids=("not-utf8", "inf"),
 )
-def test_unreadable_dataset_exits_1(tmp_path, capsys, body):
+def test_unreadable_dataset_exits_1(tmp_path, capsys, body, names_file):
     data = tmp_path / "data.csv"
     data.write_bytes(body)
     cfg = csv_dataset_config(tmp_path, data)
-    run_cli("train", cfg, tmp_path, capsys)
+    err = run_cli("train", cfg, tmp_path, capsys)
+    assert (str(data) in err) == names_file

@@ -330,6 +330,42 @@ def test_train_test_split_covers_all_samples():
     assert no_test.rows[0]["test_acc"] is None
 
 
+def test_no_test_set_leaves_every_test_acc_empty(tmp_path):
+    path = tmp_path / "train.csv"
+    result = train(_small_config(test_fraction=0.0, epochs=2), csv_path=path)
+    assert [row["test_acc"] for row in result.rows] == [None] * 3
+    column = TRAIN_FIELDS.index("test_acc")
+    cells = [line.split(",")[column] for line in path.read_text().splitlines()[3:]]
+    assert cells == [""] * 3
+
+
+def test_finite_difference_training_matches_batch_backprop():
+    dataset = DatasetSpec(kind=DatasetKind.TWO_MOONS, n_samples=20, noise=0.1)
+    config = _small_config(
+        method=GradientMethod.FINITE_DIFF, widths=(3, 2), epochs=1, dataset=dataset
+    )
+    row = train(config).rows[1]
+    assert row["mean_iterations"] is None
+    assert row["frac_converged"] is None
+    assert row["fid_rel_err"] < 1e-6
+
+
+def test_train_builds_one_loss_per_batch(monkeypatch):
+    from dyadicbp import training
+
+    built = []
+
+    class CountingLoss(training.LossSpec):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self.target.shape)
+
+    monkeypatch.setattr(training, "LossSpec", CountingLoss)
+    config = _small_config(method=GradientMethod.DYADIC, epochs=2, batch_size=8)
+    train(config)
+    # 64 training samples in batches of 8, twice; the epoch rows evaluate
+    # the 64 training and 16 test samples.
+    assert built.count((2, 8)) == 16
 # ---------------------------------------------------------------------------
 # Gradient checking.
 
