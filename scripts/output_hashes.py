@@ -19,9 +19,10 @@ The matrix covers every CLI subcommand that writes numbers:
 Each line reads ``sha256  path`` with the path relative to OUT_DIR.
 Save the listing of one checkout and pass it as ``--against LISTING``
 when running another: the script then prints, instead of the listing,
-each path whose digest differs or that is missing on either side, and
-exits 1 if there is any. The imported package location and the CLI's
-own messages go to standard error.
+each path whose digest differs or that is missing on either side, then
+a count such as ``37 of 43 outputs match; 6 differ``, and exits 1 if
+any differs. The imported package location and the CLI's own messages
+go to standard error.
 """
 
 import argparse
@@ -110,6 +111,13 @@ def mismatches(fresh: dict[str, str], saved: dict[str, str]) -> list[str]:
     return lines
 
 
+def summary(fresh: dict[str, str], saved: dict[str, str]) -> str:
+    """How many of the paths of two {path: sha256} maps match and differ."""
+    paths = fresh.keys() | saved.keys()
+    same = sum(1 for path in paths if fresh.get(path) == saved.get(path))
+    return f"{same} of {len(paths)} outputs match; {len(paths) - same} differ"
+
+
 def main_hashes(out: Path, against: Optional[Path] = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     configs = config_files(out)
@@ -131,7 +139,7 @@ def main_hashes(out: Path, against: Optional[Path] = None) -> int:
         return status
     saved = parse_listing(against.read_text())
     lines = mismatches(fresh, saved)
-    print("\n".join(lines) if lines else f"all {len(saved)} outputs match {against}")
+    print("\n".join([*lines, summary(fresh, saved)]))
     return 1 if lines else status
 
 

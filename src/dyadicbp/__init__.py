@@ -18,6 +18,7 @@ from .dynamics import (
     DyadState,
     RelaxConfig,
     RelaxMode,
+    RelaxStatus,
     RelaxTrace,
     StabilityReport,
     energy,
@@ -85,6 +86,7 @@ __all__ = [
     "NumericError",
     "RelaxConfig",
     "RelaxMode",
+    "RelaxStatus",
     "RelaxTrace",
     "ShapeError",
     "StabilityReport",

@@ -6,7 +6,8 @@ written carries ``# seed`` and ``# config`` comment lines so outputs
 are attributable to an exact run.
 
 Exit codes: 0 success, 1 usage or config error, 2 numeric failure,
-3 non-convergence when --strict demanded convergence.
+3 non-convergence when --strict demanded convergence: a relaxation that
+ran out of budget (one that stopped at the precision floor converged).
 """
 
 from __future__ import annotations
@@ -189,8 +190,7 @@ def _cmd_relax(config: ExperimentConfig) -> Optional[str]:
     ]
     path = Path(config.out_dir) / "trajectory.csv"
     write_csv(path, fieldnames, rows, config.seed, config.config_hash())
-    state = "converged" if trace.converged else "did not converge"
-    print(f"wrote {path}: {trace.iterations_used} iterations, {state}")
+    print(f"wrote {path}: {trace.iterations_used} iterations, stop reason: {trace.status.value}")
     if not trace.converged:
         return f"relaxation did not converge within {config.k_max} iterations"
     return None

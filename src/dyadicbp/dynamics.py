@@ -12,18 +12,18 @@ backprop sensitivities in the following L steps.
 One Euler loop, ``_relax``, runs every convergence-driven scheme (Dyadic,
 MeanStress, Split) for a single sample or a column batch: it starts
 from zero, takes the scheme's Euler step, freezes each column once its
-increment drops below the tolerance, and records a trace only when
-asked. TwoL runs the exact 2L schedule instead. All relaxation modes
-extract the gradient from the final (m, s) by the same outer-product
-rule.
+increment drops below the tolerance or stalls at the rounding noise of
+its state (the precision floor), and records a trace only when asked.
+Each column reports why it stopped as a ``RelaxStatus``. TwoL runs the
+exact 2L schedule instead. All relaxation modes extract the gradient
+from the final (m, s) by the same outer-product rule.
 
 The steps write into a per-call workspace (``_Workspace``) of
 state-sized buffers, allocated once per relaxation, and evaluate sigma
 and sigma' in one pass per run of consecutive layers that share an
 activation (``network._sigma_pair_array``). A step allocates no
-state-sized array; its floats are those of the unfused per-layer step,
-including the additions of zero that fix the sign of a zero. The public
-velocity helpers run the same step code on a fresh workspace.
+state-sized array; its floats are those of the unfused per-layer step.
+The public velocity helpers run the same step code on a fresh workspace.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .reference import GradientBundle
 __all__ = [
     "RelaxMode",
     "RelaxConfig",
+    "RelaxStatus",
     "DyadState",
     "RelaxTrace",
     "StabilityReport",
@@ -130,16 +131,32 @@ class DyadState:
         return GlobalVector(self.x.data - self.z.data, self.x.offsets)
 
 
+class RelaxStatus(enum.Enum):
+    """Why a relaxation (or one column of a batch) stopped.
+
+    CONVERGED: the step delta fell below the tolerance. PRECISION_FLOOR:
+    the delta stopped shrinking within 1e3 tolerances, at the rounding
+    noise of the state's own norm, so the tolerance could not be met in
+    this precision. OUT_OF_BUDGET: k_max updates ran without either. The
+    first two count as converged.
+    """
+
+    CONVERGED = "converged"
+    PRECISION_FLOOR = "precision floor"
+    OUT_OF_BUDGET = "out of budget"
+
+
 @dataclass
 class RelaxTrace:
     """Per-iteration diagnostics of one relaxation run.
 
     Record i describes the state after update i + 1: the stopping
-    quantity (the summed L2 norms of the two state increments), the
-    energy, and the per-layer stress norms. ``iterations_used`` equals
-    the number of Euler updates performed, so with step records on all
-    record lists have that length; with ``record_steps=False`` they are
-    empty.
+    quantity delta (the summed L2 norms of the two state increments),
+    the energy, and the per-layer stress norms. ``iterations_used``
+    equals the number of Euler updates performed, so with step records
+    on all record lists have that length; with ``record_steps=False``
+    they are empty. ``status`` says why the run stopped (see
+    ``_relax``), and ``converged`` is true unless it ran out of budget.
     """
 
     iterations_used: int = 0
@@ -147,6 +164,7 @@ class RelaxTrace:
     energies: list[float] = field(default_factory=list)
     stress_block_norms: list[tuple[float, ...]] = field(default_factory=list)
     converged: bool = False
+    status: RelaxStatus = RelaxStatus.OUT_OF_BUDGET
 
 
 @dataclass(frozen=True)
@@ -243,11 +261,11 @@ def _saddle_velocity_arrays(
     backward -= s
     backward *= 0.5
     half_g = 0.5 * loss.gradient(m[out_sl])
-    # dx = f + backward + cost with the loss gradient embedded in a zero
-    # vector: its zero rows still turn a -0.0 into +0.0, while
-    # subtracting them from dz changes no bit.
+    # dx = f + backward + cost, the loss gradient embedded in zero rows.
+    # Adding those zeros could only turn a -0.0 of dx into +0.0, and dx
+    # is -0.0 only where m and s are +0.0, that is x = z = +0.0, where
+    # x + eta dx is +0.0 either way: so only the output rows are added.
     dx = np.add(f, backward, out=ws.next1)
-    dx[: out_sl.start] += 0.0
     dx[out_sl] += half_g
     dz = np.subtract(f, backward, out=ws.next2)
     dz[out_sl] -= half_g
@@ -515,6 +533,27 @@ def _record(
     )
 
 
+# The precision floor of ``_relax``: its gate in tolerances and its
+# width in eps of the state's norm.
+_FLOOR_GATE = 1e3
+_FLOOR_ULPS = 16
+
+
+def _below_floor(delta, stalled, first: np.ndarray, second: np.ndarray):
+    """Which ``stalled`` columns have delta < 16 eps (|first| + |second|).
+
+    The norms are taken only over the stalled columns of the state.
+    """
+    scale = _FLOOR_ULPS * np.finfo(first.dtype).eps
+    if first.ndim == 1:
+        return stalled and delta < scale * (np.linalg.norm(first) + np.linalg.norm(second))
+    cols = np.flatnonzero(stalled)
+    norms = np.linalg.norm(first[:, cols], axis=0) + np.linalg.norm(second[:, cols], axis=0)
+    below = np.zeros_like(stalled)
+    below[cols] = delta[cols] < scale * norms
+    return below
+
+
 def _relax(
     params: NetworkParams,
     beta: np.ndarray,
@@ -523,15 +562,27 @@ def _relax(
     step: Callable[..., tuple[np.ndarray, np.ndarray]],
     trace: Optional[RelaxTrace] = None,
     on_step: Optional[StepCallback] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Euler-relax an (n,) or (n, B) state from zero under ``step``.
 
-    The state is (x, z), or (m, s) in MeanStress mode. Each column
-    freezes once its summed increment norm drops below the tolerance; a
-    non-finite increment in a running column raises NumericError.
+    The state is (x, z), or (m, s) in MeanStress mode, and a column's
+    delta is the summed L2 norm of its two increments. A column freezes
+    once its delta drops below the tolerance (converged), or at the
+    precision floor: when its delta is below 1e3 tol, no smaller than
+    its previous delta, and below 16 eps (|first| + |second|) of its
+    new state, the rounding noise of the state itself, so that a
+    tolerance below that noise cannot stall it until k_max. The 1e3 tol
+    gate keeps a state that grows without bound (whose noise grows with
+    it) from passing as settled, and keeps the state norms, taken only
+    for columns past both cheap tests, off the path of a run whose
+    deltas keep falling. A non-finite increment in a running column
+    raises NumericError.
+
     ``trace`` (single sample) receives one record per update and
     ``on_step`` receives (k, first, second) copies. Returns the final
-    (m, s) and the per-column iterations and converged flags.
+    (m, s) and per column the iterations, the converged flag (either
+    stop) and the floored flag (the precision floor); a column with
+    neither flag ran out of budget at k_max.
 
     All (n,) or (n, B) arrays of the loop live in one workspace made
     per call: the step writes the next state into its spare pair, and
@@ -545,6 +596,9 @@ def _relax(
     active = np.ones(columns, dtype=bool)
     iterations = np.full(columns, cfg.k_max)
     converged = np.zeros(columns, dtype=bool)
+    floored = np.zeros(columns, dtype=bool)
+    gate = _FLOOR_GATE * cfg.tol
+    previous = np.inf
 
     def mean_stress(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (0.5 * (a + b), a - b) if doubled else (a, b)
@@ -553,7 +607,7 @@ def _relax(
         cand1, cand2 = step(params, beta, loss, first, second, cfg.eta, ws)
         delta = _step_norm(cand1, first, ws.diff) + _step_norm(cand2, second, ws.diff)
         # The column-masked tests run only once some delta is non-finite
-        # or below the tolerance, so a running sample pays two per step.
+        # or below the floor's gate, so a running sample pays two per step.
         if not np.isfinite(delta).all() and (active & ~np.isfinite(delta)).any():
             raise NumericError("relaxation state diverged (non-finite step delta)")
         if not active.all():  # frozen columns keep their state
@@ -565,15 +619,25 @@ def _relax(
             _record(params, trace, beta, loss, float(delta), *mean_stress(first, second))
         if on_step is not None:
             on_step(k, first.copy(), second.copy())
-        done = delta < cfg.tol
-        if done.any():
-            newly = active & done
-            iterations[newly] = k
-            converged |= newly
-            active &= ~newly
-            if not active.any():
-                break
-    return (*mean_stress(first, second), iterations, converged)
+        near = delta < gate
+        if near.any():
+            done = delta < cfg.tol
+            # A frozen column's delta, a step from the same state each time,
+            # stays flat: only running columns can stall.
+            stalled = near & (delta >= previous) & active
+            if stalled.any():
+                stalled = _below_floor(delta, stalled & ~done, first, second)
+                floored |= stalled
+                done |= stalled
+            if done.any():
+                newly = active & done
+                iterations[newly] = k
+                converged |= newly
+                active &= ~newly
+                if not active.any():
+                    break
+        previous = delta
+    return (*mean_stress(first, second), iterations, converged, floored)
 
 
 def _require_single_sample(x0: np.ndarray) -> None:
@@ -616,10 +680,16 @@ def _relax_sample(
     x0, loss, beta = _prepare(params, x0, loss)
     trace = RelaxTrace()
     records = trace if record_steps else None
-    m, s, iters, conv = _relax(params, beta, loss, cfg, step or _STEPS[mode], records, on_step)
+    m, s, iters, conv, floored = _relax(
+        params, beta, loss, cfg, step or _STEPS[mode], records, on_step
+    )
     if not record_steps:  # the last record's energy check
         _energy_ms(params, beta, loss, m, s)
     trace.iterations_used, trace.converged = int(iters), bool(conv)
+    if floored:
+        trace.status = RelaxStatus.PRECISION_FLOOR
+    elif conv:
+        trace.status = RelaxStatus.CONVERGED
     return (*_equilibrium(params, x0, m, s, _delta_at(params, beta, m, s)), trace)
 
 
@@ -636,14 +706,17 @@ def relax_dyadic(
 
     Starts from x = z = 0, steps both states with step size eta, and
     stops when the summed L2 norms of the two increments drop below the
-    tolerance (or the iteration budget runs out, which is reported in
-    the trace, not raised). Returns the mean, the stress, the extracted
-    gradient, and the trace. ``on_step`` (if given) receives
-    (k, x, z) copies after each update. The trace records the delta,
-    energy and stress norms of every update only with ``record_steps``;
-    without, the same bits come back with the trace's counts alone, and
-    the energy (NumericError if not finite) is checked only at the end,
-    so a transient overflow of it with finite increments no longer raises.
+    tolerance, or when they stall at the float rounding noise of the
+    state (the precision floor of ``_relax``), or when the iteration
+    budget runs out. The trace's ``status`` names which; running out of
+    budget is reported (``converged`` false), not raised. Returns the
+    mean, the stress, the extracted gradient, and the trace. ``on_step``
+    (if given) receives (k, x, z) copies after each update. The trace
+    records the delta, energy and stress norms of every update only with
+    ``record_steps``; without, the same bits come back with the trace's
+    counts and status alone, and the energy (NumericError if not finite)
+    is checked only at the end, so a transient overflow of it with
+    finite increments no longer raises.
     """
     return _relax_sample(
         params, x0, loss, cfg, on_step, RelaxMode.DYADIC, "relax_dyadic", record_steps
@@ -789,10 +862,11 @@ def relax_batch(
 
     Samples are columns of ``x0`` with matching columns in the loss
     target. Columns relax independently in the same loop as the
-    single-sample relaxations: each one stops (freezes) once its own
-    summed increment norm passes the tolerance, so iteration counts are
-    per sample, and the reduction to the mean bundle is a fixed-order
-    matrix product, keeping results bit-reproducible.
+    single-sample relaxations: each one stops (freezes) by its own
+    stopping rule (the tolerance or the precision floor, see
+    ``_relax``), so iteration counts are per sample, and the reduction
+    to the mean bundle is a fixed-order matrix product, keeping results
+    bit-reproducible. A column that is not converged ran out of budget.
 
     TwoL runs the O(L) block wavefront of ``_twoL_wavefront``, bitwise
     equal to ``backprop_batch``, and reports 2L iterations per column.
@@ -807,7 +881,7 @@ def relax_batch(
         iterations = np.full(batch, 2 * params.depth)
         converged = np.ones(batch, dtype=bool)
     else:
-        m, s, iterations, converged = _relax(params, beta, loss, cfg, _STEPS[cfg.mode])
+        m, s, iterations, converged, _ = _relax(params, beta, loss, cfg, _STEPS[cfg.mode])
         delta = _delta_at(params, beta, m, s)
     weight_grads, bias_grads = _grads_from_delta(params, x0, m, delta)
     return weight_grads, bias_grads, iterations, converged

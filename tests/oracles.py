@@ -282,10 +282,15 @@ def unfused_step(mode, params, beta, loss, a, b, eta, cost_at_states=False):
 
 def unfused_relax_states(mode, params, beta, loss, eta, k_max, tol):
     """States after each step of a column batch relaxed from zero, each
-    column frozen once its summed increment norm drops below ``tol``."""
+    column frozen once its summed increment norm drops below ``tol``, or
+    at the precision floor: once that norm is below 1e3 tol, no smaller
+    than the previous step's, and below 16 eps times the summed column
+    norms of the new state."""
     first = np.zeros_like(beta)
     second = np.zeros_like(beta)
     active = np.ones(beta.shape[1], dtype=bool)
+    previous = np.full(beta.shape[1], np.inf)
+    eps = np.finfo(beta.dtype).eps
     states = []
     for _ in range(k_max):
         cand1, cand2 = unfused_step(mode, params, beta, loss, first, second, eta)
@@ -293,9 +298,12 @@ def unfused_relax_states(mode, params, beta, loss, eta, k_max, tol):
         first = np.where(active, cand1, first)
         second = np.where(active, cand2, second)
         states.append((first, second))
-        active &= ~(delta < tol)
+        noise = 16 * eps * (np.linalg.norm(first, axis=0) + np.linalg.norm(second, axis=0))
+        floor = (delta < 1e3 * tol) & (delta >= previous) & (delta < noise)
+        active &= ~((delta < tol) | floor)
         if not active.any():
             break
+        previous = delta
     return states
 
 

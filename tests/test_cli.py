@@ -364,3 +364,32 @@ def test_train_divergence_exits_2(tmp_path, capsys):
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert (out / "train.csv").exists()  # partial log survives the abort
+
+
+def test_float32_unit_step_sweep_passes_strict(tmp_path, capsys):
+    # On the default depth-9 net in float32 at eta = 1, trials 0 and 2 of
+    # seed 0 stall at the rounding noise of their state, above tol 1e-6.
+    # They stop at the precision floor, which --strict accepts.
+    out = tmp_path / "run"
+    args = ["sweep", "--precision", "32", "--etas", "1.0", "--trials", "3", "--seed", "0"]
+    assert main(args + ["--out", str(out), "--strict"]) == 0
+    _, header, rows = _read_table(out / "sweep.csv")
+    row = dict(zip(header, rows[0]))
+    assert float(row["frac_converged"]) == 1.0
+    assert int(row["max_iterations"]) <= 2 * 9 + 5
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "args, reason, code",
+    (
+        (["--precision", "32", "--eta", "1.0", "--seed", "0"], "precision floor", 0),
+        (["--precision", "64", "--eta", "1.0", "--seed", "0"], "converged", 0),
+        (["--precision", "64", "--eta", "0.05", "--kmax", "3"], "out of budget", 3),
+    ),
+    ids=("floor", "tol", "budget"),
+)
+def test_relax_names_its_stop_reason(tmp_path, capsys, args, reason, code):
+    out = tmp_path / "run"
+    assert main(["relax", *args, "--out", str(out), "--strict"]) == code
+    assert capsys.readouterr().out.rstrip().endswith(f"stop reason: {reason}")

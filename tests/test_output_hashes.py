@@ -1,5 +1,6 @@
 """``scripts/output_hashes.py --against`` names every output whose
-digest differs from a saved listing, or that either side lacks."""
+digest differs from a saved listing, or that either side lacks, and
+counts how many match and how many differ."""
 
 import importlib.util
 from pathlib import Path
@@ -34,3 +35,12 @@ def test_mismatches_name_each_differing_or_missing_path():
         "missing: c/z.csv",
         "not in listing: d/w.csv",
     ]
+
+
+def test_summary_counts_matching_and_differing_outputs():
+    saved = {"a/x.csv": "1", "b/y.csv": "2", "c/z.csv": "3"}
+    assert hashes.summary(dict(saved), saved) == "3 of 3 outputs match; 0 differ"
+    fresh = {"a/x.csv": "1", "b/y.csv": "9", "d/w.csv": "4"}
+    # One differing digest, one path missing, one not in the listing.
+    assert hashes.summary(fresh, saved) == "1 of 4 outputs match; 3 differ"
+    assert len(hashes.mismatches(fresh, saved)) == 3
