@@ -852,28 +852,6 @@ def stability_check(
     return StabilityReport(params.depth, n_probes, max_fwd, max_bwd)
 
 
-def _relax_split_columns(
-    params: NetworkParams, x0: np.ndarray, loss: LossSpec, cfg: RelaxConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split's column batch relaxed one sample at a time: the final m,
-    delta, iterations and converged flags, column for column.
-
-    Split's Euler map need not contract. In a run that never settles
-    the last-bit difference between a column's gemm and a sample's gemv
-    grows step by step until the two states share no digit, so each
-    column runs the single-sample loop of ``relax_split`` on its own
-    beta and target and ends with its bits.
-    """
-    columns = []
-    for j in range(x0.shape[1]):
-        beta = beta_array(params, x0[:, j])
-        col_loss = LossSpec(loss.kind, loss.target[:, j])
-        m, s, iters, conv, _ = _relax(params, beta, col_loss, cfg, _STEPS[RelaxMode.SPLIT])
-        columns.append((m, _delta_at(params, beta, m, s), iters, conv))
-    m, delta, iterations, converged = (np.stack(c, axis=-1) for c in zip(*columns))
-    return m, delta, iterations, converged
-
-
 def relax_batch(
     params: NetworkParams,
     x0: np.ndarray,
@@ -890,11 +868,6 @@ def relax_batch(
     to the mean bundle is a fixed-order matrix product, keeping results
     bit-reproducible. A column that is not converged ran out of budget.
 
-    Split relaxes the columns one at a time (``_relax_split_columns``),
-    each with the bits of ``relax_split`` on that sample, because its
-    runs that never settle amplify rounding; this costs about the
-    batch's width in single-sample relaxations.
-
     TwoL runs the O(L) block wavefront of ``_twoL_wavefront``, bitwise
     equal to ``backprop_batch``, and reports 2L iterations per column.
 
@@ -907,8 +880,6 @@ def relax_batch(
         batch = x0.shape[1]
         iterations = np.full(batch, 2 * params.depth)
         converged = np.ones(batch, dtype=bool)
-    elif cfg.mode is RelaxMode.SPLIT:
-        m, delta, iterations, converged = _relax_split_columns(params, x0, loss, cfg)
     else:
         m, s, iterations, converged, _ = _relax(params, beta, loss, cfg, _STEPS[cfg.mode])
         delta = _delta_at(params, beta, m, s)

@@ -77,30 +77,6 @@ def test_batch_columns_relax_like_single_samples(case):
         np.testing.assert_allclose(got, acc / batch, rtol=1e-6, atol=1e-9)
 
 
-def test_split_batch_that_never_settles_keeps_single_sample_bits():
-    # Split columns that oscillate until k_max (max|m| up to about 128)
-    # amplify a last-bit difference step by step: with one matrix product
-    # for the batch its mean gradient lay up to 443 % apart from its samples'.
-    rng = np.random.default_rng(51)
-    acts = [Activation.TANH] * 3 + [Activation.RELU]
-    params = random_network(4, (2, 3, 4, 3), acts, rng, bias_std=0.5)
-    x = rng.standard_normal((4, 3))
-    target = rng.standard_normal((3, 3))
-    cfg = RelaxConfig(eta=0.5, k_max=300, tol=1e-9, mode=RelaxMode.SPLIT)
-    ws, bs, iters, conv = relax_batch(params, x, LossSpec(LossKind.MSE, target), cfg)
-    assert not conv.any()
-    bundles = [
-        relax_split(params, x[:, j], LossSpec(LossKind.MSE, target[:, j]), cfg)[2]
-        for j in range(3)
-    ]
-    for i, got in enumerate(ws):
-        want = sum(b.weight_grads[i] for b in bundles) / 3
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    for i, got in enumerate(bs):
-        want = sum(b.bias_grads[i] for b in bundles) / 3
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
 @pytest.mark.parametrize("mode", tuple(SINGLE))
 def test_batch_blowup_raises_numeric_error(mode):
     rng = np.random.default_rng(88)
