@@ -5,8 +5,10 @@ Usage (from a checkout's root):
     PYTHONPATH=src python scripts/kernel_times.py [--repeats N]
 
 Times ``apply_w_array``, ``apply_wt_array``, ``_sigma_pair_array``,
-``LossSpec.gradient``, ``LossSpec.value`` and one Dyadic Euler step
-(``dynamics._STEPS``, eta 0.5, into a preallocated workspace) on the
+``LossSpec.gradient``, ``LossSpec.value``, one Dyadic Euler step
+(``dynamics._STEPS``, eta 0.5, into a preallocated workspace) and one
+step of a whole Dyadic relaxation (``dyadic_relax_step``: ``_relax`` from
+zero at eta 0.5, default tolerance, divided by its step count) on the
 reference depth-9 net (input 2, eight Tanh layers of width 32, an
 Identity output of width 2, cross-entropy loss) and on the depth-17 net
 with sixteen hidden layers. Each runs for a float32 single state (n,)
@@ -27,7 +29,14 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from dyadicbp import Activation, LossKind, LossSpec, RelaxMode, random_network  # noqa: E402
+from dyadicbp import (  # noqa: E402
+    Activation,
+    LossKind,
+    LossSpec,
+    RelaxConfig,
+    RelaxMode,
+    random_network,
+)
 from dyadicbp import dynamics  # noqa: E402
 from dyadicbp.network import (  # noqa: E402
     _sigma_pair_array,
@@ -41,7 +50,8 @@ CASES = ((np.float32, None), (np.float64, 64))
 
 
 def kernel_calls(depth: int, dtype, batch):
-    """Zero-argument closures, one per kernel, on a fixed random instance."""
+    """(zero-argument closure, steps per call) of each kernel on a fixed
+    random instance."""
     rng = np.random.default_rng(depth)
     acts = [Activation.TANH] * (depth - 1) + [Activation.IDENTITY]
     params = random_network(2, (32,) * (depth - 1) + (2,), acts, rng, dtype=dtype)
@@ -52,19 +62,27 @@ def kernel_calls(depth: int, dtype, batch):
     loss = LossSpec(LossKind.SOFTMAX_CROSS_ENTROPY, target)
     beta = beta_array(params, x0)
     x, z = (rng.standard_normal(beta.shape).astype(dtype) for _ in range(2))
-    ws = dynamics._Workspace(beta.shape, beta.dtype)
+    ws = dynamics._Workspace(params, beta.shape, beta.dtype)
+    ws.state.both[...] = x, z
     out = np.empty_like(beta)
     pre = apply_w_array(params, x) + beta
     sig, dsig = np.empty_like(pre), np.empty_like(pre)
     logits = x[params.output_slice]
     step = dynamics._STEPS[RelaxMode.DYADIC]
+    cfg = RelaxConfig(eta=0.5)
+
+    def relax():
+        return dynamics._relax(params, beta, loss, cfg, step)
+
+    steps = int(np.max(relax()[2]))  # the loop runs until its last column stops
     return {
-        "apply_w_array": lambda: apply_w_array(params, x, out=out),
-        "apply_wt_array": lambda: apply_wt_array(params, x, out=out),
-        "_sigma_pair_array": lambda: _sigma_pair_array(params, pre, sig, dsig),
-        "LossSpec.gradient": lambda: loss.gradient(logits),
-        "LossSpec.value": lambda: loss.value(logits),
-        "dyadic_step": lambda: step(params, beta, loss, x, z, 0.5, ws),
+        "apply_w_array": (lambda: apply_w_array(params, x, out=out), 1),
+        "apply_wt_array": (lambda: apply_wt_array(params, x, out=out), 1),
+        "_sigma_pair_array": (lambda: _sigma_pair_array(params, pre, sig, dsig), 1),
+        "LossSpec.gradient": (lambda: loss.gradient(logits), 1),
+        "LossSpec.value": (lambda: loss.value(logits), 1),
+        "dyadic_step": (lambda: step(params, beta, loss, 0.5, ws), 1),
+        "dyadic_relax_step": (relax, steps),
     }
 
 
@@ -94,8 +112,8 @@ def main(argv=None) -> int:
     for depth in DEPTHS:
         for dtype, batch in CASES:
             shape = "(n,)" if batch is None else f"(n,{batch})"
-            for name, call in kernel_calls(depth, dtype, batch).items():
-                us = median_us(call, args.repeats)
+            for name, (call, steps) in kernel_calls(depth, dtype, batch).items():
+                us = median_us(call, args.repeats) / steps
                 print(
                     f"{name:<20} {'L' + str(depth):>5} {np.dtype(dtype).name:>8} "
                     f"{shape:>7} {us:>10.2f}",

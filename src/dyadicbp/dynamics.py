@@ -21,9 +21,13 @@ from the final (m, s) by the same outer-product rule.
 The steps write into a per-call workspace (``_Workspace``) of
 state-sized buffers, allocated once per relaxation, and evaluate sigma
 and sigma' in one pass per run of consecutive layers that share an
-activation (``network._sigma_pair_array``). A step allocates no
-state-sized array; its floats are those of the unfused per-layer step.
-The public velocity helpers run the same step code on a fresh workspace.
+activation (``network._sigma_pair_array``). The relaxing pair is one
+(2, n) or (2, n, B) array, so the Euler update, the increment and its
+norms run once per step over both halves, and the block-matmul and
+activation-run views of the buffers are built once per call. A step
+allocates no state-sized array and makes no reshape or slice; its
+floats are those of the unfused per-layer step. The public velocity
+helpers run the same step code on a fresh workspace.
 """
 
 from __future__ import annotations
@@ -41,11 +45,13 @@ from .losses import LossSpec, _check_target
 from .network import (
     GlobalVector,
     NetworkParams,
+    _block_plan,
     _block_slices,
     _check_input,
     _conform,
     _sigma_pair,
     _sigma_pair_array,
+    _sigma_plan,
     apply_w_array,
     apply_wt_array,
     beta_array,
@@ -187,26 +193,101 @@ class StabilityReport:
     max_backward_residual: float
 
 
-class _Workspace:
-    """The (n,) or (n, B) buffers of one relaxation call.
+class _Pair:
+    """One (2, n) or (2, n, B) state buffer, ``both``, with its halves
+    ``first`` and ``second``, and the views a step takes of them, built on
+    first use: their output-block rows, W of each half into ``pre``, and
+    sigma of ``pre`` into ``first`` (sigma' into ``dsig``) and W^T dsig
+    into ``second``."""
 
-    A step reads the state, writes its temporaries into ``m`` .. ``wt``
-    and its new state into ``next1``/``next2``; ``diff`` holds the
-    increment whose norm is the stopping quantity.
+    def __init__(self, params: NetworkParams, pre: np.ndarray, dsig: np.ndarray) -> None:
+        self.params, self.pre, self.dsig = params, pre, dsig
+        self.both = np.zeros((2, *pre.shape), dtype=pre.dtype)
+        self.first, self.second = self.both
+
+    @functools.cached_property
+    def out(self) -> tuple[np.ndarray, np.ndarray]:
+        sl = self.params.output_slice
+        return self.first[sl], self.second[sl]
+
+    @functools.cached_property
+    def w_first(self):
+        return _block_plan(self.params, self.first, self.pre)
+
+    @functools.cached_property
+    def w_second(self):
+        return _block_plan(self.params, self.second, self.pre)
+
+    @functools.cached_property
+    def sigma_first(self):
+        return _sigma_plan(self.params, self.pre, self.first, self.dsig)
+
+    @functools.cached_property
+    def wt_second(self):
+        return _block_plan(self.params, self.dsig, self.second, transpose=True)
+
+
+class _Workspace:
+    """The buffers of one relaxation call and the views a step takes of them.
+
+    ``state`` holds the relaxing pair, (x, z) or (m, s), as one ``_Pair``:
+    a (2, n) or (2, n, B) array and its two halves. A step reads it,
+    writes its temporaries into the (n[, B]) buffers ``m`` .. ``wt`` and
+    its candidate into the spare pair ``next``; the loop then swaps the
+    two. ``diff`` holds the increment whose norms are the stopping
+    quantity.
+
+    The block-matmul and activation-run views of these buffers, and their
+    output-block rows, are built on first use: once per call, and only
+    those of the scheme that runs. A step then makes no reshape or slice.
     """
 
-    __slots__ = ("m", "s", "pre", "sig", "dsig", "wt", "next1", "next2", "diff")
-
-    def __init__(self, shape: tuple[int, ...], dtype: np.dtype) -> None:
-        for name in self.__slots__:
+    def __init__(self, params: NetworkParams, shape: tuple[int, ...], dtype: np.dtype) -> None:
+        self.params = params
+        for name in ("m", "s", "pre", "sig", "dsig", "wt"):
             setattr(self, name, np.empty(shape, dtype=dtype))
+        self.state = _Pair(params, self.pre, self.dsig)
+        self.next = _Pair(params, self.pre, self.dsig)
+        self.diff = np.empty_like(self.state.both)
+
+    @functools.cached_property
+    def m_out(self) -> np.ndarray:
+        return self.m[self.params.output_slice]
+
+    # W m into pre; W^T dsig into wt; sigma of pre into sig or m, sigma' into dsig.
+    @functools.cached_property
+    def w_m(self):
+        return _block_plan(self.params, self.m, self.pre)
+
+    @functools.cached_property
+    def wt_wt(self):
+        return _block_plan(self.params, self.dsig, self.wt, transpose=True)
+
+    @functools.cached_property
+    def sigma_sig(self):
+        return _sigma_plan(self.params, self.pre, self.sig, self.dsig)
+
+    @functools.cached_property
+    def sigma_m(self):
+        return _sigma_plan(self.params, self.pre, self.m, self.dsig)
+
+
+def _loaded_workspace(
+    params: NetworkParams, beta: np.ndarray, first: np.ndarray, second: np.ndarray
+) -> _Workspace:
+    """A workspace whose state is (first, second), for the one-shot velocity helpers."""
+    ws = _Workspace(params, beta.shape, np.result_type(beta, first, second))
+    ws.state.first[...] = first
+    ws.state.second[...] = second
+    return ws
 
 
 def _pre_activation(
-    params: NetworkParams, beta: np.ndarray, v: np.ndarray, ws: _Workspace
+    params: NetworkParams, beta: np.ndarray, v: np.ndarray, ws: _Workspace, plan
 ) -> np.ndarray:
-    """W v + beta into ``ws.pre``; block 1 is 0 + beta_1, as in the sum of arrays."""
-    pre = apply_w_array(params, v, out=ws.pre)
+    """W v + beta into ``ws.pre`` through ``plan``, the views of v and
+    ``ws.pre``; block 1 is 0 + beta_1, as in the sum of arrays."""
+    pre = apply_w_array(params, v, ws.pre, plan)
     pre += beta
     return pre
 
@@ -243,33 +324,31 @@ def energy(params: NetworkParams, x0: np.ndarray, loss: LossSpec, state: DyadSta
 
 
 def _saddle_velocity_arrays(
-    params: NetworkParams,
-    beta: np.ndarray,
-    loss: LossSpec,
-    x: np.ndarray,
-    z: np.ndarray,
-    ws: _Workspace,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(dx, dz) into ``ws.next1``/``ws.next2``."""
-    out_sl = params.output_slice
+    params: NetworkParams, beta: np.ndarray, loss: LossSpec, ws: _Workspace
+) -> None:
+    """(dx, dz) at the state (x, z) of ``ws`` into ``ws.next``."""
+    x, z = ws.state.first, ws.state.second
     m = np.add(x, z, out=ws.m)
     m *= 0.5
     s = np.subtract(x, z, out=ws.s)
-    _sigma_pair_array(params, _pre_activation(params, beta, m, ws), ws.sig, ws.dsig)
+    _sigma_pair_array(
+        params, _pre_activation(params, beta, m, ws, ws.w_m), ws.sig, ws.dsig, ws.sigma_sig
+    )
     f = np.subtract(ws.sig, m, out=ws.sig)
-    backward = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), out=ws.wt)
+    backward = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), ws.wt, ws.wt_wt)
     backward -= s
     backward *= 0.5
-    half_g = 0.5 * loss.gradient(m[out_sl])
+    half_g = 0.5 * loss.gradient(ws.m_out)
     # dx = f + backward + cost, the loss gradient embedded in zero rows.
     # Adding those zeros could only turn a -0.0 of dx into +0.0, and dx
     # is -0.0 only where m and s are +0.0, that is x = z = +0.0, where
     # x + eta dx is +0.0 either way: so only the output rows are added.
-    dx = np.add(f, backward, out=ws.next1)
-    dx[out_sl] += half_g
-    dz = np.subtract(f, backward, out=ws.next2)
-    dz[out_sl] -= half_g
-    return dx, dz
+    nxt = ws.next
+    dx_out, dz_out = nxt.out
+    np.add(f, backward, out=nxt.first)
+    dx_out += half_g
+    np.subtract(f, backward, out=nxt.second)
+    dz_out -= half_g
 
 
 def saddle_velocities(
@@ -287,8 +366,9 @@ def saddle_velocities(
     x = _conform(params, state.x)
     z = _conform(params, state.z)
     beta = beta_array(params, x0)
-    ws = _Workspace(beta.shape, np.result_type(beta, x, z))
-    dx, dz = _saddle_velocity_arrays(params, beta, loss, x, z, ws)
+    ws = _loaded_workspace(params, beta, x, z)
+    _saddle_velocity_arrays(params, beta, loss, ws)
+    dx, dz = ws.next.both
     return GlobalVector(dx, params.offsets), GlobalVector(dz, params.offsets)
 
 
@@ -310,26 +390,25 @@ def mean_stress_velocities(
     beta = beta_array(params, x0)
     m_arr = _conform(params, m)
     s_arr = _conform(params, s)
-    ws = _Workspace(beta.shape, np.result_type(beta, m_arr, s_arr))
-    dm, ds = _mean_stress_field(params, beta, loss, m_arr, s_arr, ws)
+    ws = _loaded_workspace(params, beta, m_arr, s_arr)
+    _mean_stress_field(params, beta, loss, ws)
+    dm, ds = ws.next.both
     return GlobalVector(dm, params.offsets), GlobalVector(ds, params.offsets)
 
 
 def _mean_stress_field(
-    params: NetworkParams,
-    beta: np.ndarray,
-    loss: LossSpec,
-    m: np.ndarray,
-    s: np.ndarray,
-    ws: _Workspace,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(dm, ds) into ``ws.next1``/``ws.next2``."""
-    _sigma_pair_array(params, _pre_activation(params, beta, m, ws), ws.sig, ws.dsig)
-    dm = np.subtract(ws.sig, m, out=ws.next1)
-    ds = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), out=ws.next2)
-    ds -= s
-    ds[params.output_slice] += loss.gradient(m[params.output_slice])
-    return dm, ds
+    params: NetworkParams, beta: np.ndarray, loss: LossSpec, ws: _Workspace
+) -> None:
+    """(dm, ds) at the state (m, s) of ``ws`` into ``ws.next``."""
+    state, nxt = ws.state, ws.next
+    m, s = state.first, state.second
+    pre = _pre_activation(params, beta, m, ws, state.w_first)
+    _sigma_pair_array(params, pre, ws.sig, ws.dsig, ws.sigma_sig)
+    np.subtract(ws.sig, m, out=nxt.first)
+    wt = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), ws.wt, ws.wt_wt)
+    np.subtract(wt, s, out=nxt.second)
+    ds_out = nxt.out[1]
+    ds_out += loss.gradient(state.out[0])
 
 
 def _delta_at(
@@ -407,90 +486,78 @@ def gradient_from_equilibrium(
     return GradientBundle(*_grads_from_delta(params, x0, m_arr, delta))
 
 
-def _euler(v: np.ndarray, dv: np.ndarray, eta: float) -> np.ndarray:
-    """v + eta dv, written into the velocity buffer dv: the floats of
-    v + eta * dv (IEEE addition commutes) without two temporaries."""
-    dv *= eta
-    dv += v
-    return dv
-
-
 def _euler_step(
-    velocity: Callable[..., tuple[np.ndarray, np.ndarray]],
+    velocity: Callable[..., None],
     params: NetworkParams,
     beta: np.ndarray,
     loss: LossSpec,
-    x: np.ndarray,
-    z: np.ndarray,
     eta: float,
     ws: _Workspace,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One Euler step of (x, z) under ``velocity(params, beta, loss, x, z, ws=ws)``,
-    into ``ws.next1``/``ws.next2``."""
-    dx, dz = velocity(params, beta, loss, x, z, ws=ws)
-    return _euler(x, dx, eta), _euler(z, dz, eta)
+) -> np.ndarray:
+    """One Euler step of the state of ``ws`` under ``velocity(params, beta,
+    loss, ws)``, into ``ws.next``: state + eta * velocity for both halves
+    at once, without a temporary (IEEE addition commutes)."""
+    velocity(params, beta, loss, ws)
+    nxt = ws.next.both
+    nxt *= eta
+    nxt += ws.state.both
+    return nxt
 
 
 def _mean_stress_step(
-    params: NetworkParams,
-    beta: np.ndarray,
-    loss: LossSpec,
-    m: np.ndarray,
-    s: np.ndarray,
-    eta: float,
-    ws: _Workspace,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One Euler step in mean/stress coordinates, into ``ws.next1``/``ws.next2``.
+    params: NetworkParams, beta: np.ndarray, loss: LossSpec, eta: float, ws: _Workspace
+) -> np.ndarray:
+    """One Euler step in mean/stress coordinates, into ``ws.next``.
     At eta = 1 the update m + eta (sigma(Wm + beta) - m) cancels to
     sigma(Wm + beta) (likewise for s) and is applied in that form: the
     two-phase map of TwoL."""
     if eta != 1.0:
-        dm, ds = _mean_stress_field(params, beta, loss, m, s, ws)
-        return _euler(m, dm, eta), _euler(s, ds, eta)
-    out_sl = params.output_slice
-    m1 = ws.next1
-    _sigma_pair_array(params, _pre_activation(params, beta, m, ws), m1, ws.dsig)
-    s1 = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), out=ws.next2)
-    s1[out_sl] = loss.gradient(m[out_sl])
-    return m1, s1
+        return _euler_step(_mean_stress_field, params, beta, loss, eta, ws)
+    state, nxt = ws.state, ws.next
+    pre = _pre_activation(params, beta, state.first, ws, state.w_first)
+    _sigma_pair_array(params, pre, nxt.first, ws.dsig, nxt.sigma_first)
+    dsig_s = np.multiply(ws.dsig, state.second, out=ws.dsig)
+    apply_wt_array(params, dsig_s, nxt.second, nxt.wt_second)
+    nxt.out[1][...] = loss.gradient(state.out[0])
+    return nxt.both
 
 
 def _split_velocity_arrays(
     params: NetworkParams,
     beta: np.ndarray,
     loss: LossSpec,
-    x: np.ndarray,
-    z: np.ndarray,
+    ws: _Workspace,
     cost_at_states: bool = False,
-    ws: Optional[_Workspace] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(dx, dz) into ``ws.next1``/``ws.next2`` (a fresh workspace if None)."""
-    if ws is None:
-        ws = _Workspace(beta.shape, np.result_type(beta, x, z))
-    out_sl = params.output_slice
+) -> None:
+    """(dx, dz) at the state (x, z) of ``ws`` into ``ws.next``."""
+    state, nxt = ws.state, ws.next
+    x, z = state.first, state.second
+    x_out, z_out = state.out
     if cost_at_states:
-        g_x = loss.gradient(x[out_sl])
-        g_z = loss.gradient(z[out_sl])
+        g_x = loss.gradient(x_out)
+        g_z = loss.gradient(z_out)
     else:
-        g_x = g_z = loss.gradient(0.5 * (x[out_sl] + z[out_sl]))
+        g_x = g_z = loss.gradient(0.5 * (x_out + z_out))
     s = np.subtract(x, z, out=ws.s)
     # sigma and sigma' of x's pre-activation, then of z's; Split has no
     # mean, so ws.m holds sigma(W z + beta).
-    _sigma_pair_array(params, _pre_activation(params, beta, x, ws), ws.sig, ws.dsig)
-    half_back = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), out=ws.wt)
+    pre = _pre_activation(params, beta, x, ws, state.w_first)
+    _sigma_pair_array(params, pre, ws.sig, ws.dsig, ws.sigma_sig)
+    half_back = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), ws.wt, ws.wt_wt)
     half_back *= 0.5
-    _sigma_pair_array(params, _pre_activation(params, beta, z, ws), ws.m, ws.dsig)
+    pre = _pre_activation(params, beta, z, ws, state.w_second)
+    _sigma_pair_array(params, pre, ws.m, ws.dsig, ws.sigma_m)
     avg_drive = np.add(ws.sig, ws.m, out=ws.sig)
     avg_drive *= 0.5
-    dx = np.subtract(avg_drive, x, out=ws.next1)
+    dx_out, dz_out = nxt.out
+    dx = np.subtract(avg_drive, x, out=nxt.first)
     dx += half_back
-    dx[out_sl] += 0.5 * g_x
-    half_back = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), out=ws.wt)
+    dx_out += 0.5 * g_x
+    half_back = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), ws.wt, ws.wt_wt)
     half_back *= 0.5
-    dz = np.subtract(avg_drive, z, out=ws.next2)
+    dz = np.subtract(avg_drive, z, out=nxt.second)
     dz -= half_back
-    dz[out_sl] -= 0.5 * g_z
-    return dx, dz
+    dz_out -= 0.5 * g_z
 
 
 # The Euler step of each convergence-driven scheme. Dyadic and Split
@@ -502,18 +569,23 @@ _STEPS = {
 }
 
 
-def _step_norm(new: np.ndarray, old: np.ndarray, diff: np.ndarray):
-    """np.linalg.norm of new - old, per column for (n, B), through ``diff``.
+def _pair_norm(pair: np.ndarray, dots: Optional[tuple[np.ndarray, np.ndarray]] = None):
+    """The L2 norms of the two halves of a (2, n) or (2, n, B) array,
+    summed, per column; each half's norm has the bits of np.linalg.norm.
 
-    For columns this is the norm's own sum of squares along axis 0,
-    squared in place instead of into a new array. One sample keeps the
-    vector norm's sqrt(diff . diff): axis=0 sums in another order.
+    One sample keeps the vector norm's sqrt(v . v), both halves in one
+    batched matmul of the (2, 1, n) and (2, n, 1) views ``dots`` (made
+    here if None). Columns take the norm's own sum of squares along the
+    rows, squared in place: ``pair`` is overwritten. (Summing one
+    sample's squares along its rows would add in another order.)
     """
-    np.subtract(new, old, out=diff)
-    if diff.ndim == 1:
-        return np.sqrt(diff.dot(diff))
-    np.multiply(diff, diff, out=diff)
-    return np.sqrt(np.add.reduce(diff, axis=0))
+    if pair.ndim == 2:
+        rows, cols = dots or (pair[:, None, :], pair[:, :, None])
+        norms = np.matmul(rows, cols)
+        return np.add.reduce(np.sqrt(norms, out=norms), axis=None)
+    np.multiply(pair, pair, out=pair)
+    norms = np.add.reduce(pair, axis=1)
+    return np.add.reduce(np.sqrt(norms, out=norms), axis=0)
 
 
 def _record(
@@ -539,18 +611,18 @@ _FLOOR_GATE = 1e3
 _FLOOR_ULPS = 16
 
 
-def _below_floor(delta, stalled, first: np.ndarray, second: np.ndarray):
-    """Which ``stalled`` columns have delta < 16 eps (|first| + |second|).
+def _below_floor(delta, stalled, state: np.ndarray):
+    """Which ``stalled`` columns have delta < 16 eps (|first| + |second|)
+    for the two halves of ``state``.
 
     The norms are taken only over the stalled columns of the state.
     """
-    scale = _FLOOR_ULPS * np.finfo(first.dtype).eps
-    if first.ndim == 1:
-        return stalled and delta < scale * (np.linalg.norm(first) + np.linalg.norm(second))
+    scale = _FLOOR_ULPS * np.finfo(state.dtype).eps
+    if state.ndim == 2:
+        return stalled and delta < scale * _pair_norm(state)
     cols = np.flatnonzero(stalled)
-    norms = np.linalg.norm(first[:, cols], axis=0) + np.linalg.norm(second[:, cols], axis=0)
     below = np.zeros_like(stalled)
-    below[cols] = delta[cols] < scale * norms
+    below[cols] = delta[cols] < scale * _pair_norm(state[:, :, cols])
     return below
 
 
@@ -559,7 +631,7 @@ def _relax(
     beta: np.ndarray,
     loss: LossSpec,
     cfg: RelaxConfig,
-    step: Callable[..., tuple[np.ndarray, np.ndarray]],
+    step: Callable[..., np.ndarray],
     trace: Optional[RelaxTrace] = None,
     on_step: Optional[StepCallback] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -584,60 +656,68 @@ def _relax(
     stop) and the floored flag (the precision floor); a column with
     neither flag ran out of budget at k_max.
 
-    All (n,) or (n, B) arrays of the loop live in one workspace made
-    per call: the step writes the next state into its spare pair, and
-    the two pairs swap, so a step allocates no state-sized array.
+    The pair lives in one (2, n) or (2, n, B) array of a workspace made
+    per call (``_Workspace``), so the Euler update, the increment, its
+    norms, the frozen-column copy and the floor's state norms each run
+    once per step over both halves, and a step allocates no state-sized
+    array. The step writes its candidate into the spare pair
+    ``ws.next``, and the two pairs swap. The per-step flags are reduced
+    by ufuncs, for (B,) columns and a 0-d sample alike.
     """
     doubled = cfg.mode is not RelaxMode.MEAN_STRESS
     columns = beta.shape[1:]
-    ws = _Workspace(beta.shape, beta.dtype)
-    first = np.zeros_like(beta)
-    second = np.zeros_like(beta)
+    ws = _Workspace(params, beta.shape, beta.dtype)
+    diff = ws.diff
+    dots = None if columns else (diff[:, None, :], diff[:, :, None])  # see _pair_norm
     active = np.ones(columns, dtype=bool)
     iterations = np.full(columns, cfg.k_max)
     converged = np.zeros(columns, dtype=bool)
     floored = np.zeros(columns, dtype=bool)
     gate = _FLOOR_GATE * cfg.tol
     previous = np.inf
+    frozen = None  # the mask of frozen columns, once some column froze
+    every, some = np.logical_and.reduce, np.logical_or.reduce
 
     def mean_stress(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (0.5 * (a + b), a - b) if doubled else (a, b)
 
     for k in range(1, cfg.k_max + 1):
-        cand1, cand2 = step(params, beta, loss, first, second, cfg.eta, ws)
-        delta = _step_norm(cand1, first, ws.diff) + _step_norm(cand2, second, ws.diff)
+        cand = step(params, beta, loss, cfg.eta, ws)
+        state = ws.state.both
+        delta = _pair_norm(np.subtract(cand, state, out=diff), dots)
         # The column-masked tests run only once some delta is non-finite
         # or below the floor's gate, so a running sample pays two per step.
-        if not np.isfinite(delta).all() and (active & ~np.isfinite(delta)).any():
+        finite = np.isfinite(delta)
+        if not every(finite, axis=None) and some(active & ~finite, axis=None):
             raise NumericError("relaxation state diverged (non-finite step delta)")
-        if not active.all():  # frozen columns keep their state
-            frozen = ~active
-            np.copyto(cand1, first, where=frozen)
-            np.copyto(cand2, second, where=frozen)
-        first, second, ws.next1, ws.next2 = cand1, cand2, first, second
+        if frozen is not None:  # frozen columns keep their state
+            np.copyto(cand, state, where=frozen)
+        ws.state, ws.next = ws.next, ws.state
+        first, second = ws.state.first, ws.state.second
         if trace is not None:
             _record(params, trace, beta, loss, float(delta), *mean_stress(first, second))
         if on_step is not None:
             on_step(k, first.copy(), second.copy())
         near = delta < gate
-        if near.any():
+        if some(near, axis=None):
             done = delta < cfg.tol
             # A frozen column's delta, a step from the same state each time,
             # stays flat: only running columns can stall.
             stalled = near & (delta >= previous) & active
-            if stalled.any():
-                stalled = _below_floor(delta, stalled & ~done, first, second)
+            if some(stalled, axis=None):
+                stalled = _below_floor(delta, stalled & ~done, ws.state.both)
                 floored |= stalled
                 done |= stalled
-            if done.any():
+            if some(done, axis=None):
                 newly = active & done
                 iterations[newly] = k
                 converged |= newly
                 active &= ~newly
-                if not active.any():
+                if not some(active, axis=None):
                     break
+                frozen = ~active
         previous = delta
-    return (*mean_stress(first, second), iterations, converged, floored)
+    return (*mean_stress(ws.state.first, ws.state.second), iterations, converged, floored)
 
 
 def _require_single_sample(x0: np.ndarray) -> None:
@@ -673,7 +753,7 @@ def _relax_sample(
     mode: RelaxMode,
     caller: str,
     record_steps: bool,
-    step: Optional[Callable[..., tuple[np.ndarray, np.ndarray]]] = None,
+    step: Optional[Callable[..., np.ndarray]] = None,
 ) -> tuple[GlobalVector, GlobalVector, GradientBundle, RelaxTrace]:
     if cfg.mode is not mode:
         raise ConfigError(f"{caller} requires mode {mode.value}, got {cfg.mode.value}")
@@ -770,13 +850,12 @@ def relax_twoL(
     if on_step is None:
         m, s, delta = _twoL_wavefront(params, beta, loss)
     else:
-        ws = _Workspace(beta.shape, beta.dtype)
-        m = np.zeros_like(beta)
-        s = np.zeros_like(beta)
+        ws = _Workspace(params, beta.shape, beta.dtype)
         for k in range(1, 2 * params.depth + 1):
-            m1, s1 = _mean_stress_step(params, beta, loss, m, s, 1.0, ws)
-            m, s, ws.next1, ws.next2 = m1, s1, m, s
-            on_step(k, m.copy(), s.copy())
+            _mean_stress_step(params, beta, loss, 1.0, ws)
+            ws.state, ws.next = ws.next, ws.state
+            on_step(k, ws.state.first.copy(), ws.state.second.copy())
+        m, s = ws.state.first, ws.state.second
         delta = _delta_at(params, beta, m, s)
     return _equilibrium(params, x0, m, s, delta)
 

@@ -304,38 +304,64 @@ def beta_array(params: NetworkParams, x0: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block_plan(
+    params: NetworkParams, arr: np.ndarray, out: np.ndarray, transpose: bool = False
+) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
+    """The views that W (W^T with ``transpose``) reads of ``arr`` and writes
+    of ``out``: the rows it zeroes, and per stack of k equal-shaped W_l
+    the (stack, operand, result) of one matmul over (k, c, tail) blocks.
+
+    The views share memory with C-contiguous ``arr`` and ``out``, so a
+    caller that applies W between the same buffers many times builds them once.
+    """
+    tail = arr.shape[1:] or (1,)
+    mats = []
+    for stack, lo, hi in params._stacks:  # type: ignore[attr-defined]
+        k, r, c = stack.shape
+        if transpose:
+            stack, lo, hi, r, c = stack.transpose(0, 2, 1), hi, lo, c, r
+        mats.append((stack, arr[lo].reshape(k, c, *tail), out[hi].reshape(k, r, *tail)))
+    return out[_block_slices(params)[-1 if transpose else 0]], tuple(mats)
+
+
+def _run_block_plan(plan) -> None:
+    """Zero the rows W leaves empty, then one matmul per stack."""
+    zero, mats = plan
+    zero.fill(0)
+    for stack, operand, result in mats:
+        np.matmul(stack, operand, out=result)
+
+
 def apply_w_array(
-    params: NetworkParams, arr: np.ndarray, out: Optional[np.ndarray] = None
+    params: NetworkParams,
+    arr: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    plan=None,
 ) -> np.ndarray:
     """Action of the global W: block 1 -> 0, block l -> W_l @ block(l-1).
 
     One matmul per run of equal-shaped W_l, the bits of one per block.
-    Written into ``out`` when given (it must not overlap ``arr``).
+    Written into ``out`` when given (it must not overlap ``arr``), through
+    ``plan``, the ``_block_plan(params, arr, out)`` views, when given.
     """
     out = np.empty_like(arr) if out is None else out
-    out[_block_slices(params)[0]] = 0
-    tail = arr.shape[1:] or (1,)
-    for stack, lo, hi in params._stacks:  # type: ignore[attr-defined]
-        k, r, c = stack.shape
-        np.matmul(stack, arr[lo].reshape(k, c, *tail), out=out[hi].reshape(k, r, *tail))
+    _run_block_plan(plan or _block_plan(params, arr, out))
     return out
 
 
 def apply_wt_array(
-    params: NetworkParams, arr: np.ndarray, out: Optional[np.ndarray] = None
+    params: NetworkParams,
+    arr: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    plan=None,
 ) -> np.ndarray:
     """Action of the global W transpose: block L -> 0, block l -> W_{l+1}^T @ block(l+1).
 
     As :func:`apply_w_array`, on a transposed view of each stack (BLAS's
-    transpose flag). Written into ``out`` when given (it must not overlap ``arr``).
+    transpose flag); ``plan`` is ``_block_plan(params, arr, out, transpose=True)``.
     """
     out = np.empty_like(arr) if out is None else out
-    out[_block_slices(params)[-1]] = 0
-    tail = arr.shape[1:] or (1,)
-    for stack, lo, hi in params._stacks:  # type: ignore[attr-defined]
-        k, r, c = stack.shape
-        wt = stack.transpose(0, 2, 1)
-        np.matmul(wt, arr[hi].reshape(k, r, *tail), out=out[lo].reshape(k, c, *tail))
+    _run_block_plan(plan or _block_plan(params, arr, out, transpose=True))
     return out
 
 
@@ -386,14 +412,23 @@ def _sigma_pair(activation: Activation, v: np.ndarray, sig: np.ndarray, dsig: np
         dsig.fill(1)
 
 
-def _sigma_pair_array(
+def _sigma_plan(
     params: NetworkParams, pre: np.ndarray, sig: np.ndarray, dsig: np.ndarray
+) -> tuple[tuple[Activation, np.ndarray, np.ndarray, np.ndarray], ...]:
+    """(activation, pre, sig, dsig) rows of each run of consecutive blocks
+    that share an activation."""
+    return tuple((act, pre[rows], sig[rows], dsig[rows]) for rows, act in _activation_runs(params))
+
+
+def _sigma_pair_array(
+    params: NetworkParams, pre: np.ndarray, sig: np.ndarray, dsig: np.ndarray, plan=None
 ) -> None:
     """Blockwise sigma and sigma' of a stacked pre-activation, written into
     ``sig`` and ``dsig``: one kernel call per run of consecutive blocks
-    that share an activation."""
-    for rows, act in _activation_runs(params):
-        _sigma_pair(act, pre[rows], sig[rows], dsig[rows])
+    that share an activation, through ``plan``, the ``_sigma_plan`` views
+    of the same arrays, when given."""
+    for act, v, s, d in plan or _sigma_plan(params, pre, sig, dsig):
+        _sigma_pair(act, v, s, d)
 
 
 def forward_layers(

@@ -377,7 +377,7 @@ def test_split_zero_loss_gradient_keeps_states_equal():
 
 def test_split_velocities_match_saddle_flow_at_equal_states():
     rng = np.random.default_rng(80)
-    from dyadicbp.dynamics import _split_velocity_arrays
+    from dyadicbp.dynamics import _loaded_workspace, _split_velocity_arrays
     from dyadicbp.network import beta_array
 
     params, x0, loss = make_instance(rng)
@@ -385,7 +385,9 @@ def test_split_velocities_match_saddle_flow_at_equal_states():
     beta = beta_array(params, x0)
     dx_ref, dz_ref = saddle_velocities(params, x0, loss, _dyad(params, v, v.copy()))
     for flag in (False, True):
-        dx, dz = _split_velocity_arrays(params, beta, loss, v, v.copy(), flag)
+        ws = _loaded_workspace(params, beta, v, v.copy())
+        _split_velocity_arrays(params, beta, loss, ws, flag)
+        dx, dz = ws.next.both
         np.testing.assert_allclose(dx, dx_ref.data, rtol=0, atol=1e-13)
         np.testing.assert_allclose(dz, dz_ref.data, rtol=0, atol=1e-13)
 

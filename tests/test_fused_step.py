@@ -7,7 +7,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -15,6 +15,7 @@ from helpers import ALL_ACTS
 from dyadicbp import (
     Activation,
     DyadState,
+    ExperimentConfig,
     LayerParams,
     LossKind,
     LossSpec,
@@ -32,6 +33,7 @@ from dyadicbp import (
 )
 from dyadicbp import dynamics
 from dyadicbp.network import _sigma_pair, _sigma_pair_array, beta_array
+from dyadicbp.training import _random_instance
 
 MIXED_RUNS = (
     Activation.TANH,
@@ -95,7 +97,18 @@ def step_cases(draw):
     return params, x, LossSpec(kind, target), eta
 
 
+def _sweep_case(eta):
+    """The first instance of ``sweep_eta`` with the default config in float32:
+    the reference depth-9 net (eight Tanh layers of 32 units and an
+    Identity output of 2) with a cross-entropy loss, as a batch of one."""
+    config = ExperimentConfig(seed=0, precision=32)
+    params, x0, loss = _random_instance(config, np.random.default_rng(config.seed))
+    return params, x0[:, None], LossSpec(loss.kind, loss.target[:, None]), eta
+
+
 @given(step_cases(), st.sampled_from(tuple(SINGLE)), st.booleans())
+@example(_sweep_case(0.25), "Dyadic", False)
+@example(_sweep_case(1.0), "Dyadic", False)
 def test_single_sample_states_match_unfused_step(case, mode, cost_at_states):
     params, x, loss, eta = case
     x0 = x[:, 0]
@@ -131,8 +144,9 @@ def test_batch_step_on_random_states_matches_unfused_step(case, mode, seed):
     a, b = (
         _signed_zeros(rng, rng.standard_normal(beta.shape).astype(beta.dtype)) for _ in range(2)
     )
-    ws = dynamics._Workspace(beta.shape, beta.dtype)
-    got = dynamics._STEPS[RelaxMode.from_name(mode)](params, beta, loss, a, b, eta, ws)
+    ws = dynamics._Workspace(params, beta.shape, beta.dtype)
+    ws.state.both[...] = a, b
+    got = dynamics._STEPS[RelaxMode.from_name(mode)](params, beta, loss, eta, ws)
     want = oracles.unfused_step(mode, params, beta, loss, a, b, eta)
     for g, w in zip(got, want):
         assert_same_bits(g, w)

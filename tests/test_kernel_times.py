@@ -15,6 +15,7 @@ KERNELS = (
     "LossSpec.gradient",
     "LossSpec.value",
     "dyadic_step",
+    "dyadic_relax_step",
 )
 CASES = (("float32", "(n,)"), ("float64", "(n,64)"))
 

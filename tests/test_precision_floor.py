@@ -75,11 +75,15 @@ def test_a_run_that_never_settles_runs_out_of_budget():
         assert trace.converged is False
 
 
-def _far_out_step(params, beta, loss, first, second, eta, ws):
+def _far_out_step(params, beta, loss, eta, ws):
     """Jump the first state to 1e17, then move it by 64 per entry and step
     (exact in float64): the delta stays at 64 sqrt(n), far below the
     rounding noise 16 eps |first| (about 615 for n = 3), yet never settles."""
-    return first + (64.0 if first.any() else 1e17), second.copy()
+    first, second = ws.state.both
+    nxt = ws.next.both
+    nxt[0] = first + (64.0 if first.any() else 1e17)
+    nxt[1] = second
+    return nxt
 
 
 @pytest.mark.parametrize("shape", ((3,), (3, 2)), ids=("sample", "batch"))

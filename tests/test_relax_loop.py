@@ -26,6 +26,8 @@ from dyadicbp import (
     relax_split,
     relax_twoL,
 )
+from dyadicbp import dynamics
+from dyadicbp.network import beta_array
 from dyadicbp.reference import backprop_batch
 
 SINGLE = {
@@ -128,3 +130,38 @@ def test_integer_target_is_cast_to_parameter_dtype():
         np.testing.assert_array_equal(got, want)
     ws, bs = backprop_batch(params, x, LossSpec(kind, onehot))
     assert all(g.dtype == np.float32 for g in ws + bs)
+
+
+def _poison(k, first, second):
+    """An ``on_step`` callback that overwrites each array it receives."""
+    first.fill(np.nan)
+    second.fill(np.nan)
+
+
+@pytest.mark.parametrize("eta", (0.5, 1.0))
+@pytest.mark.parametrize("shape", ((), (4,)), ids=("sample", "batch"))
+@pytest.mark.parametrize("mode", tuple(SINGLE))
+def test_on_step_receives_copies_of_the_state(mode, shape, eta):
+    # A callback that writes into what it receives must not reach the
+    # loop: a view of the state (one half of the stacked pair) would.
+    rng = np.random.default_rng(13)
+    params = random_network(3, (5, 4, 3), Activation.TANH, rng, bias_std=0.5)
+    x = rng.standard_normal((3, *shape))
+    loss = LossSpec(LossKind.MSE, rng.standard_normal((3, *shape)))
+    beta = beta_array(params, x)
+    cfg = RelaxConfig(eta=eta, k_max=200, tol=1e-10, mode=mode)
+    step = dynamics._STEPS[mode]
+    runs = [dynamics._relax(params, beta, loss, cfg, step, on_step=cb) for cb in (None, _poison)]
+    for m, s, *_ in runs:
+        assert np.isfinite(m).all() and np.isfinite(s).all()
+    (m, s, *flags), (m_cb, s_cb, *flags_cb) = runs
+    assert int(np.max(flags[0])) < cfg.k_max  # it settled before the budget ran out
+    grads = [
+        dynamics._grads_from_delta(params, x, a, dynamics._delta_at(params, beta, a, b))
+        for a, b, *_ in runs
+    ]
+    want = [m, s, *flags, *grads[0][0], *grads[0][1]]
+    got = [m_cb, s_cb, *flags_cb, *grads[1][0], *grads[1][1]]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes()
