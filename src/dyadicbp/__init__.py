@@ -22,14 +22,11 @@ from .dynamics import (
     RelaxTrace,
     StabilityReport,
     energy,
-    gradient_from_equilibrium,
-    mean_stress_velocities,
     relax_batch,
     relax_dyadic,
     relax_mean_stress,
     relax_split,
     relax_twoL,
-    saddle_velocities,
     stability_check,
 )
 from .errors import ConfigError, ConvergenceError, NumericError, ShapeError
@@ -42,11 +39,9 @@ from .network import (
     LayerSpec,
     NetworkParams,
     apply_global_W,
-    apply_global_Wt,
     beta_drive,
     forward_field,
     forward_pass,
-    local_derivative_diag,
     random_network,
 )
 from .reference import (
@@ -92,7 +87,6 @@ __all__ = [
     "StabilityReport",
     "TrainResult",
     "apply_global_W",
-    "apply_global_Wt",
     "beta_drive",
     "check_gradients",
     "classical_backprop",
@@ -102,10 +96,7 @@ __all__ = [
     "forward_field",
     "forward_pass",
     "generate_dataset",
-    "gradient_from_equilibrium",
-    "local_derivative_diag",
     "log_misalignment",
-    "mean_stress_velocities",
     "neumann_stress",
     "random_network",
     "relax_batch",
@@ -113,7 +104,6 @@ __all__ = [
     "relax_mean_stress",
     "relax_split",
     "relax_twoL",
-    "saddle_velocities",
     "stability_check",
     "sweep_eta",
     "train",

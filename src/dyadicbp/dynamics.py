@@ -1,5 +1,5 @@
-"""Doubled-state saddle dynamics: energy, velocity fields, relaxations,
-and gradient extraction from equilibria.
+"""Doubled-state saddle dynamics: the energy and the relaxations, which
+return the gradient they extract from their equilibrium.
 
 The doubled state is the pair (x, z) of stacked global vectors; the
 derived coordinates are the mean m = (x + z) / 2, which relaxes to the
@@ -26,8 +26,7 @@ activation (``network._sigma_pair_array``). The relaxing pair is one
 norms run once per step over both halves, and the block-matmul and
 activation-run views of the buffers are built once per call. A step
 allocates no state-sized array and makes no reshape or slice; its
-floats are those of the unfused per-layer step. The public velocity
-helpers run the same step code on a fresh workspace.
+floats are those of the unfused per-layer step.
 """
 
 from __future__ import annotations
@@ -69,13 +68,10 @@ __all__ = [
     "RelaxTrace",
     "StabilityReport",
     "energy",
-    "saddle_velocities",
-    "mean_stress_velocities",
     "relax_dyadic",
     "relax_mean_stress",
     "relax_twoL",
     "relax_split",
-    "gradient_from_equilibrium",
     "stability_check",
 ]
 
@@ -169,8 +165,11 @@ class RelaxTrace:
     deltas: list[float] = field(default_factory=list)
     energies: list[float] = field(default_factory=list)
     stress_block_norms: list[tuple[float, ...]] = field(default_factory=list)
-    converged: bool = False
     status: RelaxStatus = RelaxStatus.OUT_OF_BUDGET
+
+    @property
+    def converged(self) -> bool:
+        return self.status is not RelaxStatus.OUT_OF_BUDGET
 
 
 @dataclass(frozen=True)
@@ -272,16 +271,6 @@ class _Workspace:
         return _sigma_plan(self.params, self.pre, self.m, self.dsig)
 
 
-def _loaded_workspace(
-    params: NetworkParams, beta: np.ndarray, first: np.ndarray, second: np.ndarray
-) -> _Workspace:
-    """A workspace whose state is (first, second), for the one-shot velocity helpers."""
-    ws = _Workspace(params, beta.shape, np.result_type(beta, first, second))
-    ws.state.first[...] = first
-    ws.state.second[...] = second
-    return ws
-
-
 def _pre_activation(
     params: NetworkParams, beta: np.ndarray, v: np.ndarray, ws: _Workspace, plan
 ) -> np.ndarray:
@@ -349,51 +338,6 @@ def _saddle_velocity_arrays(
     dx_out += half_g
     np.subtract(f, backward, out=nxt.second)
     dz_out -= half_g
-
-
-def saddle_velocities(
-    params: NetworkParams, x0: np.ndarray, loss: LossSpec, state: DyadState
-) -> tuple[GlobalVector, GlobalVector]:
-    """Velocities (dx, dz) of the saddle flow at a dyad.
-
-    Both share the forward field F(m) at the mean; the backward-signal
-    term (W^T D(m) - I) s / 2 and the embedded half loss gradient enter
-    antisymmetrically, so dx + dz = 2 F(m) and dx - dz equals the stress
-    velocity.
-    """
-    x0 = _check_input(params, x0)
-    loss = _check_target(loss, params.dtype)
-    x = _conform(params, state.x)
-    z = _conform(params, state.z)
-    beta = beta_array(params, x0)
-    ws = _loaded_workspace(params, beta, x, z)
-    _saddle_velocity_arrays(params, beta, loss, ws)
-    dx, dz = ws.next.both
-    return GlobalVector(dx, params.offsets), GlobalVector(dz, params.offsets)
-
-
-def mean_stress_velocities(
-    params: NetworkParams,
-    x0: np.ndarray,
-    loss: LossSpec,
-    m: GlobalVector,
-    s: GlobalVector,
-) -> tuple[GlobalVector, GlobalVector]:
-    """Velocities (dm, ds) in mean/stress coordinates.
-
-    dm = F(m) relaxes the mean to the forward pass; ds couples the
-    stress to itself through (W^T D(m) - I) and sources it with the loss
-    gradient embedded in the output block.
-    """
-    x0 = _check_input(params, x0)
-    loss = _check_target(loss, params.dtype)
-    beta = beta_array(params, x0)
-    m_arr = _conform(params, m)
-    s_arr = _conform(params, s)
-    ws = _loaded_workspace(params, beta, m_arr, s_arr)
-    _mean_stress_field(params, beta, loss, ws)
-    dm, ds = ws.next.both
-    return GlobalVector(dm, params.offsets), GlobalVector(ds, params.offsets)
 
 
 def _mean_stress_field(
@@ -467,23 +411,6 @@ def _twoL_wavefront(
         s[sl] = params.layers[i + 1].weight.T @ delta[slices[i + 1]]
         delta[sl] = d[sl] * s[sl]
     return m, s, delta
-
-
-def gradient_from_equilibrium(
-    params: NetworkParams, x0: np.ndarray, m: GlobalVector, s: GlobalVector
-) -> GradientBundle:
-    """Outer-product gradient read off an equilibrium (m, s).
-
-    The pre-activation errors are delta = D(m) s blockwise; each layer's
-    weight gradient is delta_l m_{l-1}^T with the raw input standing in
-    for layer 0, and the bias gradient is delta_l.
-    """
-    x0 = _check_input(params, x0)
-    m_arr = _conform(params, m)
-    s_arr = _conform(params, s)
-    beta = beta_array(params, x0)
-    delta = _delta_at(params, beta, m_arr, s_arr)
-    return GradientBundle(*_grads_from_delta(params, x0, m_arr, delta))
 
 
 def _euler_step(
@@ -765,7 +692,7 @@ def _relax_sample(
     )
     if not record_steps:  # the last record's energy check
         _energy_ms(params, beta, loss, m, s)
-    trace.iterations_used, trace.converged = int(iters), bool(conv)
+    trace.iterations_used = int(iters)
     if floored:
         trace.status = RelaxStatus.PRECISION_FLOOR
     elif conv:

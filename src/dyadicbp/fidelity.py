@@ -8,7 +8,6 @@ of producing spurious -inf values.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -57,9 +56,9 @@ def _cosine(t: np.ndarray, r: np.ndarray) -> float:
 class FidelityReport:
     """The metric set comparing a test bundle against a reference bundle.
 
-    The ratio metrics are None (serialized as an empty CSV field / JSON
-    null) when the reference gradient is exactly zero; the SNR is +inf
-    when the two bundles are identical.
+    The ratio metrics are None (serialized as an empty CSV field) when
+    the reference gradient is exactly zero; the SNR is +inf when the two
+    bundles are identical.
     """
 
     cosine_similarity: float
@@ -71,7 +70,7 @@ class FidelityReport:
     precision_floor: float
 
     def to_record(self) -> dict:
-        """Flat record with fixed column names for CSV/JSON emission."""
+        """Flat record with fixed column names for CSV emission."""
         record: dict = {
             "cos": self.cosine_similarity,
             "rel_err": self.relative_error,
@@ -84,9 +83,6 @@ class FidelityReport:
             record[f"layer_{i}_cos"] = c
             record[f"layer_{i}_logmis"] = lm
         return record
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_record())
 
 
 def compare(

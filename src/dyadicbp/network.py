@@ -5,8 +5,8 @@ A depth-L chain network with layer widths n_1..n_L acts on stacked
 block per layer. The global weight operator W carries W_l on the
 subdiagonal block (l, l-1) and is strictly lower block-triangular, so
 W^L = 0 (and likewise for its transpose). W is never materialized as a
-dense matrix; :func:`apply_global_W` and :func:`apply_global_Wt` are
-its action, one stacked matmul per run of equal-shaped blocks.
+dense matrix; ``apply_w_array`` and ``apply_wt_array`` apply W and
+W^T, one stacked matmul per run of equal-shaped blocks.
 
 The private ``*_array`` helpers operate on raw ndarrays of shape (n,)
 for a single state or (n, B) for B independent states stacked as
@@ -39,9 +39,7 @@ __all__ = [
     "forward_pass",
     "beta_drive",
     "apply_global_W",
-    "apply_global_Wt",
     "forward_field",
-    "local_derivative_diag",
 ]
 
 
@@ -185,12 +183,6 @@ class NetworkParams:
     @property
     def dtype(self) -> np.dtype:
         return self.layers[0].weight.dtype
-
-    def block_slice(self, layer: int) -> slice:
-        """Slice of global indices for layer ``layer`` (1-based)."""
-        if not 1 <= layer <= self.depth:
-            raise ShapeError(f"layer index {layer} outside 1..{self.depth}")
-        return self._slices[layer - 1]  # type: ignore[attr-defined]
 
     @property
     def output_slice(self) -> slice:
@@ -477,12 +469,6 @@ def apply_global_W(params: NetworkParams, v: GlobalVector) -> GlobalVector:
     return GlobalVector(apply_w_array(params, arr), params.offsets)
 
 
-def apply_global_Wt(params: NetworkParams, v: GlobalVector) -> GlobalVector:
-    """Apply the transpose of the global weight operator."""
-    arr = _conform(params, v)
-    return GlobalVector(apply_wt_array(params, arr), params.offsets)
-
-
 def forward_field(params: NetworkParams, x0: np.ndarray, a: GlobalVector) -> GlobalVector:
     """Forward vector field F(a) = sigma(W a + beta(x_0)) - a.
 
@@ -492,16 +478,6 @@ def forward_field(params: NetworkParams, x0: np.ndarray, a: GlobalVector) -> Glo
     arr = _conform(params, a)
     pre = apply_w_array(params, arr) + beta_array(params, x0)
     return GlobalVector(sigma_array(params, pre) - arr, params.offsets)
-
-
-def local_derivative_diag(
-    params: NetworkParams, x0: np.ndarray, m: GlobalVector
-) -> GlobalVector:
-    """Diagonal of D(m) = diag(sigma'(W m + beta(x_0))) as a stacked vector."""
-    x0 = _check_input(params, x0)
-    arr = _conform(params, m)
-    pre = apply_w_array(params, arr) + beta_array(params, x0)
-    return GlobalVector(sigma_prime_array(params, pre), params.offsets)
 
 
 def random_network(

@@ -58,15 +58,6 @@ class GradientBundle:
     def depth(self) -> int:
         return len(self.weight_grads)
 
-    def check_conformal(self, params: NetworkParams) -> None:
-        if self.depth != params.depth:
-            raise ShapeError("bundle depth does not match network depth")
-        for lp, gw in zip(params.layers, self.weight_grads):
-            if gw.shape != lp.weight.shape:
-                raise ShapeError(
-                    f"weight gradient shape {gw.shape} != weight shape {lp.weight.shape}"
-                )
-
     def layer_flat(self, i: int) -> np.ndarray:
         """Concatenated (W, b) gradients of layer i (0-based), flattened."""
         return np.concatenate([self.weight_grads[i].ravel(), self.bias_grads[i]])
@@ -77,13 +68,6 @@ class GradientBundle:
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.flat()))
-
-    @classmethod
-    def zeros_like(cls, params: NetworkParams) -> "GradientBundle":
-        return cls(
-            tuple(np.zeros_like(lp.weight) for lp in params.layers),
-            tuple(np.zeros_like(lp.bias) for lp in params.layers),
-        )
 
 
 def _backprop(

@@ -33,7 +33,7 @@ from .dynamics import (
     relax_twoL,
 )
 from .errors import ConfigError, NumericError, enum_from_name
-from .fidelity import FidelityReport, compare
+from .fidelity import compare
 from .losses import LossKind, LossSpec
 from .network import (
     Activation,

@@ -1,8 +1,17 @@
-"""Shared random-instance builders for the test suite."""
+"""Shared random-instance builders for the test suite, and thin array
+entry points to the package's step and extraction kernels."""
 
 import numpy as np
 
-from dyadicbp import Activation, LossKind, LossSpec, random_network
+from dyadicbp import Activation, GradientBundle, LossKind, LossSpec, random_network
+from dyadicbp.dynamics import (
+    _Workspace,
+    _delta_at,
+    _grads_from_delta,
+    _mean_stress_field,
+    _saddle_velocity_arrays,
+)
+from dyadicbp.network import beta_array
 
 SMOOTH_ACTS = (Activation.IDENTITY, Activation.TANH, Activation.SIGMOID)
 ALL_ACTS = SMOOTH_ACTS + (Activation.RELU,)
@@ -50,3 +59,33 @@ def make_instance(rng, **chain_kwargs):
     x0 = rng.standard_normal(params.input_dim).astype(params.dtype)
     loss = make_loss(rng, params.widths[-1], dtype=params.dtype)
     return params, x0, loss
+
+
+def loaded_workspace(params, beta, first, second):
+    """A step workspace whose state pair is (first, second)."""
+    ws = _Workspace(params, beta.shape, np.result_type(beta, first, second))
+    ws.state.both[...] = first, second
+    return ws
+
+
+def _velocities(field, params, x0, loss, first, second):
+    beta = beta_array(params, x0)
+    ws = loaded_workspace(params, beta, first, second)
+    field(params, beta, loss, ws)
+    return tuple(ws.next.both)
+
+
+def saddle_velocities(params, x0, loss, x, z):
+    """(dx, dz) of the saddle flow at the arrays (x, z)."""
+    return _velocities(_saddle_velocity_arrays, params, x0, loss, x, z)
+
+
+def mean_stress_velocities(params, x0, loss, m, s):
+    """(dm, ds) of the mean/stress flow at the arrays (m, s)."""
+    return _velocities(_mean_stress_field, params, x0, loss, m, s)
+
+
+def gradient_from_equilibrium(params, x0, m, s):
+    """The outer-product gradient the relaxations read off the arrays (m, s)."""
+    delta = _delta_at(params, beta_array(params, x0), m, s)
+    return GradientBundle(*_grads_from_delta(params, x0, m, delta))

@@ -23,7 +23,6 @@ from dyadicbp import (
     RelaxConfig,
     RelaxMode,
     apply_global_W,
-    apply_global_Wt,
     check_gradients,
     classical_backprop,
     energy,
@@ -39,6 +38,7 @@ from dyadicbp import (
     sweep_eta,
     train,
 )
+from dyadicbp.network import apply_wt_array
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -276,11 +276,11 @@ def test_criterion_08_nilpotency_and_jacobian_spectrum():
     for _ in range(50):
         params = make_chain(rng)
         v = params.global_vector(rng.standard_normal(params.state_size))
-        w = params.global_vector(rng.standard_normal(params.state_size))
+        w = rng.standard_normal(params.state_size)
         for _ in range(params.depth):
             v = apply_global_W(params, v)
-            w = apply_global_Wt(params, w)
-        worst_nil = max(worst_nil, v.norm(), w.norm())
+            w = apply_wt_array(params, w)
+        worst_nil = max(worst_nil, v.norm(), float(np.linalg.norm(w)))
         x0 = rng.standard_normal(params.input_dim)
         report = stability_check(params, x0, n_probes=4, seed=int(rng.integers(1 << 31)))
         worst_nil = max(

@@ -1,5 +1,6 @@
-"""The first two demos run to completion as scripts; demo 02 exits
-nonzero if TwoL is not bitwise equal to classical backprop."""
+"""The first two demos and the README's library quickstart run to
+completion as scripts; demo 02 exits nonzero if TwoL is not bitwise
+equal to classical backprop."""
 
 import os
 import subprocess
@@ -11,17 +12,26 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _run_python(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 @pytest.mark.parametrize(
     "script", ["01_global_operator_and_settling.py", "02_exact_gradients_in_2l_steps.py"]
 )
 def test_demo_exits_zero(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / script)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    done = _run_python([str(ROOT / "demos" / script)])
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_quickstart_prints_its_comment():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quickstart: library", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    done = _run_python(["-c", code])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "19 True\n"

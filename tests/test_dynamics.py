@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import SMOOTH_ACTS, make_chain, make_instance, make_loss
+from helpers import (
+    SMOOTH_ACTS,
+    gradient_from_equilibrium,
+    loaded_workspace,
+    make_chain,
+    make_instance,
+    make_loss,
+    mean_stress_velocities,
+    saddle_velocities,
+)
 from dyadicbp import (
     Activation,
     ConfigError,
@@ -24,15 +33,12 @@ from dyadicbp import (
     classical_backprop,
     energy,
     forward_pass,
-    gradient_from_equilibrium,
-    mean_stress_velocities,
     neumann_stress,
     relax_batch,
     relax_dyadic,
     relax_mean_stress,
     relax_split,
     relax_twoL,
-    saddle_velocities,
     stability_check,
 )
 from dyadicbp.reference import backprop_batch
@@ -107,16 +113,14 @@ def test_saddle_velocity_sum_and_difference_identities():
         x = rng.standard_normal(params.state_size)
         z = rng.standard_normal(params.state_size)
         state = _dyad(params, x, z)
-        dx, dz = saddle_velocities(params, x0, loss, state)
+        dx, dz = saddle_velocities(params, x0, loss, x, z)
         f = forward_field(params, x0, state.mean)
-        scale = max(1.0, float(np.abs(dx.data).max()))
-        np.testing.assert_allclose(
-            dx.data + dz.data, 2.0 * f.data, rtol=0, atol=1e-12 * scale
+        scale = max(1.0, float(np.abs(dx).max()))
+        np.testing.assert_allclose(dx + dz, 2.0 * f.data, rtol=0, atol=1e-12 * scale)
+        _, ds = mean_stress_velocities(
+            params, x0, loss, state.mean.data, state.stress.data
         )
-        _, ds = mean_stress_velocities(params, x0, loss, state.mean, state.stress)
-        np.testing.assert_allclose(
-            dx.data - dz.data, ds.data, rtol=0, atol=1e-12 * scale
-        )
+        np.testing.assert_allclose(dx - dz, ds, rtol=0, atol=1e-12 * scale)
 
 
 def test_equal_states_zero_gradient_collapse_to_forward_field():
@@ -129,10 +133,10 @@ def test_equal_states_zero_gradient_collapse_to_forward_field():
     x0 = rng.standard_normal(params.input_dim)
     v = rng.standard_normal(params.state_size)
     loss = LossSpec(LossKind.MSE, v[params.output_slice].copy())
-    dx, dz = saddle_velocities(params, x0, loss, _dyad(params, v, v.copy()))
+    dx, dz = saddle_velocities(params, x0, loss, v, v.copy())
     f = forward_field(params, x0, params.global_vector(v))
-    np.testing.assert_array_equal(dx.data, dz.data)
-    np.testing.assert_allclose(dx.data, f.data, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(dx, dz)
+    np.testing.assert_allclose(dx, f.data, rtol=0, atol=1e-14)
 
 
 def test_velocities_vanish_at_backprop_equilibrium():
@@ -141,19 +145,21 @@ def test_velocities_vanish_at_backprop_equilibrium():
         params, x0, loss = make_instance(rng)
         _, stacked = forward_pass(params, x0)
         _, sens = classical_backprop(params, x0, loss)
-        x = params.global_vector(stacked.data + 0.5 * sens.data)
-        z = params.global_vector(stacked.data - 0.5 * sens.data)
-        dx, dz = saddle_velocities(params, x0, loss, DyadState(x, z))
-        assert dx.norm() <= 1e-10
-        assert dz.norm() <= 1e-10
+        x = stacked.data + 0.5 * sens.data
+        z = stacked.data - 0.5 * sens.data
+        dx, dz = saddle_velocities(params, x0, loss, x, z)
+        assert np.linalg.norm(dx) <= 1e-10
+        assert np.linalg.norm(dz) <= 1e-10
 
 
 def test_mean_velocity_vanishes_at_forward_fixed_point():
     rng = np.random.default_rng(68)
     params, x0, loss = make_instance(rng)
     _, stacked = forward_pass(params, x0)
-    dm, _ = mean_stress_velocities(params, x0, loss, stacked, params.zeros_global())
-    assert dm.norm() <= 1e-14
+    dm, _ = mean_stress_velocities(
+        params, x0, loss, stacked.data, np.zeros(params.state_size)
+    )
+    assert np.linalg.norm(dm) <= 1e-14
 
 
 def test_stress_velocity_vanishes_at_neumann_stress():
@@ -162,8 +168,8 @@ def test_stress_velocity_vanishes_at_neumann_stress():
         params, x0, loss = make_instance(rng)
         _, stacked = forward_pass(params, x0)
         sbar = neumann_stress(params, x0, loss)
-        _, ds = mean_stress_velocities(params, x0, loss, stacked, sbar)
-        assert ds.norm() <= 1e-10
+        _, ds = mean_stress_velocities(params, x0, loss, stacked.data, sbar.data)
+        assert np.linalg.norm(ds) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -377,19 +383,19 @@ def test_split_zero_loss_gradient_keeps_states_equal():
 
 def test_split_velocities_match_saddle_flow_at_equal_states():
     rng = np.random.default_rng(80)
-    from dyadicbp.dynamics import _loaded_workspace, _split_velocity_arrays
+    from dyadicbp.dynamics import _split_velocity_arrays
     from dyadicbp.network import beta_array
 
     params, x0, loss = make_instance(rng)
     v = rng.standard_normal(params.state_size)
     beta = beta_array(params, x0)
-    dx_ref, dz_ref = saddle_velocities(params, x0, loss, _dyad(params, v, v.copy()))
+    dx_ref, dz_ref = saddle_velocities(params, x0, loss, v, v.copy())
     for flag in (False, True):
-        ws = _loaded_workspace(params, beta, v, v.copy())
+        ws = loaded_workspace(params, beta, v, v.copy())
         _split_velocity_arrays(params, beta, loss, ws, flag)
         dx, dz = ws.next.both
-        np.testing.assert_allclose(dx, dx_ref.data, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(dz, dz_ref.data, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(dz, dz_ref, rtol=0, atol=1e-13)
 
 
 def test_split_agreement_with_dyadic_is_first_order_in_stress():
@@ -453,7 +459,7 @@ def test_gradient_from_equilibrium_reproduces_backprop():
         params, x0, loss = make_instance(rng)
         ref, sens = classical_backprop(params, x0, loss)
         _, stacked = forward_pass(params, x0)
-        bundle = gradient_from_equilibrium(params, x0, stacked, sens)
+        bundle = gradient_from_equilibrium(params, x0, stacked.data, sens.data)
         if ref.frobenius_norm() == 0.0:
             assert bundle.frobenius_norm() == 0.0
         else:
@@ -464,7 +470,9 @@ def test_gradient_from_equilibrium_zero_stress():
     rng = np.random.default_rng(84)
     params, x0, _ = make_instance(rng)
     _, stacked = forward_pass(params, x0)
-    bundle = gradient_from_equilibrium(params, x0, stacked, params.zeros_global())
+    bundle = gradient_from_equilibrium(
+        params, x0, stacked.data, np.zeros(params.state_size)
+    )
     assert bundle.frobenius_norm() == 0.0
 
 

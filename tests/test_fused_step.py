@@ -3,8 +3,6 @@ per-call workspace give the same bits as the unfused per-block step
 (``oracles.unfused_step``), for every scheme, activation mix, precision
 and step size, single sample and column batch."""
 
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -24,12 +22,10 @@ from dyadicbp import (
     RelaxMode,
     ShapeError,
     energy,
-    mean_stress_velocities,
     random_network,
     relax_dyadic,
     relax_mean_stress,
     relax_split,
-    saddle_velocities,
 )
 from dyadicbp import dynamics
 from dyadicbp.network import _sigma_pair, _sigma_pair_array, beta_array
@@ -213,14 +209,8 @@ def test_public_helpers_reject_a_float64_target_with_float32_params():
     loss = LossSpec(LossKind.MSE, np.full(2, 0.1))
     v = params.global_vector(rng.standard_normal(params.state_size).astype(np.float32))
     state = DyadState(v, v.copy())
-    calls = (
-        functools.partial(saddle_velocities, params, x0, loss, state),
-        functools.partial(mean_stress_velocities, params, x0, loss, v, v.copy()),
-        functools.partial(energy, params, x0, loss, state),
-    )
-    for call in calls:
-        with pytest.raises(ShapeError, match="dtype"):
-            call()
+    with pytest.raises(ShapeError, match="dtype"):
+        energy(params, x0, loss, state)
     int_loss = LossSpec(LossKind.MSE, np.array([1, 0]))
-    dx, dz = saddle_velocities(params, x0, int_loss, state)
-    assert dx.data.dtype == dz.data.dtype == np.float32
+    m, s, _, _ = relax_dyadic(params, x0, int_loss, RelaxConfig(k_max=20))
+    assert m.data.dtype == s.data.dtype == np.float32

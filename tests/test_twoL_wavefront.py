@@ -27,6 +27,7 @@ from dyadicbp import (
     relax_batch,
     relax_twoL,
 )
+from dyadicbp.network import _block_slices
 from dyadicbp.reference import backprop_batch
 
 
@@ -122,7 +123,7 @@ def test_traced_blocks_freeze_at_their_settle_steps(case):
     depth = params.depth
     assert len(states) == 2 * depth
     for layer in range(1, depth + 1):
-        sl = params.block_slice(layer)
+        sl = _block_slices(params)[layer - 1]
         for k in range(layer, 2 * depth + 1):
             np.testing.assert_array_equal(states[k - 1][0][sl], m_final.data[sl])
         for k in range(2 * depth - layer + 1, 2 * depth + 1):
@@ -141,7 +142,7 @@ def test_wavefront_settle_steps_are_the_first_final_ones():
     relax_twoL(params, x0, loss, on_step=lambda k, m, s: states.append((m, s)))
     m_final, s_final, _ = relax_twoL(params, x0, loss)
     for layer in range(2, depth + 1):
-        sl = params.block_slice(layer)
+        sl = _block_slices(params)[layer - 1]
         assert not np.array_equal(states[layer - 2][0][sl], m_final.data[sl])
         assert not np.array_equal(states[2 * depth - layer - 1][1][sl], s_final.data[sl])
 
