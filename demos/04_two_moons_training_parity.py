@@ -10,8 +10,11 @@ initialization, differing only in how batch gradients are produced:
 
 The TwoL run tracks the BP run bit for bit: same losses, same final
 parameters. The eta = 0.5 run converges each batch to a 1e-6 stopping
-tolerance and lands at the same test accuracy.
+tolerance and lands at the same test accuracy. The script exits nonzero
+if the final TwoL parameters are not bitwise equal to BP's.
 """
+
+import sys
 
 import numpy as np
 
@@ -58,3 +61,5 @@ params_equal = all(
 print("\nfinal parameters BP vs TwoL bitwise identical:", params_equal)
 print(f"final test accuracy: BP {bp.rows[-1]['test_acc']:.3f}, "
       f"TwoL {tl.rows[-1]['test_acc']:.3f}, Dyadic {dy.rows[-1]['test_acc']:.3f}")
+if not params_equal:
+    sys.exit("TwoL training is not bitwise equal to BP training")

@@ -15,8 +15,9 @@ from zero, takes the scheme's Euler step, freezes each column once its
 increment drops below the tolerance or stalls at the rounding noise of
 its state (the precision floor), and records a trace only when asked.
 Each column reports why it stopped as a ``RelaxStatus``. TwoL runs the
-exact 2L schedule instead. All relaxation modes extract the gradient
-from the final (m, s) by the same outer-product rule.
+exact 2L schedule instead, as an O(L) block wavefront. All relaxation
+modes extract the gradient from the final (m, s) by the same
+outer-product rule.
 
 The steps write into a per-call workspace (``_Workspace``) of
 state-sized buffers, allocated once per relaxation, and evaluate sigma
@@ -101,16 +102,16 @@ class RelaxConfig:
     mode: RelaxMode = RelaxMode.DYADIC
 
     def __post_init__(self) -> None:
-        if not self.eta > 0:
-            raise ConfigError("step size eta must be positive")
+        if not 0 < self.eta < np.inf:
+            raise ConfigError("step size eta must be positive and finite")
         if self.eta > 1:
             warnings.warn(
                 "eta > 1 is outside the analyzed step-size range", RuntimeWarning
             )
         if self.k_max < 1:
             raise ConfigError("k_max must be at least 1")
-        if not self.tol > 0:
-            raise ConfigError("tolerance must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ConfigError("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,21 +451,13 @@ def _mean_stress_step(
 
 
 def _split_velocity_arrays(
-    params: NetworkParams,
-    beta: np.ndarray,
-    loss: LossSpec,
-    ws: _Workspace,
-    cost_at_states: bool = False,
+    params: NetworkParams, beta: np.ndarray, loss: LossSpec, ws: _Workspace
 ) -> None:
     """(dx, dz) at the state (x, z) of ``ws`` into ``ws.next``."""
     state, nxt = ws.state, ws.next
     x, z = state.first, state.second
     x_out, z_out = state.out
-    if cost_at_states:
-        g_x = loss.gradient(x_out)
-        g_z = loss.gradient(z_out)
-    else:
-        g_x = g_z = loss.gradient(0.5 * (x_out + z_out))
+    half_g = 0.5 * loss.gradient(0.5 * (x_out + z_out))
     s = np.subtract(x, z, out=ws.s)
     # sigma and sigma' of x's pre-activation, then of z's; Split has no
     # mean, so ws.m holds sigma(W z + beta).
@@ -479,12 +472,12 @@ def _split_velocity_arrays(
     dx_out, dz_out = nxt.out
     dx = np.subtract(avg_drive, x, out=nxt.first)
     dx += half_back
-    dx_out += 0.5 * g_x
+    dx_out += half_g
     half_back = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), ws.wt, ws.wt_wt)
     half_back *= 0.5
     dz = np.subtract(avg_drive, z, out=nxt.second)
     dz -= half_back
-    dz_out -= 0.5 * g_z
+    dz_out -= half_g
 
 
 # The Euler step of each convergence-driven scheme. Dyadic and Split
@@ -680,16 +673,13 @@ def _relax_sample(
     mode: RelaxMode,
     caller: str,
     record_steps: bool,
-    step: Optional[Callable[..., np.ndarray]] = None,
 ) -> tuple[GlobalVector, GlobalVector, GradientBundle, RelaxTrace]:
     if cfg.mode is not mode:
         raise ConfigError(f"{caller} requires mode {mode.value}, got {cfg.mode.value}")
     x0, loss, beta = _prepare(params, x0, loss)
     trace = RelaxTrace()
     records = trace if record_steps else None
-    m, s, iters, conv, floored = _relax(
-        params, beta, loss, cfg, step or _STEPS[mode], records, on_step
-    )
+    m, s, iters, conv, floored = _relax(params, beta, loss, cfg, _STEPS[mode], records, on_step)
     if not record_steps:  # the last record's energy check
         _energy_ms(params, beta, loss, m, s)
     trace.iterations_used = int(iters)
@@ -755,36 +745,21 @@ def relax_mean_stress(
 
 
 def relax_twoL(
-    params: NetworkParams,
-    x0: np.ndarray,
-    loss: LossSpec,
-    on_step: Optional[StepCallback] = None,
+    params: NetworkParams, x0: np.ndarray, loss: LossSpec
 ) -> tuple[GlobalVector, GlobalVector, GradientBundle]:
     """Run the 2L unit-step schedule of the discrete two-phase maps.
 
     m settles to the forward activations within the first L steps; the
     stress then flushes to the exact stacked sensitivities by step 2L,
     at which point both maps are at their fixed point and the extracted
-    gradient is classical backprop's, bit for bit.
-
-    Without ``on_step`` only the settling block of each step is
-    computed: L forward and L - 1 backward block steps, O(L) block
-    kernels (``_twoL_wavefront``). ``on_step`` receives (k, m, s) copies
-    after each update, so every step then updates the full state, an
-    O(L^2) sweep that shows every transient and ends in the same (m, s).
+    gradient is classical backprop's, bit for bit. Only the settling
+    block of each step is computed: L forward and L - 1 backward block
+    steps, O(L) block kernels (``_twoL_wavefront``). The full-state
+    transients of the schedule are those of ``relax_mean_stress`` at
+    eta = 1, whose ``on_step`` sees each one.
     """
     x0, loss, beta = _prepare(params, x0, loss)
-    if on_step is None:
-        m, s, delta = _twoL_wavefront(params, beta, loss)
-    else:
-        ws = _Workspace(params, beta.shape, beta.dtype)
-        for k in range(1, 2 * params.depth + 1):
-            _mean_stress_step(params, beta, loss, 1.0, ws)
-            ws.state, ws.next = ws.next, ws.state
-            on_step(k, ws.state.first.copy(), ws.state.second.copy())
-        m, s = ws.state.first, ws.state.second
-        delta = _delta_at(params, beta, m, s)
-    return _equilibrium(params, x0, m, s, delta)
+    return _equilibrium(params, x0, *_twoL_wavefront(params, beta, loss))
 
 
 def relax_split(
@@ -792,7 +767,6 @@ def relax_split(
     x0: np.ndarray,
     loss: LossSpec,
     cfg: RelaxConfig,
-    cost_at_states: bool = False,
     on_step: Optional[StepCallback] = None,
     *,
     record_steps: bool = True,
@@ -806,19 +780,13 @@ def relax_split(
     midpoint for derivative evaluations and agrees with the exact saddle
     flow to first order in the stress.
 
-    By default the loss gradient is evaluated once at the midpoint
-    output. With ``cost_at_states=True`` it is evaluated at each state's
-    own output block instead; that printed form biases the stress fixed
-    point at first order, because the two cost terms no longer cancel in
-    the mean equation: for MSE the output-block stress converges to
-    (I - H^2/4)^{-1} g = (4/3) g instead of g (H is the loss Hessian).
-    The flag exists so the bias is measurable; leave it off to converge
-    to the exact-gradient equilibrium. ``record_steps`` as in ``relax_dyadic``.
+    The loss gradient is evaluated once, at the midpoint output:
+    evaluated at each state's own output, the cost would bias the output
+    stress to (4/3) g for MSE. ``on_step`` receives (k, x, z) copies
+    after each update; ``record_steps`` as in ``relax_dyadic``.
     """
-    velocity = functools.partial(_split_velocity_arrays, cost_at_states=cost_at_states)
-    step = functools.partial(_euler_step, velocity)
     return _relax_sample(
-        params, x0, loss, cfg, on_step, RelaxMode.SPLIT, "relax_split", record_steps, step
+        params, x0, loss, cfg, on_step, RelaxMode.SPLIT, "relax_split", record_steps
     )
 
 

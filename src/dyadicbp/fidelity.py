@@ -85,26 +85,21 @@ class FidelityReport:
         return record
 
 
-def compare(
-    test: GradientBundle,
-    reference: GradientBundle,
-    precision_floor: Optional[float] = None,
-) -> FidelityReport:
+def compare(test: GradientBundle, reference: GradientBundle) -> FidelityReport:
     """Compute all fidelity metrics of ``test`` against ``reference``.
 
     The global metrics use the full flattened concatenation of each
     bundle; the per-layer metrics use each layer's concatenated (W, b)
-    gradients. When no floor is given it is chosen from the bundles'
-    storage precision (32-bit wins if either side stores float32).
+    gradients. The precision floor follows the bundles' storage
+    precision (32-bit wins if either side stores float32).
     """
     if test.depth != reference.depth:
         raise ShapeError("bundles compare layer by layer; depths differ")
     for gt, gr in zip(test.weight_grads, reference.weight_grads):
         if gt.shape != gr.shape:
             raise ShapeError(f"weight gradient shapes differ: {gt.shape} vs {gr.shape}")
-    if precision_floor is None:
-        dtypes = [g.dtype for g in test.weight_grads + reference.weight_grads]
-        precision_floor = FLOOR_32 if any(dt == np.float32 for dt in dtypes) else FLOOR_64
+    dtypes = [g.dtype for g in test.weight_grads + reference.weight_grads]
+    precision_floor = FLOOR_32 if any(dt == np.float32 for dt in dtypes) else FLOOR_64
 
     # One float64 (W, b) vector per layer; their concatenation is ``flat()``.
     t_layers = [test.layer_flat(i).astype(np.float64, copy=False) for i in range(test.depth)]

@@ -1,9 +1,19 @@
-"""Shared random-instance builders for the test suite, and thin array
-entry points to the package's step and extraction kernels."""
+"""Shared random-instance builders for the test suite, thin array
+entry points to the package's step and extraction kernels, and the
+full-state iterates of the 2L unit-step schedule."""
 
 import numpy as np
 
-from dyadicbp import Activation, GradientBundle, LossKind, LossSpec, random_network
+from dyadicbp import (
+    Activation,
+    GradientBundle,
+    LossKind,
+    LossSpec,
+    RelaxConfig,
+    RelaxMode,
+    random_network,
+    relax_mean_stress,
+)
 from dyadicbp.dynamics import (
     _Workspace,
     _delta_at,
@@ -89,3 +99,17 @@ def gradient_from_equilibrium(params, x0, m, s):
     """The outer-product gradient the relaxations read off the arrays (m, s)."""
     delta = _delta_at(params, beta_array(params, x0), m, s)
     return GradientBundle(*_grads_from_delta(params, x0, m, delta))
+
+
+def two_phase_states(params, x0, loss):
+    """The (m, s) after each of the 2L steps of the discrete two-phase
+    maps: ``relax_mean_stress`` at eta = 1, seen through ``on_step``. A run
+    that stops early at an exact fixed point (a zero increment) is padded
+    with its last state."""
+    steps = 2 * params.depth
+    cfg = RelaxConfig(eta=1.0, k_max=steps, tol=1e-300, mode=RelaxMode.MEAN_STRESS)
+    states = []
+    relax_mean_stress(
+        params, x0, loss, cfg, on_step=lambda k, m, s: states.append((m, s)), record_steps=False
+    )
+    return states + states[-1:] * (steps - len(states))

@@ -235,7 +235,7 @@ def _saddle_velocity(params, beta, loss, x, z):
     return f + backward + cost, f - backward - cost
 
 
-def _split_velocity(params, beta, loss, x, z, cost_at_states):
+def _split_velocity(params, beta, loss, x, z):
     b0, b1 = block_bounds(params)[-1]
     s = x - z
     pre_x = unfused_w(params, x) + beta
@@ -243,15 +243,11 @@ def _split_velocity(params, beta, loss, x, z, cost_at_states):
     avg_drive = 0.5 * (unfused_sigma(params, pre_x) + unfused_sigma(params, pre_z))
     d_x = unfused_sigma_prime(params, pre_x)
     d_z = unfused_sigma_prime(params, pre_z)
-    if cost_at_states:
-        g_x = loss.gradient(x[b0:b1])
-        g_z = loss.gradient(z[b0:b1])
-    else:
-        g_x = g_z = loss.gradient(0.5 * (x[b0:b1] + z[b0:b1]))
+    g = loss.gradient(0.5 * (x[b0:b1] + z[b0:b1]))
     dx = avg_drive - x + 0.5 * unfused_wt(params, d_x * s)
-    dx[b0:b1] += 0.5 * g_x
+    dx[b0:b1] += 0.5 * g
     dz = avg_drive - z - 0.5 * unfused_wt(params, d_z * s)
-    dz[b0:b1] -= 0.5 * g_z
+    dz[b0:b1] -= 0.5 * g
     return dx, dz
 
 
@@ -268,7 +264,7 @@ def _mean_stress(params, beta, loss, m, s, eta):
     return m + eta * dm, s + eta * ds
 
 
-def unfused_step(mode, params, beta, loss, a, b, eta, cost_at_states=False):
+def unfused_step(mode, params, beta, loss, a, b, eta):
     """One Euler step of ``mode`` ("Dyadic", "MeanStress" or "Split") from
     the state (a, b): (x, z), or (m, s) for MeanStress."""
     if mode == "MeanStress":
@@ -276,7 +272,7 @@ def unfused_step(mode, params, beta, loss, a, b, eta, cost_at_states=False):
     if mode == "Dyadic":
         da, db = _saddle_velocity(params, beta, loss, a, b)
     else:
-        da, db = _split_velocity(params, beta, loss, a, b, cost_at_states)
+        da, db = _split_velocity(params, beta, loss, a, b)
     return a + eta * da, b + eta * db
 
 

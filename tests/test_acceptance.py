@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 import oracles
-from helpers import make_chain, make_instance, make_loss
+from helpers import make_chain, make_instance, make_loss, two_phase_states
 from dyadicbp import (
     Activation,
     DatasetKind,
@@ -31,7 +31,6 @@ from dyadicbp import (
     neumann_stress,
     random_network,
     relax_dyadic,
-    relax_mean_stress,
     relax_split,
     relax_twoL,
     stability_check,
@@ -91,30 +90,19 @@ def test_criterion_01_twoL_matches_classical_backprop():
 
 
 def test_criterion_02_unit_step_euler_equals_discrete_two_phase():
-    # 50 instances: the eta = 1 Euler iterates coincide with the 2L-step
-    # scheme state for state to 1e-15. An exact early freeze (saturated
-    # tanh) just shortens the Euler run; the tail must then be constant.
+    # 50 instances: the eta = 1 Euler iterates coincide state for state
+    # with the discrete two-phase maps, stepped 2L times from zero by the
+    # unfused oracle, to 1e-15. An exact early freeze (saturated tanh)
+    # just shortens the Euler run; the oracle's tail must then be constant.
     rng = np.random.default_rng(1002)
     worst = 0.0
     for _ in range(50):
         params, x0, loss = make_instance(rng)
-        ms_states = []
-        tl_states = []
-        relax_mean_stress(
-            params,
-            x0,
-            loss,
-            RelaxConfig(
-                eta=1.0,
-                k_max=2 * params.depth,
-                tol=1e-300,
-                mode=RelaxMode.MEAN_STRESS,
-            ),
-            on_step=lambda k, m, s: ms_states.append((m, s)),
-        )
-        relax_twoL(params, x0, loss, on_step=lambda k, m, s: tl_states.append((m, s)))
-        for i, (m2, s2) in enumerate(tl_states):
-            m1, s1 = ms_states[min(i, len(ms_states) - 1)]
+        beta = oracles.dense_beta(params, x0)
+        m2 = np.zeros_like(beta)
+        s2 = np.zeros_like(beta)
+        for m1, s1 in two_phase_states(params, x0, loss):
+            m2, s2 = oracles.unfused_step("MeanStress", params, beta, loss, m2, s2, 1.0)
             worst = max(
                 worst,
                 float(np.abs(m1 - m2).max(initial=0.0)),

@@ -119,9 +119,8 @@ def _bits(value):
     st.sampled_from((np.float64, np.float32)),
     st.sampled_from((np.float64, np.float32)),
     st.sampled_from(("random", "same", "scaled", "zero-reference", "zero-layer")),
-    st.sampled_from((None, FLOOR_64, FLOOR_32)),
 )
-def test_compare_equals_two_pass_formula(seed, depth, dtype_t, dtype_r, relation, floor):
+def test_compare_equals_two_pass_formula(seed, depth, dtype_t, dtype_r, relation):
     rng = np.random.default_rng(seed)
     shapes = [(int(rng.integers(1, 6)), int(rng.integers(1, 6))) for _ in range(depth)]
     test = _random_bundle(rng, shapes, dtype_t)
@@ -145,10 +144,9 @@ def test_compare_equals_two_pass_formula(seed, depth, dtype_t, dtype_r, relation
         ws[i] = np.zeros_like(ws[i])
         bs[i] = np.zeros_like(bs[i])
         reference = GradientBundle(ws, bs)
-    report = compare(test, reference, precision_floor=floor)
-    if floor is None:
-        dtypes = [g.dtype for g in test.weight_grads + reference.weight_grads]
-        floor = FLOOR_32 if np.dtype(np.float32) in dtypes else FLOOR_64
+    report = compare(test, reference)
+    dtypes = [g.dtype for g in test.weight_grads + reference.weight_grads]
+    floor = FLOOR_32 if np.dtype(np.float32) in dtypes else FLOOR_64
     got = (
         report.cosine_similarity,
         report.relative_error,

@@ -40,6 +40,18 @@ def test_malformed_value_exits_1_without_traceback(tmp_path, capsys, command, te
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--eta", "--tol"])
+def test_non_finite_step_size_or_tolerance_exits_1(tmp_path, capsys, flag):
+    # An infinite tolerance would pass every trial after one update, and
+    # an infinite step size would diverge: both are config errors.
+    out = tmp_path / "out"
+    args = ["check", flag, "inf", "--trials", "1", "--strict", "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert not out.exists()
+
+
 def test_bad_relax_field_fails_before_train_csv(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["train", "--method", "Dyadic", "--kmax", "0", "--out", str(out)]) == 1

@@ -1,6 +1,6 @@
-"""The first two demos and the README's library quickstart run to
-completion as scripts; demo 02 exits nonzero if TwoL is not bitwise
-equal to classical backprop."""
+"""The four demos and the README's library quickstart run to completion
+as scripts; demos 02 and 04 exit nonzero if TwoL is not bitwise equal to
+classical backprop (its gradients, and its trained parameters)."""
 
 import os
 import subprocess
@@ -20,9 +20,7 @@ def _run_python(args):
     )
 
 
-@pytest.mark.parametrize(
-    "script", ["01_global_operator_and_settling.py", "02_exact_gradients_in_2l_steps.py"]
-)
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_exits_zero(script):
     done = _run_python([str(ROOT / "demos" / script)])
     assert done.returncode == 0, done.stderr

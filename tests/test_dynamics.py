@@ -15,6 +15,7 @@ from helpers import (
     make_loss,
     mean_stress_velocities,
     saddle_velocities,
+    two_phase_states,
 )
 from dyadicbp import (
     Activation,
@@ -224,30 +225,16 @@ def test_dyadic_small_step_cosine_misalignment():
 def test_mean_stress_unit_step_matches_twoL_state_for_state():
     # The unit-step Euler run may freeze exactly before 2L steps (a
     # saturated tanh has derivative exactly zero), at which point it
-    # stops; the remaining two-phase steps must then leave the state
-    # unchanged, so the tail is compared against the final frozen state.
+    # stops and ``two_phase_states`` repeats its last state; either way
+    # the run ends at the (m, s) that the TwoL wavefront returns.
     rng = np.random.default_rng(73)
     for _ in range(50):
         params, x0, loss = make_instance(rng)
-        ms_states = []
-        tl_states = []
-        relax_mean_stress(
-            params,
-            x0,
-            loss,
-            _cfg(RelaxMode.MEAN_STRESS, eta=1.0, k_max=2 * params.depth, tol=1e-300),
-            on_step=lambda k, m, s: ms_states.append((m, s)),
-        )
-        relax_twoL(params, x0, loss, on_step=lambda k, m, s: tl_states.append((m, s)))
-        assert len(tl_states) == 2 * params.depth
-        assert len(ms_states) <= len(tl_states)
-        for (m1, s1), (m2, s2) in zip(ms_states, tl_states):
-            np.testing.assert_array_equal(m1, m2)
-            np.testing.assert_array_equal(s1, s2)
-        m_last, s_last = ms_states[-1]
-        for m2, s2 in tl_states[len(ms_states) :]:
-            np.testing.assert_array_equal(m_last, m2)
-            np.testing.assert_array_equal(s_last, s2)
+        states = two_phase_states(params, x0, loss)
+        assert len(states) == 2 * params.depth
+        m, s, _ = relax_twoL(params, x0, loss)
+        np.testing.assert_array_equal(states[-1][0], m.data)
+        np.testing.assert_array_equal(states[-1][1], s.data)
 
 
 def test_forward_layer_freezing_is_exact():
@@ -390,12 +377,11 @@ def test_split_velocities_match_saddle_flow_at_equal_states():
     v = rng.standard_normal(params.state_size)
     beta = beta_array(params, x0)
     dx_ref, dz_ref = saddle_velocities(params, x0, loss, v, v.copy())
-    for flag in (False, True):
-        ws = loaded_workspace(params, beta, v, v.copy())
-        _split_velocity_arrays(params, beta, loss, ws, flag)
-        dx, dz = ws.next.both
-        np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(dz, dz_ref, rtol=0, atol=1e-13)
+    ws = loaded_workspace(params, beta, v, v.copy())
+    _split_velocity_arrays(params, beta, loss, ws)
+    dx, dz = ws.next.both
+    np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(dz, dz_ref, rtol=0, atol=1e-13)
 
 
 def test_split_agreement_with_dyadic_is_first_order_in_stress():
@@ -424,33 +410,6 @@ def test_split_agreement_with_dyadic_is_first_order_in_stress():
     assert rels[1e-2] <= 10.0 * 1e-2
     assert rels[1e-4] <= 10.0 * 1e-4
     assert rels[1e-4] <= rels[1e-2] / 10.0
-
-
-def test_split_cost_at_states_bias_is_four_thirds_for_mse():
-    # Evaluating the cost at each state separately feeds the stress
-    # back into the mean equation; the output-block stress then settles
-    # at (I - H^2/4)^{-1} g = (4/3) g for MSE, independent of scale.
-    rng = np.random.default_rng(82)
-    params = make_chain(
-        rng, depth=3, max_width=6, acts=(Activation.TANH,), identity_output=True
-    )
-    x0 = rng.standard_normal(params.input_dim)
-    acts, _ = forward_pass(params, x0)
-    direction = rng.standard_normal(params.widths[-1])
-    direction /= np.linalg.norm(direction)
-    for scale in (1e-4, 1e-6):
-        loss = LossSpec(LossKind.MSE, acts[-1] + scale * direction)
-        g = scale * direction * -1.0  # gradient at the forward point is a_L - y
-        _, s, _, trace = relax_split(
-            params,
-            x0,
-            loss,
-            _cfg(RelaxMode.SPLIT, eta=0.5, tol=1e-14, k_max=5000),
-            cost_at_states=True,
-        )
-        assert trace.converged
-        ratio = np.linalg.norm(s.block(params.depth)) / np.linalg.norm(g)
-        assert ratio == pytest.approx(4.0 / 3.0, rel=1e-3)
 
 
 def test_gradient_from_equilibrium_reproduces_backprop():
@@ -531,6 +490,11 @@ def test_relax_config_validation():
         RelaxConfig(k_max=0)
     with pytest.raises(ConfigError):
         RelaxConfig(tol=0.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ConfigError, match="finite"):
+            RelaxConfig(eta=bad)
+        with pytest.raises(ConfigError, match="finite"):
+            RelaxConfig(tol=bad)
     with pytest.warns(RuntimeWarning):
         RelaxConfig(eta=1.5)
 

@@ -111,12 +111,6 @@ def test_float32_storage_selects_coarse_floor():
     assert mixed.precision_floor == FLOOR_32
 
 
-def test_explicit_floor_overrides_dtype_choice():
-    ref = _simple(dtype=np.float32)
-    report = compare(ref, ref, precision_floor=FLOOR_64)
-    assert report.precision_floor == FLOOR_64
-
-
 def test_metrics_are_computed_in_float64():
     # A float32 pair whose difference is below float32 resolution of the
     # values still shows up once promoted.

@@ -102,22 +102,21 @@ def _sweep_case(eta):
     return params, x0[:, None], LossSpec(loss.kind, loss.target[:, None]), eta
 
 
-@given(step_cases(), st.sampled_from(tuple(SINGLE)), st.booleans())
-@example(_sweep_case(0.25), "Dyadic", False)
-@example(_sweep_case(1.0), "Dyadic", False)
-def test_single_sample_states_match_unfused_step(case, mode, cost_at_states):
+@given(step_cases(), st.sampled_from(tuple(SINGLE)))
+@example(_sweep_case(0.25), "Dyadic")
+@example(_sweep_case(1.0), "Dyadic")
+def test_single_sample_states_match_unfused_step(case, mode):
     params, x, loss, eta = case
     x0 = x[:, 0]
     loss0 = LossSpec(loss.kind, loss.target[:, 0])
     cfg = RelaxConfig(eta=eta, k_max=40, tol=1e-12, mode=RelaxMode.from_name(mode))
     states = []
-    kwargs = {"cost_at_states": cost_at_states} if mode == "Split" else {}
-    SINGLE[mode](params, x0, loss0, cfg, on_step=lambda k, a, b: states.append((a, b)), **kwargs)
+    SINGLE[mode](params, x0, loss0, cfg, on_step=lambda k, a, b: states.append((a, b)))
     beta = beta_array(params, x0)
     a = np.zeros_like(beta)
     b = np.zeros_like(beta)
     for got_a, got_b in states:
-        a, b = oracles.unfused_step(mode, params, beta, loss0, a, b, eta, cost_at_states)
+        a, b = oracles.unfused_step(mode, params, beta, loss0, a, b, eta)
         assert_same_bits(got_a, a)
         assert_same_bits(got_b, b)
 

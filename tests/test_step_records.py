@@ -59,12 +59,10 @@ def _zero_rows(params, rng):
 
 @st.composite
 def record_cases(draw):
-    """A scheme (Split with or without cost_at_states), a network of
-    mixed activations with exact-zero pre-activations, a precision, a
-    loss and a step size."""
+    """A scheme, a network of mixed activations with exact-zero
+    pre-activations, a precision, a loss and a step size."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mode = draw(st.sampled_from(tuple(SINGLE)))
-    cost_at_states = mode == "Split" and draw(st.booleans())
     dtype = draw(st.sampled_from((np.float64, np.float32)))
     depth = draw(st.integers(1, 5))
     acts = draw(st.lists(st.sampled_from(ALL_ACTS), min_size=depth, max_size=depth))
@@ -77,15 +75,14 @@ def record_cases(draw):
     loss = make_loss(rng, widths[-1], kind=kind, dtype=dtype)
     eta = draw(st.sampled_from((0.5, 1.0)))
     cfg = RelaxConfig(eta=eta, k_max=200, tol=1e-9, mode=RelaxMode.from_name(mode))
-    kwargs = {"cost_at_states": cost_at_states} if mode == "Split" else {}
-    return SINGLE[mode], params, x0, loss, cfg, kwargs
+    return SINGLE[mode], params, x0, loss, cfg
 
 
 @given(record_cases())
 def test_records_off_returns_the_same_bits(case):
-    relax, params, x0, loss, cfg, kwargs = case
-    m1, s1, b1, t1 = relax(params, x0, loss, cfg, **kwargs)
-    m2, s2, b2, t2 = relax(params, x0, loss, cfg, record_steps=False, **kwargs)
+    relax, params, x0, loss, cfg = case
+    m1, s1, b1, t1 = relax(params, x0, loss, cfg)
+    m2, s2, b2, t2 = relax(params, x0, loss, cfg, record_steps=False)
     assert_same_bits(m2.data, m1.data)
     assert_same_bits(s2.data, s1.data)
     for got, want in zip(b2.weight_grads + b2.bias_grads, b1.weight_grads + b1.bias_grads):

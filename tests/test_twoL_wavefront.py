@@ -1,11 +1,12 @@
 """TwoL conformance: the block wavefront equals backprop bit for bit.
 
-Untraced TwoL computes only the settling block of each step. These
-properties pin it to the references over every activation (ReLU with
-exact-zero pre-activations included), both losses, both precisions,
-depths 1-7 and batches 1-8, and pin the traced full sweep to the
-paper's settle steps: mean block l is final from step l, stress block
-l from step 2L - l + 1.
+TwoL computes only the settling block of each step. These properties
+pin it to the references over every activation (ReLU with exact-zero
+pre-activations included), both losses, both precisions, depths 1-7
+and batches 1-8. The full-state two-phase sweep, the unit-step
+MeanStress run of ``helpers.two_phase_states``, ends at the same state
+and meets the paper's settle steps: mean block l is final from step l,
+stress block l from step 2L - l + 1.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import ALL_ACTS
+from helpers import ALL_ACTS, gradient_from_equilibrium, two_phase_states
 from dyadicbp import (
     Activation,
     LossKind,
@@ -89,13 +90,16 @@ def test_relax_twoL_traced_and_untraced_equal_classical_backprop(case):
         x0, col_loss = x[:, j], _column_loss(loss, j)
         ref, sens = classical_backprop(params, x0, col_loss)
         _, acts = forward_pass(params, x0)
-        steps = []
-        for on_step in (None, lambda k, m, s: steps.append(k)):
-            m, s, bundle = relax_twoL(params, x0, col_loss, on_step=on_step)
-            np.testing.assert_array_equal(m.data, acts.data)
-            np.testing.assert_array_equal(s.data, sens.data)
-            _assert_bundle_equal(bundle, ref)
-        assert steps == list(range(1, 2 * params.depth + 1))
+        m, s, bundle = relax_twoL(params, x0, col_loss)
+        np.testing.assert_array_equal(m.data, acts.data)
+        np.testing.assert_array_equal(s.data, sens.data)
+        _assert_bundle_equal(bundle, ref)
+        states = two_phase_states(params, x0, col_loss)
+        assert len(states) == 2 * params.depth
+        m, s = states[-1]
+        np.testing.assert_array_equal(m, acts.data)
+        np.testing.assert_array_equal(s, sens.data)
+        _assert_bundle_equal(gradient_from_equilibrium(params, x0, m, s), ref)
 
 
 @given(twoL_batches())
@@ -112,13 +116,12 @@ def test_relax_batch_of_one_equals_relax_twoL(case):
 
 @given(twoL_batches())
 def test_traced_blocks_freeze_at_their_settle_steps(case):
-    # Mean block l is bitwise constant from step l on, stress block l
-    # from step 2L - l + 1 on, and the frozen values are exactly what
-    # the untraced wavefront returns.
+    # Mean block l of the two-phase sweep is bitwise constant from step
+    # l on, stress block l from step 2L - l + 1 on, and the frozen values
+    # are exactly what the wavefront returns.
     params, x, loss = case
     x0, col_loss = x[:, 0], _column_loss(loss, 0)
-    states = []
-    relax_twoL(params, x0, col_loss, on_step=lambda k, m, s: states.append((m, s)))
+    states = two_phase_states(params, x0, col_loss)
     m_final, s_final, _ = relax_twoL(params, x0, col_loss)
     depth = params.depth
     assert len(states) == 2 * depth
@@ -138,8 +141,7 @@ def test_wavefront_settle_steps_are_the_first_final_ones():
     params = random_network(4, (6,) * depth, Activation.TANH, rng, bias_std=0.5)
     x0 = rng.standard_normal(4)
     loss = LossSpec(LossKind.MSE, rng.standard_normal(6))
-    states = []
-    relax_twoL(params, x0, loss, on_step=lambda k, m, s: states.append((m, s)))
+    states = two_phase_states(params, x0, loss)
     m_final, s_final, _ = relax_twoL(params, x0, loss)
     for layer in range(2, depth + 1):
         sl = _block_slices(params)[layer - 1]
