@@ -6,9 +6,12 @@ Usage (from a checkout's root):
 
 Times ``apply_w_array``, ``apply_wt_array``, ``_sigma_pair_array``,
 ``LossSpec.gradient``, ``LossSpec.value``, one Dyadic Euler step
-(``dynamics._STEPS``, eta 0.5, into a preallocated workspace) and one
+(``dynamics._STEPS``, eta 0.5, into a preallocated workspace), one
 step of a whole Dyadic relaxation (``dyadic_relax_step``: ``_relax`` from
-zero at eta 0.5, default tolerance, divided by its step count) on the
+zero at eta 0.5, default tolerance, divided by its step count) and one
+call of the public Dyadic relaxation at ``k_max=1`` (``dyadic_relax_call``:
+``relax_dyadic`` for a single state, ``relax_batch`` for a batch), its
+fixed cost per call beside the cost per step, on the
 reference depth-9 net (input 2, eight Tanh layers of width 32, an
 Identity output of width 2, cross-entropy loss) and on the depth-17 net
 with sixteen hidden layers. Each runs for a float32 single state (n,)
@@ -36,6 +39,8 @@ from dyadicbp import (  # noqa: E402
     RelaxConfig,
     RelaxMode,
     random_network,
+    relax_batch,
+    relax_dyadic,
 )
 from dyadicbp import dynamics  # noqa: E402
 from dyadicbp.network import (  # noqa: E402
@@ -69,10 +74,17 @@ def kernel_calls(depth: int, dtype, batch):
     sig, dsig = np.empty_like(pre), np.empty_like(pre)
     logits = x[params.output_slice]
     step = dynamics._STEPS[RelaxMode.DYADIC]
+    eta = beta.dtype.type(0.5)  # as _relax passes it
     cfg = RelaxConfig(eta=0.5)
+    one_step = RelaxConfig(eta=0.5, k_max=1)
 
     def relax():
         return dynamics._relax(params, beta, loss, cfg, step)
+
+    def relax_call():
+        if batch is None:
+            return relax_dyadic(params, x0, loss, one_step, record_steps=False)
+        return relax_batch(params, x0, loss, one_step)
 
     steps = int(np.max(relax()[2]))  # the loop runs until its last column stops
     return {
@@ -81,8 +93,9 @@ def kernel_calls(depth: int, dtype, batch):
         "_sigma_pair_array": (lambda: _sigma_pair_array(params, pre, sig, dsig), 1),
         "LossSpec.gradient": (lambda: loss.gradient(logits), 1),
         "LossSpec.value": (lambda: loss.value(logits), 1),
-        "dyadic_step": (lambda: step(params, beta, loss, 0.5, ws), 1),
+        "dyadic_step": (lambda: step(params, beta, loss, eta, ws), 1),
         "dyadic_relax_step": (relax, steps),
+        "dyadic_relax_call": (relax_call, 1),
     }
 
 

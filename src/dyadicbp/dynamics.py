@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -41,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError, enum_from_name
-from .losses import LossSpec, _check_target
+from .losses import LossSpec, _check_target, _gradient_into
 from .network import (
     GlobalVector,
     NetworkParams,
@@ -197,8 +198,8 @@ class _Pair:
     """One (2, n) or (2, n, B) state buffer, ``both``, with its halves
     ``first`` and ``second``, and the views a step takes of them, built on
     first use: their output-block rows, W of each half into ``pre``, and
-    sigma of ``pre`` into ``first`` (sigma' into ``dsig``) and W^T dsig
-    into ``second``."""
+    sigma of ``pre`` into ``first`` (sigma' into ``dsig``) and W^T pre
+    into ``second``, whose output rows the loss gradient then fills."""
 
     def __init__(self, params: NetworkParams, pre: np.ndarray, dsig: np.ndarray) -> None:
         self.params, self.pre, self.dsig = params, pre, dsig
@@ -224,7 +225,7 @@ class _Pair:
 
     @functools.cached_property
     def wt_second(self):
-        return _block_plan(self.params, self.dsig, self.second, transpose=True)
+        return _block_plan(self.params, self.pre, self.second, transpose=True)
 
 
 class _Workspace:
@@ -233,13 +234,19 @@ class _Workspace:
     ``state`` holds the relaxing pair, (x, z) or (m, s), as one ``_Pair``:
     a (2, n) or (2, n, B) array and its two halves. A step reads it,
     writes its temporaries into the (n[, B]) buffers ``m`` .. ``wt`` and
-    its candidate into the spare pair ``next``; the loop then swaps the
-    two. ``diff`` holds the increment whose norms are the stopping
-    quantity.
+    the loss gradient into ``g`` (output rows), and its candidate into the
+    spare pair ``next``; the loop then swaps the two. ``diff`` holds the
+    increment whose norms are the stopping quantity. ``half`` is 0.5 in
+    the state's dtype.
 
     The block-matmul and activation-run views of these buffers, and their
     output-block rows, are built on first use: once per call, and only
     those of the scheme that runs. A step then makes no reshape or slice.
+    Building them writes the zero rows W and W^T leave empty and the
+    sigma' = 1 of Identity runs. Of these a step overwrites only block 1
+    of ``pre`` (also W^T's operand, so ``_pre_activation`` zeroes it
+    again) and the output rows of ``second`` (the unit MeanStress step
+    writes the loss gradient there).
     """
 
     def __init__(self, params: NetworkParams, shape: tuple[int, ...], dtype: np.dtype) -> None:
@@ -249,19 +256,28 @@ class _Workspace:
         self.state = _Pair(params, self.pre, self.dsig)
         self.next = _Pair(params, self.pre, self.dsig)
         self.diff = np.empty_like(self.state.both)
+        self.half = self.m.dtype.type(0.5)
 
     @functools.cached_property
     def m_out(self) -> np.ndarray:
         return self.m[self.params.output_slice]
 
-    # W m into pre; W^T dsig into wt; sigma of pre into sig or m, sigma' into dsig.
+    @functools.cached_property
+    def pre_1(self) -> np.ndarray:
+        return self.pre[_block_slices(self.params)[0]]
+
+    @functools.cached_property
+    def g(self) -> np.ndarray:
+        return np.empty_like(self.m_out)
+
+    # W m into pre; W^T pre into wt; sigma of pre into sig or m, sigma' into dsig.
     @functools.cached_property
     def w_m(self):
         return _block_plan(self.params, self.m, self.pre)
 
     @functools.cached_property
     def wt_wt(self):
-        return _block_plan(self.params, self.dsig, self.wt, transpose=True)
+        return _block_plan(self.params, self.pre, self.wt, transpose=True)
 
     @functools.cached_property
     def sigma_sig(self):
@@ -276,7 +292,9 @@ def _pre_activation(
     params: NetworkParams, beta: np.ndarray, v: np.ndarray, ws: _Workspace, plan
 ) -> np.ndarray:
     """W v + beta into ``ws.pre`` through ``plan``, the views of v and
-    ``ws.pre``; block 1 is 0 + beta_1, as in the sum of arrays."""
+    ``ws.pre``; block 1 is 0 + beta_1, as in the sum of arrays. Steps
+    write ``pre`` between pre-activations, so its block 1 is zeroed here."""
+    ws.pre_1.fill(0)
     pre = apply_w_array(params, v, ws.pre, plan)
     pre += beta
     return pre
@@ -288,10 +306,13 @@ def _energy_ms(
     loss: LossSpec,
     m: np.ndarray,
     s: np.ndarray,
+    sig: Optional[np.ndarray] = None,
 ):
-    """Energy in mean/stress coordinates: s . (sigma(Wm + beta) - m) + C(m_L)."""
-    pre = apply_w_array(params, m) + beta
-    lift = np.sum(s * (sigma_array(params, pre) - m), axis=0)
+    """Energy in mean/stress coordinates: s . (sigma(Wm + beta) - m) + C(m_L);
+    ``sig`` is sigma(Wm + beta) if the caller has it."""
+    if sig is None:
+        sig = sigma_array(params, apply_w_array(params, m) + beta)
+    lift = np.sum(s * (sig - m), axis=0)
     value = lift + loss.value(m[params.output_slice])
     if not np.isfinite(value).all():
         raise NumericError("energy is not finite")
@@ -319,16 +340,17 @@ def _saddle_velocity_arrays(
     """(dx, dz) at the state (x, z) of ``ws`` into ``ws.next``."""
     x, z = ws.state.first, ws.state.second
     m = np.add(x, z, out=ws.m)
-    m *= 0.5
+    m *= ws.half
     s = np.subtract(x, z, out=ws.s)
     _sigma_pair_array(
         params, _pre_activation(params, beta, m, ws, ws.w_m), ws.sig, ws.dsig, ws.sigma_sig
     )
     f = np.subtract(ws.sig, m, out=ws.sig)
-    backward = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), ws.wt, ws.wt_wt)
-    backward -= s
-    backward *= 0.5
-    half_g = 0.5 * loss.gradient(ws.m_out)
+    wt = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.pre), ws.wt, ws.wt_wt)
+    backward = np.subtract(wt, s, out=ws.pre)
+    backward *= ws.half
+    half_g = _gradient_into(loss, ws.m_out, ws.g)
+    half_g *= ws.half
     # dx = f + backward + cost, the loss gradient embedded in zero rows.
     # Adding those zeros could only turn a -0.0 of dx into +0.0, and dx
     # is -0.0 only where m and s are +0.0, that is x = z = +0.0, where
@@ -350,10 +372,10 @@ def _mean_stress_field(
     pre = _pre_activation(params, beta, m, ws, state.w_first)
     _sigma_pair_array(params, pre, ws.sig, ws.dsig, ws.sigma_sig)
     np.subtract(ws.sig, m, out=nxt.first)
-    wt = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), ws.wt, ws.wt_wt)
+    wt = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.pre), ws.wt, ws.wt_wt)
     np.subtract(wt, s, out=nxt.second)
     ds_out = nxt.out[1]
-    ds_out += loss.gradient(state.out[0])
+    ds_out += _gradient_into(loss, state.out[0], ws.g)
 
 
 def _delta_at(
@@ -424,7 +446,8 @@ def _euler_step(
 ) -> np.ndarray:
     """One Euler step of the state of ``ws`` under ``velocity(params, beta,
     loss, ws)``, into ``ws.next``: state + eta * velocity for both halves
-    at once, without a temporary (IEEE addition commutes)."""
+    at once, without a temporary (IEEE addition commutes). ``_relax``
+    passes eta cast to the state's dtype once, as numpy would per step."""
     velocity(params, beta, loss, ws)
     nxt = ws.next.both
     nxt *= eta
@@ -444,9 +467,9 @@ def _mean_stress_step(
     state, nxt = ws.state, ws.next
     pre = _pre_activation(params, beta, state.first, ws, state.w_first)
     _sigma_pair_array(params, pre, nxt.first, ws.dsig, nxt.sigma_first)
-    dsig_s = np.multiply(ws.dsig, state.second, out=ws.dsig)
+    dsig_s = np.multiply(ws.dsig, state.second, out=ws.pre)
     apply_wt_array(params, dsig_s, nxt.second, nxt.wt_second)
-    nxt.out[1][...] = loss.gradient(state.out[0])
+    _gradient_into(loss, state.out[0], nxt.out[1])
     return nxt.both
 
 
@@ -457,24 +480,26 @@ def _split_velocity_arrays(
     state, nxt = ws.state, ws.next
     x, z = state.first, state.second
     x_out, z_out = state.out
-    half_g = 0.5 * loss.gradient(0.5 * (x_out + z_out))
+    half_g = _gradient_into(loss, 0.5 * (x_out + z_out), ws.g)
+    half_g *= ws.half
     s = np.subtract(x, z, out=ws.s)
     # sigma and sigma' of x's pre-activation, then of z's; Split has no
-    # mean, so ws.m holds sigma(W z + beta).
+    # mean, so ws.m holds sigma(W z + beta). Halving keeps the +0.0 rows
+    # of wt that W^T leaves empty.
     pre = _pre_activation(params, beta, x, ws, state.w_first)
     _sigma_pair_array(params, pre, ws.sig, ws.dsig, ws.sigma_sig)
-    half_back = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), ws.wt, ws.wt_wt)
-    half_back *= 0.5
+    half_back = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.pre), ws.wt, ws.wt_wt)
+    half_back *= ws.half
     pre = _pre_activation(params, beta, z, ws, state.w_second)
     _sigma_pair_array(params, pre, ws.m, ws.dsig, ws.sigma_m)
     avg_drive = np.add(ws.sig, ws.m, out=ws.sig)
-    avg_drive *= 0.5
+    avg_drive *= ws.half
     dx_out, dz_out = nxt.out
     dx = np.subtract(avg_drive, x, out=nxt.first)
     dx += half_back
     dx_out += half_g
-    half_back = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.dsig), ws.wt, ws.wt_wt)
-    half_back *= 0.5
+    half_back = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.pre), ws.wt, ws.wt_wt)
+    half_back *= ws.half
     dz = np.subtract(avg_drive, z, out=nxt.second)
     dz -= half_back
     dz_out -= half_g
@@ -495,14 +520,15 @@ def _pair_norm(pair: np.ndarray, dots: Optional[tuple[np.ndarray, np.ndarray]] =
 
     One sample keeps the vector norm's sqrt(v . v), both halves in one
     batched matmul of the (2, 1, n) and (2, n, 1) views ``dots`` (made
-    here if None). Columns take the norm's own sum of squares along the
+    here if None), and returns a Python float, which holds the dtype's
+    value exactly. Columns take the norm's own sum of squares along the
     rows, squared in place: ``pair`` is overwritten. (Summing one
     sample's squares along its rows would add in another order.)
     """
     if pair.ndim == 2:
         rows, cols = dots or (pair[:, None, :], pair[:, :, None])
         norms = np.matmul(rows, cols)
-        return np.add.reduce(np.sqrt(norms, out=norms), axis=None)
+        return float(np.add.reduce(np.sqrt(norms, out=norms), axis=None))
     np.multiply(pair, pair, out=pair)
     norms = np.add.reduce(pair, axis=1)
     return np.add.reduce(np.sqrt(norms, out=norms), axis=0)
@@ -531,15 +557,22 @@ _FLOOR_GATE = 1e3
 _FLOOR_ULPS = 16
 
 
-def _below_floor(delta, stalled, state: np.ndarray):
-    """Which ``stalled`` columns have delta < 16 eps (|first| + |second|)
-    for the two halves of ``state``.
+def _limits(cfg: RelaxConfig, dtype: np.dtype) -> tuple[float, float]:
+    """The tolerance and the floor's gate, 1e3 tol, cast to ``dtype`` as
+    numpy casts a Python float it compares with a ``dtype`` delta (NEP 50),
+    as Python floats. One that casts to 0.0 (float32 below the smallest
+    subnormal) becomes that subnormal, so that an exact fixed point, delta
+    0.0, still stops; no representable tolerance changes."""
+    tiny = float(np.finfo(dtype).smallest_subnormal)
+    return float(dtype.type(cfg.tol)) or tiny, float(dtype.type(_FLOOR_GATE * cfg.tol)) or tiny
+
+
+def _below_floor(delta, stalled, state: np.ndarray, scale):
+    """Which ``stalled`` columns have delta < ``scale`` (|first| + |second|)
+    for the two halves of a (2, n, B) ``state``.
 
     The norms are taken only over the stalled columns of the state.
     """
-    scale = _FLOOR_ULPS * np.finfo(state.dtype).eps
-    if state.ndim == 2:
-        return stalled and delta < scale * _pair_norm(state)
     cols = np.flatnonzero(stalled)
     below = np.zeros_like(stalled)
     below[cols] = delta[cols] < scale * _pair_norm(state[:, :, cols])
@@ -581,20 +614,27 @@ def _relax(
     norms, the frozen-column copy and the floor's state norms each run
     once per step over both halves, and a step allocates no state-sized
     array. The step writes its candidate into the spare pair
-    ``ws.next``, and the two pairs swap. The per-step flags are reduced
-    by ufuncs, for (B,) columns and a 0-d sample alike.
+    ``ws.next``, and the two pairs swap. eta, the tolerance and gate
+    (``_limits``) and the floor's scale are cast to the state's dtype once
+    per call. A sample's delta is then tested as a Python float, and (B,)
+    columns by masked ufuncs.
     """
     doubled = cfg.mode is not RelaxMode.MEAN_STRESS
     columns = beta.shape[1:]
-    ws = _Workspace(params, beta.shape, beta.dtype)
+    dtype = beta.dtype
+    ws = _Workspace(params, beta.shape, dtype)
     diff = ws.diff
     dots = None if columns else (diff[:, None, :], diff[:, :, None])  # see _pair_norm
     active = np.ones(columns, dtype=bool)
     iterations = np.full(columns, cfg.k_max)
     converged = np.zeros(columns, dtype=bool)
     floored = np.zeros(columns, dtype=bool)
-    gate = _FLOOR_GATE * cfg.tol
-    previous = np.inf
+    tol, gate = _limits(cfg, dtype)
+    scale = _FLOOR_ULPS * np.finfo(dtype).eps
+    eta = dtype.type(cfg.eta)
+    if eta == 1.0 != cfg.eta:  # only rounds to 1: no MeanStress unit step
+        eta = cfg.eta
+    previous = math.inf
     frozen = None  # the mask of frozen columns, once some column froze
     every, some = np.logical_and.reduce, np.logical_or.reduce
 
@@ -602,38 +642,52 @@ def _relax(
         return (0.5 * (a + b), a - b) if doubled else (a, b)
 
     for k in range(1, cfg.k_max + 1):
-        cand = step(params, beta, loss, cfg.eta, ws)
+        cand = step(params, beta, loss, eta, ws)
         state = ws.state.both
         delta = _pair_norm(np.subtract(cand, state, out=diff), dots)
-        # The column-masked tests run only once some delta is non-finite
-        # or below the floor's gate, so a running sample pays two per step.
-        finite = np.isfinite(delta)
-        if not every(finite, axis=None) and some(active & ~finite, axis=None):
+        if columns:
+            # The masked tests run only once some delta is non-finite or
+            # below the floor's gate, so running columns pay two per step.
+            finite = np.isfinite(delta)
+            diverged = not every(finite) and some(active & ~finite)
+        else:
+            diverged = not math.isfinite(delta)
+        if diverged:
             raise NumericError("relaxation state diverged (non-finite step delta)")
         if frozen is not None:  # frozen columns keep their state
             np.copyto(cand, state, where=frozen)
         ws.state, ws.next = ws.next, ws.state
         first, second = ws.state.first, ws.state.second
         if trace is not None:
-            _record(params, trace, beta, loss, float(delta), *mean_stress(first, second))
+            _record(params, trace, beta, loss, delta, *mean_stress(first, second))
         if on_step is not None:
             on_step(k, first.copy(), second.copy())
-        near = delta < gate
-        if some(near, axis=None):
-            done = delta < cfg.tol
+        if not columns:
+            # Stop below tol, or at the floor: a stall below the gate that
+            # is within the rounding noise of the new state.
+            if delta < gate and (
+                delta < tol
+                or delta >= previous and delta < scale * _pair_norm(ws.state.both)
+            ):
+                iterations[()] = k
+                converged[()] = True
+                floored[()] = delta >= tol
+                break
+        elif some(near := delta < gate):
+            done = delta < tol
             # A frozen column's delta, a step from the same state each time,
             # stays flat: only running columns can stall.
             stalled = near & (delta >= previous) & active
-            if some(stalled, axis=None):
-                stalled = _below_floor(delta, stalled & ~done, ws.state.both)
+            if some(stalled):
+                stalled = _below_floor(delta, stalled & ~done, ws.state.both, scale)
                 floored |= stalled
                 done |= stalled
-            if some(done, axis=None):
+            if some(done):
                 newly = active & done
                 iterations[newly] = k
                 converged |= newly
                 active &= ~newly
-                if not some(active, axis=None):
+                if not some(active):
                     break
                 frozen = ~active
         previous = delta
@@ -680,14 +734,17 @@ def _relax_sample(
     trace = RelaxTrace()
     records = trace if record_steps else None
     m, s, iters, conv, floored = _relax(params, beta, loss, cfg, _STEPS[mode], records, on_step)
+    # sigma and sigma' at the final pre-activation, for the energy and delta.
+    sig, dsig = np.empty_like(m), np.empty_like(m)
+    _sigma_pair_array(params, apply_w_array(params, m) + beta, sig, dsig)
     if not record_steps:  # the last record's energy check
-        _energy_ms(params, beta, loss, m, s)
+        _energy_ms(params, beta, loss, m, s, sig)
     trace.iterations_used = int(iters)
     if floored:
         trace.status = RelaxStatus.PRECISION_FLOOR
     elif conv:
         trace.status = RelaxStatus.CONVERGED
-    return (*_equilibrium(params, x0, m, s, _delta_at(params, beta, m, s)), trace)
+    return (*_equilibrium(params, x0, m, s, dsig * s), trace)
 
 
 def relax_dyadic(

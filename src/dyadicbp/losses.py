@@ -77,16 +77,28 @@ class LossSpec:
         return float(val) if output.ndim == 1 else val
 
     def gradient(self, output: np.ndarray) -> np.ndarray:
-        """Gradient of C with respect to the output block, columnwise."""
+        """Gradient of C with respect to the output block, columnwise, in
+        the dtype of ``output - target``."""
         output = self._check_output(output)
-        if self.kind is LossKind.MSE:
-            grad = output - self.target
-        else:
-            soft = np.exp(output - np.maximum.reduce(output, axis=0))
-            grad = soft / np.add.reduce(soft, axis=0) - self.target
-        if not np.isfinite(grad).all():
+        grad = np.empty(output.shape, np.result_type(output, self.target))
+        if not np.isfinite(_gradient_into(self, output, grad)).all():
             raise NumericError("loss gradient is not finite")
         return grad
+
+
+def _gradient_into(loss: LossSpec, output: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The loss gradient at ``output`` written into ``out`` (which may be
+    ``output``), unchecked: the kernel of ``LossSpec.gradient``, for
+    callers that check shapes once and the result themselves. Cross-entropy
+    is softmax(output) - y, the max-shifted exponentials over their sum;
+    the reductions run along axis 0, their default: columnwise."""
+    if loss.kind is LossKind.MSE:
+        return np.subtract(output, loss.target, out=out)
+    np.subtract(output, np.maximum.reduce(output), out=out)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out)
+    out -= loss.target
+    return out
 
 
 def _logsumexp(output: np.ndarray):

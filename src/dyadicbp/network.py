@@ -298,13 +298,15 @@ def beta_array(params: NetworkParams, x0: np.ndarray) -> np.ndarray:
 
 def _block_plan(
     params: NetworkParams, arr: np.ndarray, out: np.ndarray, transpose: bool = False
-) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """The views that W (W^T with ``transpose``) reads of ``arr`` and writes
-    of ``out``: the rows it zeroes, and per stack of k equal-shaped W_l
-    the (stack, operand, result) of one matmul over (k, c, tail) blocks.
+    of ``out``: per stack of k equal-shaped W_l the (stack, operand,
+    result) of one matmul over (k, c, tail) blocks. The rows of ``out``
+    that W leaves empty (block 1; W^T: block L) are zeroed here.
 
     The views share memory with C-contiguous ``arr`` and ``out``, so a
-    caller that applies W between the same buffers many times builds them once.
+    caller that applies W between the same buffers many times builds them
+    once, and zeroes those rows again only if it writes them in between.
     """
     tail = arr.shape[1:] or (1,)
     mats = []
@@ -313,14 +315,13 @@ def _block_plan(
         if transpose:
             stack, lo, hi, r, c = stack.transpose(0, 2, 1), hi, lo, c, r
         mats.append((stack, arr[lo].reshape(k, c, *tail), out[hi].reshape(k, r, *tail)))
-    return out[_block_slices(params)[-1 if transpose else 0]], tuple(mats)
+    out[_block_slices(params)[-1 if transpose else 0]].fill(0)
+    return tuple(mats)
 
 
 def _run_block_plan(plan) -> None:
-    """Zero the rows W leaves empty, then one matmul per stack."""
-    zero, mats = plan
-    zero.fill(0)
-    for stack, operand, result in mats:
+    """One matmul per stack."""
+    for stack, operand, result in plan:
         np.matmul(stack, operand, out=result)
 
 
@@ -334,7 +335,8 @@ def apply_w_array(
 
     One matmul per run of equal-shaped W_l, the bits of one per block.
     Written into ``out`` when given (it must not overlap ``arr``), through
-    ``plan``, the ``_block_plan(params, arr, out)`` views, when given.
+    ``plan``, the ``_block_plan(params, arr, out)`` views, when given: then
+    block 1 of ``out`` must still hold the zeros the plan wrote.
     """
     out = np.empty_like(arr) if out is None else out
     _run_block_plan(plan or _block_plan(params, arr, out))
@@ -384,7 +386,9 @@ def _logistic(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.divide(1.0, np.add(out, 1.0, out=out), out=out)
 
 
-def _sigma_pair(activation: Activation, v: np.ndarray, sig: np.ndarray, dsig: np.ndarray) -> None:
+def _sigma_pair(
+    activation: Activation, v: np.ndarray, sig: np.ndarray, dsig: Optional[np.ndarray]
+) -> None:
     """sigma(v) into ``sig`` and sigma'(v) into ``dsig`` with one evaluation
     of the transcendental. The package's only sigma' formulas: ``derivative``
     calls this, and ``sig`` holds the floats of ``apply``. ``sig`` may be ``v``."""
@@ -401,15 +405,25 @@ def _sigma_pair(activation: Activation, v: np.ndarray, sig: np.ndarray, dsig: np
         np.maximum(v, 0, out=sig)
     else:
         np.copyto(sig, v)
-        dsig.fill(1)
+        if dsig is not None:  # None: a plan wrote the constant 1
+            dsig.fill(1)
 
 
 def _sigma_plan(
     params: NetworkParams, pre: np.ndarray, sig: np.ndarray, dsig: np.ndarray
-) -> tuple[tuple[Activation, np.ndarray, np.ndarray, np.ndarray], ...]:
+) -> tuple[tuple[Activation, np.ndarray, np.ndarray, Optional[np.ndarray]], ...]:
     """(activation, pre, sig, dsig) rows of each run of consecutive blocks
-    that share an activation."""
-    return tuple((act, pre[rows], sig[rows], dsig[rows]) for rows, act in _activation_runs(params))
+    that share an activation. The constant sigma' = 1 of Identity runs is
+    written here, and their entries hold None for dsig: a caller that
+    reuses the views keeps those rows of ``dsig`` as they are."""
+    plan = []
+    for rows, act in _activation_runs(params):
+        d = dsig[rows]
+        if act is Activation.IDENTITY:
+            d.fill(1)
+            d = None
+        plan.append((act, pre[rows], sig[rows], d))
+    return tuple(plan)
 
 
 def _sigma_pair_array(

@@ -1,6 +1,7 @@
 """Shared random-instance builders for the test suite, thin array
-entry points to the package's step and extraction kernels, and the
-full-state iterates of the 2L unit-step schedule."""
+entry points to the package's step and extraction kernels, the
+full-state iterates of the 2L unit-step schedule, and the relaxation
+loop's stopping rule as numpy ufunc tests."""
 
 import numpy as np
 
@@ -9,12 +10,14 @@ from dyadicbp import (
     GradientBundle,
     LossKind,
     LossSpec,
+    NumericError,
     RelaxConfig,
     RelaxMode,
     random_network,
     relax_mean_stress,
 )
 from dyadicbp.dynamics import (
+    _STEPS,
     _Workspace,
     _delta_at,
     _grads_from_delta,
@@ -113,3 +116,70 @@ def two_phase_states(params, x0, loss):
         params, x0, loss, cfg, on_step=lambda k, m, s: states.append((m, s)), record_steps=False
     )
     return states + states[-1:] * (steps - len(states))
+
+
+def _ufunc_pair_norm(pair):
+    """Summed L2 norms of the two halves of a (2, n) or (2, n, B) array,
+    all in numpy: a 0-d result for one sample, (B,) for columns."""
+    if pair.ndim == 2:
+        norms = np.matmul(pair[:, None, :], pair[:, :, None])
+        return np.add.reduce(np.sqrt(norms, out=norms), axis=None)
+    squares = np.add.reduce(pair * pair, axis=1)
+    return np.add.reduce(np.sqrt(squares, out=squares), axis=0)
+
+
+def ufunc_stop_relax(params, beta, loss, cfg):
+    """The relaxation loop with its stopping rule written as numpy ufunc
+    tests on a 0-d or (B,) delta, as the package once wrote it for one
+    sample and columns alike: the tolerance and the 1e3 tol gate are
+    Python floats that numpy casts to the state's dtype (NEP 50), and eta
+    a Python float. Returns the final pair of the package's own step,
+    the iterations and the converged and floored flags per column."""
+    columns = beta.shape[1:]
+    ws = _Workspace(params, beta.shape, beta.dtype)
+    step = _STEPS[cfg.mode]
+    active = np.ones(columns, dtype=bool)
+    iterations = np.full(columns, cfg.k_max)
+    converged = np.zeros(columns, dtype=bool)
+    floored = np.zeros(columns, dtype=bool)
+    gate = 1e3 * cfg.tol
+    scale = 16 * np.finfo(beta.dtype).eps
+    previous = np.inf
+    frozen = None
+    every, some = np.logical_and.reduce, np.logical_or.reduce
+    for k in range(1, cfg.k_max + 1):
+        cand = step(params, beta, loss, cfg.eta, ws)
+        state = ws.state.both
+        delta = _ufunc_pair_norm(cand - state)
+        finite = np.isfinite(delta)
+        if not every(finite, axis=None) and some(active & ~finite, axis=None):
+            raise NumericError("non-finite step delta")
+        if frozen is not None:
+            np.copyto(cand, state, where=frozen)
+        ws.state, ws.next = ws.next, ws.state
+        near = delta < gate
+        if some(near, axis=None):
+            done = delta < cfg.tol
+            stalled = near & (delta >= previous) & active & ~done
+            if some(stalled, axis=None):
+                # The state norms of the stalled columns only.
+                if columns:
+                    cols = np.flatnonzero(stalled)
+                    stalled = np.zeros_like(stalled)
+                    stalled[cols] = delta[cols] < scale * _ufunc_pair_norm(
+                        ws.state.both[:, :, cols]
+                    )
+                else:
+                    stalled = stalled & (delta < scale * _ufunc_pair_norm(ws.state.both))
+                floored |= stalled
+                done |= stalled
+            if some(done, axis=None):
+                newly = active & done
+                iterations[newly] = k
+                converged |= newly
+                active &= ~newly
+                if not some(active, axis=None):
+                    break
+                frozen = ~active
+        previous = delta
+    return ws.state.both.copy(), iterations, converged, floored

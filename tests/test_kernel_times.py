@@ -16,6 +16,7 @@ KERNELS = (
     "LossSpec.value",
     "dyadic_step",
     "dyadic_relax_step",
+    "dyadic_relax_call",
 )
 CASES = (("float32", "(n,)"), ("float64", "(n,64)"))
 

@@ -6,7 +6,11 @@ the value, dtype, shape and Python-float-vs-array type over 1-6 rows,
 (n,) and (n, B) outputs, both precisions, tied maxima, magnitudes from
 1e-3 to 1e3 and saturated logits, where softmax rounds to exact 0 and 1;
 TwoL must stay bitwise equal to backprop on a net driven into that
-saturation, and non-finite results must still raise.
+saturation, and non-finite results must still raise. The in-place
+kernel that the relaxation steps call, ``losses._gradient_into``, has
+the bits of ``LossSpec.gradient`` for both loss kinds, and a relaxation
+whose output turns non-finite still raises NumericError without the
+gradient's own check.
 """
 
 import ast
@@ -22,6 +26,7 @@ import dyadicbp.losses
 from dyadicbp import (
     Activation,
     LayerParams,
+    LayerSpec,
     LossKind,
     LossSpec,
     NetworkParams,
@@ -32,8 +37,12 @@ from dyadicbp import (
     forward_pass,
     random_network,
     relax_batch,
+    relax_dyadic,
+    relax_mean_stress,
+    relax_split,
     relax_twoL,
 )
+from dyadicbp.losses import _gradient_into
 from dyadicbp.reference import backprop_batch
 
 CE = LossKind.SOFTMAX_CROSS_ENTROPY
@@ -97,6 +106,35 @@ def test_cross_entropy_kernels_equal_scipy(case):
     assert_same(loss.value(out), scipy_value(out, target))
 
 
+def assert_kernel_matches_gradient(loss, out):
+    """``_gradient_into`` into a fresh buffer and into ``out`` itself has
+    the bits of ``loss.gradient(out)``."""
+    want = loss.gradient(out)
+    assert_same(_gradient_into(loss, out, np.empty_like(out)), want)
+    own = out.copy()
+    _gradient_into(loss, own, own)
+    assert_same(own, want)
+
+
+@given(ce_cases())
+def test_in_place_cross_entropy_kernel_has_the_gradient_bits(case):
+    out, target = case
+    assert_kernel_matches_gradient(LossSpec(CE, target), out)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.sampled_from((None, 1, 5)),
+    st.sampled_from((np.float32, np.float64)),
+)
+def test_in_place_mse_kernel_has_the_gradient_bits(seed, rows, batch, dtype):
+    rng = np.random.default_rng(seed)
+    shape = (rows,) if batch is None else (rows, batch)
+    out, target = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
+    assert_kernel_matches_gradient(LossSpec(LossKind.MSE, target), out)
+
+
 @pytest.mark.parametrize("dtype", (np.float32, np.float64))
 def test_saturated_softmax_rounds_to_exact_zero_and_one(dtype):
     sat = SATURATED[dtype]
@@ -109,6 +147,9 @@ def test_saturated_softmax_rounds_to_exact_zero_and_one(dtype):
     assert_same(grad, scipy_gradient(out, target))
     assert_same(loss.value(out), scipy_value(out, target))
     assert loss.value(out)[0] == dtype(2 * sat)
+    assert_kernel_matches_gradient(loss, out)
+    for j in range(out.shape[1]):
+        assert_kernel_matches_gradient(LossSpec(CE, target[:, j]), np.ascontiguousarray(out[:, j]))
 
 
 def _saturated_net(rng, dtype):
@@ -179,3 +220,30 @@ def test_losses_module_does_not_import_scipy():
     modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
     modules += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
     assert not [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+def _overflowing_net(dtype):
+    """Two Identity layers whose output block overflows to inf while the
+    state settles: block 1 settles to 20s, then W_2 (1e37s) lifts the
+    output to 6e38, past float32's largest value."""
+    identity = Activation.IDENTITY
+    layers = (
+        LayerParams(LayerSpec(3, identity), np.full((3, 2), 10.0, dtype), np.zeros(3, dtype)),
+        LayerParams(LayerSpec(2, identity), np.full((2, 3), 1e37, dtype), np.zeros(2, dtype)),
+    )
+    return NetworkParams(2, layers), np.ones(2, dtype)
+
+
+@pytest.mark.parametrize("kind", tuple(LossKind))
+@pytest.mark.parametrize("relax", (relax_dyadic, relax_mean_stress, relax_split))
+def test_a_relaxation_whose_output_turns_non_finite_raises_numeric_error(relax, kind):
+    params, x0 = _overflowing_net(np.float32)
+    loss = LossSpec(kind, np.array([1.0, 0.0], np.float32))
+    mode = {relax_dyadic: RelaxMode.DYADIC, relax_mean_stress: RelaxMode.MEAN_STRESS}
+    cfg = RelaxConfig(eta=1.0, k_max=50, mode=mode.get(relax, RelaxMode.SPLIT))
+    with np.errstate(all="ignore"), pytest.raises(NumericError):
+        relax(params, x0, loss, cfg, record_steps=False)
+    batch = np.ones((2, 3), np.float32)
+    loss = LossSpec(kind, np.repeat(loss.target[:, None], 3, axis=1))
+    with np.errstate(all="ignore"), pytest.raises(NumericError):
+        relax_batch(params, batch, loss, cfg)

@@ -1,6 +1,9 @@
 """The precision floor of the relaxation loop: a run whose step delta
 stalls at the rounding noise of its own state stops there, converged,
-and a run that never settles still runs out of budget."""
+and a run that never settles still runs out of budget. The stop tests
+on Python floats stop where numpy's own comparisons in the state's
+dtype stop, and a float32 tolerance below the subnormals still stops at
+an exact fixed point."""
 
 import math
 
@@ -13,6 +16,7 @@ from dyadicbp import (
     GradientMethod,
     LossKind,
     LossSpec,
+    NumericError,
     RelaxConfig,
     RelaxMode,
     RelaxStatus,
@@ -20,10 +24,13 @@ from dyadicbp import (
     random_network,
     relax_batch,
     relax_dyadic,
+    relax_mean_stress,
     relax_split,
 )
 from dyadicbp import dynamics
+from dyadicbp.network import beta_array
 from dyadicbp.training import _random_instance
+from helpers import SMOOTH_ACTS, make_chain, ufunc_stop_relax
 
 # The instances of ``sweep_eta`` on the default depth-9 float32 net with
 # seed 0 (20 trials) that ran to k_max = 1000 at eta = 1 and tol 1e-6
@@ -101,3 +108,91 @@ def test_the_floor_needs_a_delta_within_1e3_tol(shape):
     _, _, iterations, converged, floored = dynamics._relax(None, beta, None, cfg, _far_out_step)
     assert np.array_equal(iterations, np.full(columns, 3))
     assert converged.all() and floored.all()
+
+
+def test_a_float32_tolerance_below_the_subnormals_stops_at_a_fixed_point():
+    # tol = 1e-300 casts to float32 0.0, which no delta is below: the exact
+    # fixed point of the unit step (delta 0.0 after 2L + 1 updates) must
+    # still stop the run, at the same step as a representable tolerance.
+    rng = np.random.default_rng(5)
+    params = random_network(3, (4, 2), Activation.TANH, rng, dtype=np.float32)
+    x0 = rng.standard_normal(3).astype(np.float32)
+    loss = LossSpec(LossKind.MSE, rng.standard_normal(2).astype(np.float32))
+    traces = []
+    for tol in (1e-30, 1e-300):
+        cfg = RelaxConfig(eta=1.0, k_max=50, tol=tol, mode=RelaxMode.MEAN_STRESS)
+        traces.append(relax_mean_stress(params, x0, loss, cfg)[3])
+    for trace in traces:
+        assert trace.status is RelaxStatus.CONVERGED
+        assert trace.iterations_used == 2 * params.depth + 1
+        assert trace.deltas[-1] == 0.0
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_limits_keep_every_representable_tolerance(dtype):
+    dt = np.dtype(dtype)
+    for tol in (0.1, 1e-6, 1 / 3, 1e-40, 1e-45, 1e-300):
+        if dtype(tol) == 0:
+            continue
+        assert dynamics._limits(RelaxConfig(tol=tol), dt) == (
+            float(dtype(tol)),
+            float(dtype(1e3 * tol)),
+        )
+    if dtype is np.float32:  # 1e-300 casts to 0.0: both limits become the smallest subnormal
+        tiny = float(np.finfo(np.float32).smallest_subnormal)
+        assert dynamics._limits(RelaxConfig(tol=1e-300), dt) == (tiny, tiny)
+
+
+def _relax_or_none(run):
+    try:
+        return run()
+    except NumericError:
+        return None
+
+
+def _stop_cases(rng, dtype, batch):
+    """Random (params, beta, loss) with columns when ``batch``."""
+    params = make_chain(rng, depth=int(rng.integers(2, 5)), acts=SMOOTH_ACTS, dtype=dtype)
+    tail = () if batch is None else (batch,)
+    x = rng.standard_normal((params.input_dim, *tail)).astype(dtype)
+    target = rng.standard_normal((params.widths[-1], *tail)).astype(dtype)
+    return params, beta_array(params, x), LossSpec(LossKind.MSE, target)
+
+
+@pytest.mark.parametrize("batch", (None, 3), ids=("sample", "batch"))
+@pytest.mark.parametrize("mode", (RelaxMode.DYADIC, RelaxMode.MEAN_STRESS, RelaxMode.SPLIT))
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_stop_tests_stop_where_the_ufunc_tests_stop(dtype, mode, batch):
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        params, beta, loss = _stop_cases(rng, dtype, batch)
+        for eta in (0.5, 1.0):
+            for tol in (1e-2, 1e-5, 1e-9, 1e-13, 1e-40):
+                cfg = RelaxConfig(eta=eta, k_max=150, tol=tol, mode=mode)
+                step = dynamics._STEPS[mode]
+                got = _relax_or_none(lambda: dynamics._relax(params, beta, loss, cfg, step))
+                want = _relax_or_none(lambda: ufunc_stop_relax(params, beta, loss, cfg))
+                assert (got is None) == (want is None)
+                if got is None:
+                    continue
+                first, second = want[0]
+                if mode is not RelaxMode.MEAN_STRESS:
+                    first, second = 0.5 * (first + second), first - second
+                for g, w in zip(got, (first, second, *want[1:])):
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert g.tobytes() == w.tobytes(), (eta, tol)
+
+
+def test_float32_floor_stops_match_the_ufunc_tests():
+    config = ExperimentConfig(seed=0, precision=32, method=GradientMethod.DYADIC, eta=1.0)
+    cfg = config.relax_config()
+    rng = np.random.default_rng(config.seed)
+    instances = [_random_instance(config, rng) for _ in range(STALLED_TRIALS[-1] + 1)]
+    step = dynamics._STEPS[RelaxMode.DYADIC]
+    for t in STALLED_TRIALS[:4]:
+        params, x0, loss = instances[t]
+        beta = beta_array(params, x0)
+        got = dynamics._relax(params, beta, loss, cfg, step)
+        _, *want = ufunc_stop_relax(params, beta, loss, cfg)
+        assert [a.tolist() for a in got[2:]] == [a.tolist() for a in want]
+        assert bool(got[4]) is True  # the precision floor
