@@ -11,7 +11,10 @@ step of a whole Dyadic relaxation (``dyadic_relax_step``: ``_relax`` from
 zero at eta 0.5, default tolerance, divided by its step count) and one
 call of the public Dyadic relaxation at ``k_max=1`` (``dyadic_relax_call``:
 ``relax_dyadic`` for a single state, ``relax_batch`` for a batch), its
-fixed cost per call beside the cost per step, on the
+fixed cost per call beside the cost per step, one TwoL gradient
+(``twoL_call``: ``relax_twoL``, or ``relax_batch`` in TwoL mode) and one
+backprop gradient (``bp_call``: ``classical_backprop``, or
+``backprop_batch``), the ratio the benchmark's ``x_bp`` reads, on the
 reference depth-9 net (input 2, eight Tanh layers of width 32, an
 Identity output of width 2, cross-entropy loss) and on the depth-17 net
 with sixteen hidden layers. Each runs for a float32 single state (n,)
@@ -38,9 +41,11 @@ from dyadicbp import (  # noqa: E402
     LossSpec,
     RelaxConfig,
     RelaxMode,
+    classical_backprop,
     random_network,
     relax_batch,
     relax_dyadic,
+    relax_twoL,
 )
 from dyadicbp import dynamics  # noqa: E402
 from dyadicbp.network import (  # noqa: E402
@@ -49,6 +54,7 @@ from dyadicbp.network import (  # noqa: E402
     apply_wt_array,
     beta_array,
 )
+from dyadicbp.reference import backprop_batch  # noqa: E402
 
 DEPTHS = (9, 17)
 CASES = ((np.float32, None), (np.float64, 64))
@@ -77,6 +83,7 @@ def kernel_calls(depth: int, dtype, batch):
     eta = beta.dtype.type(0.5)  # as _relax passes it
     cfg = RelaxConfig(eta=0.5)
     one_step = RelaxConfig(eta=0.5, k_max=1)
+    two_l = RelaxConfig(mode=RelaxMode.TWO_L)
 
     def relax():
         return dynamics._relax(params, beta, loss, cfg, step)
@@ -85,6 +92,16 @@ def kernel_calls(depth: int, dtype, batch):
         if batch is None:
             return relax_dyadic(params, x0, loss, one_step, record_steps=False)
         return relax_batch(params, x0, loss, one_step)
+
+    def twoL_call():
+        if batch is None:
+            return relax_twoL(params, x0, loss)
+        return relax_batch(params, x0, loss, two_l)
+
+    def bp_call():
+        if batch is None:
+            return classical_backprop(params, x0, loss)
+        return backprop_batch(params, x0, loss)
 
     steps = int(np.max(relax()[2]))  # the loop runs until its last column stops
     return {
@@ -96,6 +113,8 @@ def kernel_calls(depth: int, dtype, batch):
         "dyadic_step": (lambda: step(params, beta, loss, eta, ws), 1),
         "dyadic_relax_step": (relax, steps),
         "dyadic_relax_call": (relax_call, 1),
+        "twoL_call": (twoL_call, 1),
+        "bp_call": (bp_call, 1),
     }
 
 

@@ -15,19 +15,22 @@ from zero, takes the scheme's Euler step, freezes each column once its
 increment drops below the tolerance or stalls at the rounding noise of
 its state (the precision floor), and records a trace only when asked.
 Each column reports why it stopped as a ``RelaxStatus``. TwoL runs the
-exact 2L schedule instead, as an O(L) block wavefront. All relaxation
-modes extract the gradient from the final (m, s) by the same
-outer-product rule.
+exact 2L schedule instead, as an O(L) block wavefront on per-layer
+blocks (``_twoL_wavefront``), for a sample and a batch alike: it builds
+no state-sized array and forms each layer's gradient as its delta
+arrives. All relaxation modes extract the gradient from the final
+(m, s) by the same per-layer rule (``_layer_grads``): outer products
+for one sample, their batch means for columns.
 
-The steps write into a per-call workspace (``_Workspace``) of
-state-sized buffers, allocated once per relaxation, and evaluate sigma
-and sigma' in one pass per run of consecutive layers that share an
-activation (``network._sigma_pair_array``). The relaxing pair is one
-(2, n) or (2, n, B) array, so the Euler update, the increment and its
-norms run once per step over both halves, and the block-matmul and
-activation-run views of the buffers are built once per call. A step
-allocates no state-sized array and makes no reshape or slice; its
-floats are those of the unfused per-layer step.
+The convergence-driven steps write into a per-call workspace
+(``_Workspace``) of state-sized buffers, allocated once per relaxation,
+and evaluate sigma and sigma' in one pass per run of consecutive layers
+that share an activation (``network._sigma_pair_array``). The relaxing
+pair is one (2, n) or (2, n, B) array, so the Euler update, the
+increment and its norms run once per step over both halves, and the
+block-matmul and activation-run views of the buffers are built once per
+call. A step allocates no state-sized array and makes no reshape or
+slice; its floats are those of the unfused per-layer step.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -46,6 +49,7 @@ from .losses import LossSpec, _check_target, _gradient_into
 from .network import (
     GlobalVector,
     NetworkParams,
+    _bias_like,
     _block_plan,
     _block_slices,
     _check_input,
@@ -385,55 +389,63 @@ def _delta_at(
     return sigma_prime_array(params, apply_w_array(params, m) + beta) * s
 
 
+def _layer_grads(prev: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Layer l's gradients from m_{l-1} and delta_l, the engine's one
+    gradient rule: delta m^T and delta for one sample, as
+    ``classical_backprop`` forms them, and their batch means for columns,
+    (delta @ m^T) / B and the row sums of delta over B. Those are the
+    floats of ``backprop_batch``'s ``mean(axis=1)`` at about half its
+    cost."""
+    if prev.ndim == 1:
+        return np.outer(delta, prev), delta.copy()
+    batch = prev.shape[1]
+    return (delta @ prev.T) / batch, np.add.reduce(delta, axis=1) / batch
+
+
 def _grads_from_delta(
     params: NetworkParams, x0: np.ndarray, m: np.ndarray, delta: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gradients delta_l m_{l-1}^T and delta_l, as ``classical_backprop``
-    forms them for one sample and ``backprop_batch`` (batch mean) for columns."""
-    weight_grads = []
-    bias_grads = []
-    prev = x0
-    for sl in _block_slices(params):
-        block = delta[sl]
-        if x0.ndim == 1:
-            weight_grads.append(np.outer(block, prev))
-            bias_grads.append(block.copy())
-        else:
-            weight_grads.append((block @ prev.T) / x0.shape[1])
-            bias_grads.append(block.mean(axis=1))
-        prev = m[sl]
-    return weight_grads, bias_grads
+    """Per-layer ``_layer_grads`` of the stacked (n[, B]) m and delta."""
+    slices = _block_slices(params)
+    prevs = [x0] + [m[sl] for sl in slices[:-1]]
+    grads = [_layer_grads(prev, delta[sl]) for prev, sl in zip(prevs, slices)]
+    return [w for w, _ in grads], [b for _, b in grads]
 
 
 def _twoL_wavefront(
-    params: NetworkParams, beta: np.ndarray, loss: LossSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Final (m, s, delta) of the 2L unit-step schedule, for (n,) or (n, B).
+    params: NetworkParams, x0: np.ndarray, loss: LossSpec
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The 2L unit-step schedule on (n0,) or (n0, B) ``x0``, block by block.
 
-    W is nilpotent: mean block l is final from step l, stress block l
-    from step 2L - l + 1, and no step reads any other block value. So
-    only the settling block of each step is computed: L forward block
-    steps sigma(W_l m_{l-1} + beta_l) that keep sigma' of the same
-    pre-activation, then s_L = grad C(m_L) and L - 1 backward block steps
-    s_l = W_{l+1}^T delta_{l+1}. These are backprop's floating-point
+    Yields (m_{l-1}, m_l, delta_l, s_l) of its final state for
+    l = L, ..., 1, with m_0 = x0. W is nilpotent: mean block l is final
+    from step l, stress block l from step 2L - l + 1, and no step reads
+    any other block value. So only the settling block of each step is
+    computed: L forward block steps m_l = sigma(W_l m_{l-1} + b_l) that
+    keep sigma' of the same pre-activation, then s_L = grad C(m_L) and
+    delta_l = sigma'_l s_l with L - 1 backward block steps
+    s_{l-1} = W_l^T delta_l. These are backprop's floating-point
     operations in backprop's order, so the outputs equal it bitwise.
+
+    Every array is one layer's block: the pre-activation becomes m_l in
+    place and sigma'_l becomes delta_l, and each is dropped once the
+    caller has consumed it, so no (state_size[, B]) array is built.
     """
-    slices = _block_slices(params)
-    m = np.empty_like(beta)
-    d = np.empty_like(beta)
-    for i, (sl, lp) in enumerate(zip(slices, params.layers)):
-        pre = beta[sl] if i == 0 else lp.weight @ m[slices[i - 1]] + beta[sl]
-        _sigma_pair(lp.spec.activation, pre, m[sl], d[sl])
-    s = np.empty_like(beta)
-    delta = np.empty_like(beta)
-    out_sl = params.output_slice
-    s[out_sl] = loss.gradient(m[out_sl])
-    delta[out_sl] = d[out_sl] * s[out_sl]
-    for i in range(params.depth - 2, -1, -1):
-        sl = slices[i]
-        s[sl] = params.layers[i + 1].weight.T @ delta[slices[i + 1]]
-        delta[sl] = d[sl] * s[sl]
-    return m, s, delta
+    means, dsigs = [x0], []
+    for lp in params.layers:
+        pre = lp.weight @ means[-1] + _bias_like(lp.bias, x0)
+        dsig = np.empty_like(pre)
+        _sigma_pair(lp.spec.activation, pre, pre, dsig)
+        means.append(pre)
+        dsigs.append(dsig)
+    s = loss.gradient(means[-1])
+    for i in range(params.depth - 1, -1, -1):
+        m = means.pop()
+        delta = dsigs.pop()
+        delta *= s
+        yield means[-1], m, delta, s
+        if i:
+            s = params.layers[i].weight.T @ delta
 
 
 def _euler_step(
@@ -701,21 +713,14 @@ def _require_single_sample(x0: np.ndarray) -> None:
 
 def _prepare(
     params: NetworkParams, x0: np.ndarray, loss: LossSpec, batch: bool = False
-) -> tuple[np.ndarray, LossSpec, np.ndarray]:
-    """Checked input and loss of one sample (or a column batch) and beta."""
+) -> tuple[np.ndarray, LossSpec]:
+    """Checked input and loss of one sample (or a column batch)."""
     x0 = _check_input(params, x0)
     if not batch:
         _require_single_sample(x0)
     elif x0.ndim != 2:
         raise ShapeError("relax_batch takes column-stacked samples")
-    return x0, _check_target(loss, params.dtype), beta_array(params, x0)
-
-
-def _equilibrium(
-    params: NetworkParams, x0: np.ndarray, m: np.ndarray, s: np.ndarray, delta: np.ndarray
-) -> tuple[GlobalVector, GlobalVector, GradientBundle]:
-    bundle = GradientBundle(*_grads_from_delta(params, x0, m, delta))
-    return GlobalVector(m, params.offsets), GlobalVector(s, params.offsets), bundle
+    return x0, _check_target(loss, params.dtype)
 
 
 def _relax_sample(
@@ -730,7 +735,8 @@ def _relax_sample(
 ) -> tuple[GlobalVector, GlobalVector, GradientBundle, RelaxTrace]:
     if cfg.mode is not mode:
         raise ConfigError(f"{caller} requires mode {mode.value}, got {cfg.mode.value}")
-    x0, loss, beta = _prepare(params, x0, loss)
+    x0, loss = _prepare(params, x0, loss)
+    beta = beta_array(params, x0)
     trace = RelaxTrace()
     records = trace if record_steps else None
     m, s, iters, conv, floored = _relax(params, beta, loss, cfg, _STEPS[mode], records, on_step)
@@ -744,7 +750,8 @@ def _relax_sample(
         trace.status = RelaxStatus.PRECISION_FLOOR
     elif conv:
         trace.status = RelaxStatus.CONVERGED
-    return (*_equilibrium(params, x0, m, s, dsig * s), trace)
+    bundle = GradientBundle(*_grads_from_delta(params, x0, m, dsig * s))
+    return GlobalVector(m, params.offsets), GlobalVector(s, params.offsets), bundle, trace
 
 
 def relax_dyadic(
@@ -811,12 +818,19 @@ def relax_twoL(
     at which point both maps are at their fixed point and the extracted
     gradient is classical backprop's, bit for bit. Only the settling
     block of each step is computed: L forward and L - 1 backward block
-    steps, O(L) block kernels (``_twoL_wavefront``). The full-state
-    transients of the schedule are those of ``relax_mean_stress`` at
-    eta = 1, whose ``on_step`` sees each one.
+    steps, O(L) block kernels (``_twoL_wavefront``, the same wavefront
+    as ``relax_batch``'s TwoL), whose per-layer blocks are concatenated
+    into the returned m and s. The full-state transients of the schedule
+    are those of ``relax_mean_stress`` at eta = 1, whose ``on_step`` sees
+    each one.
     """
-    x0, loss, beta = _prepare(params, x0, loss)
-    return _equilibrium(params, x0, *_twoL_wavefront(params, beta, loss))
+    x0, loss = _prepare(params, x0, loss)
+    layers = list(_twoL_wavefront(params, x0, loss))[::-1]
+    grads = [_layer_grads(prev, d) for prev, _, d, _ in layers]
+    bundle = GradientBundle(tuple(w for w, _ in grads), tuple(b for _, b in grads))
+    m = np.concatenate([m for _, m, _, _ in layers])
+    s = np.concatenate([s for _, _, _, s in layers])
+    return GlobalVector(m, params.offsets), GlobalVector(s, params.offsets), bundle
 
 
 def relax_split(
@@ -900,19 +914,20 @@ def relax_batch(
     bit-reproducible. A column that is not converged ran out of budget.
 
     TwoL runs the O(L) block wavefront of ``_twoL_wavefront``, bitwise
-    equal to ``backprop_batch``, and reports 2L iterations per column.
+    equal to ``backprop_batch``, and reports 2L iterations per column. It
+    forms each layer's gradients as that layer's delta arrives and builds
+    no state-sized array: no beta, no stacked m, s or delta.
 
     Returns (weight_grads, bias_grads, iterations, converged) where the
     gradients are the mean over the batch.
     """
-    x0, loss, beta = _prepare(params, x0, loss, batch=True)
+    x0, loss = _prepare(params, x0, loss, batch=True)
     if cfg.mode is RelaxMode.TWO_L:
-        m, _, delta = _twoL_wavefront(params, beta, loss)
         batch = x0.shape[1]
-        iterations = np.full(batch, 2 * params.depth)
-        converged = np.ones(batch, dtype=bool)
-    else:
-        m, s, iterations, converged, _ = _relax(params, beta, loss, cfg, _STEPS[cfg.mode])
-        delta = _delta_at(params, beta, m, s)
-    weight_grads, bias_grads = _grads_from_delta(params, x0, m, delta)
+        grads = [_layer_grads(prev, d) for prev, _, d, _ in _twoL_wavefront(params, x0, loss)]
+        weight_grads, bias_grads = [w for w, _ in grads[::-1]], [b for _, b in grads[::-1]]
+        return weight_grads, bias_grads, np.full(batch, 2 * params.depth), np.ones(batch, bool)
+    beta = beta_array(params, x0)
+    m, s, iterations, converged, _ = _relax(params, beta, loss, cfg, _STEPS[cfg.mode])
+    weight_grads, bias_grads = _grads_from_delta(params, x0, m, _delta_at(params, beta, m, s))
     return weight_grads, bias_grads, iterations, converged

@@ -17,6 +17,8 @@ KERNELS = (
     "dyadic_step",
     "dyadic_relax_step",
     "dyadic_relax_call",
+    "twoL_call",
+    "bp_call",
 )
 CASES = (("float32", "(n,)"), ("float64", "(n,64)"))
 

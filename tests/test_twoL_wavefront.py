@@ -6,8 +6,12 @@ pre-activations included), both losses, both precisions, depths 1-7
 and batches 1-8. The full-state two-phase sweep, the unit-step
 MeanStress run of ``helpers.two_phase_states``, ends at the same state
 and meets the paper's settle steps: mean block l is final from step l,
-stress block l from step 2L - l + 1.
+stress block l from step 2L - l + 1. At the depth-17 training
+benchmark's shapes the batch wavefront also equals backprop bitwise,
+and peaks at no more traced memory than ``backprop_batch``.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,3 +177,59 @@ def test_integer_input_is_cast_to_parameter_dtype():
     _, _, bundle = relax_twoL(params, x_int, loss)
     ref, _ = classical_backprop(params, x_int.astype(np.float32), loss)
     _assert_bundle_equal(bundle, ref)
+
+
+def _benchmark_instance(dtype, batch):
+    """The shapes of the depth-17 training benchmark: input 2, sixteen
+    Tanh layers of width 32, an Identity output of width 2, one-hot
+    cross-entropy targets."""
+    rng = np.random.default_rng(17)
+    acts = [Activation.TANH] * 16 + [Activation.IDENTITY]
+    params = random_network(2, (32,) * 16 + (2,), acts, rng, dtype=dtype)
+    x = rng.standard_normal((2, batch)).astype(dtype)
+    target = np.zeros((2, batch), dtype=dtype)
+    target[rng.integers(2, size=batch), np.arange(batch)] = 1.0
+    return params, x, LossSpec(LossKind.SOFTMAX_CROSS_ENTROPY, target)
+
+
+@pytest.mark.parametrize("batch", (64, 32), ids=("full", "short_last"))
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_twoL_equals_backprop_at_the_benchmark_shapes(dtype, batch):
+    # The hypothesis draws stay at depth <= 7, widths <= 8 and batches
+    # <= 8; the training benchmark runs (32, 32) blocks on 64 and 32
+    # columns, other gemm shapes.
+    params, x, loss = _benchmark_instance(dtype, batch)
+    ws, bs, iters, conv = relax_batch(params, x, loss, RelaxConfig(mode=RelaxMode.TWO_L))
+    ref_w, ref_b = backprop_batch(params, x, loss)
+    assert np.all(iters == 34) and conv.all()
+    for got, want in zip(ws + bs, ref_w + ref_b):
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    for j in (0, batch - 1):
+        ref, sens = classical_backprop(params, x[:, j], _column_loss(loss, j))
+        _, s, bundle = relax_twoL(params, x[:, j], _column_loss(loss, j))
+        assert s.data.tobytes() == sens.data.tobytes()
+        _assert_bundle_equal(bundle, ref)
+
+
+def _peak_traced_bytes(call):
+    """The peak traced memory of one ``call()`` after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_twoL_batch_peaks_no_higher_than_backprop_batch():
+    # numpy traces its data buffers. A (state_size, 64) float64 array of
+    # this net is 263 KB. The wavefront keeps per-layer blocks, as
+    # backprop does (m_l and sigma'_l, dropped as the backward pass
+    # consumes them), and builds no such array.
+    params, x, loss = _benchmark_instance(np.float64, 64)
+    cfg = RelaxConfig(mode=RelaxMode.TWO_L)
+    twoL = _peak_traced_bytes(lambda: relax_batch(params, x, loss, cfg))
+    bp = _peak_traced_bytes(lambda: backprop_batch(params, x, loss))
+    assert twoL <= bp
