@@ -40,7 +40,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -389,27 +389,34 @@ def _delta_at(
     return sigma_prime_array(params, apply_w_array(params, m) + beta) * s
 
 
-def _layer_grads(prev: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Layer l's gradients from m_{l-1} and delta_l, the engine's one
-    gradient rule: delta m^T and delta for one sample, as
-    ``classical_backprop`` forms them, and their batch means for columns,
-    (delta @ m^T) / B and the row sums of delta over B. Those are the
-    floats of ``backprop_batch``'s ``mean(axis=1)`` at about half its
-    cost."""
-    if prev.ndim == 1:
-        return np.outer(delta, prev), delta.copy()
-    batch = prev.shape[1]
-    return (delta @ prev.T) / batch, np.add.reduce(delta, axis=1) / batch
+def _layer_grads(
+    pairs: Iterable[tuple[np.ndarray, np.ndarray]],
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(weight_grads, bias_grads), in the order of the (m_{l-1}, delta_l)
+    ``pairs``, by the engine's one gradient rule: delta m^T and delta for
+    one sample, as ``classical_backprop`` forms them, and their batch
+    means for columns, (delta @ m^T) / B and the row sums of delta over
+    B. Those are the floats of ``backprop_batch``'s ``mean(axis=1)`` at
+    about half its cost. Each pair is consumed as it arrives."""
+    weight_grads, bias_grads = [], []
+    for prev, delta in pairs:
+        if prev.ndim == 1:
+            weight_grads.append(np.outer(delta, prev))
+            bias_grads.append(delta.copy())
+        else:
+            batch = prev.shape[1]
+            weight_grads.append((delta @ prev.T) / batch)
+            bias_grads.append(np.add.reduce(delta, axis=1) / batch)
+    return weight_grads, bias_grads
 
 
 def _grads_from_delta(
     params: NetworkParams, x0: np.ndarray, m: np.ndarray, delta: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer ``_layer_grads`` of the stacked (n[, B]) m and delta."""
+    """``_layer_grads`` of the stacked (n[, B]) m and delta."""
     slices = _block_slices(params)
     prevs = [x0] + [m[sl] for sl in slices[:-1]]
-    grads = [_layer_grads(prev, delta[sl]) for prev, sl in zip(prevs, slices)]
-    return [w for w, _ in grads], [b for _, b in grads]
+    return _layer_grads(zip(prevs, (delta[sl] for sl in slices)))
 
 
 def _twoL_wavefront(
@@ -826,8 +833,7 @@ def relax_twoL(
     """
     x0, loss = _prepare(params, x0, loss)
     layers = list(_twoL_wavefront(params, x0, loss))[::-1]
-    grads = [_layer_grads(prev, d) for prev, _, d, _ in layers]
-    bundle = GradientBundle(tuple(w for w, _ in grads), tuple(b for _, b in grads))
+    bundle = GradientBundle(*_layer_grads((prev, d) for prev, _, d, _ in layers))
     m = np.concatenate([m for _, m, _, _ in layers])
     s = np.concatenate([s for _, _, _, s in layers])
     return GlobalVector(m, params.offsets), GlobalVector(s, params.offsets), bundle
@@ -924,9 +930,11 @@ def relax_batch(
     x0, loss = _prepare(params, x0, loss, batch=True)
     if cfg.mode is RelaxMode.TWO_L:
         batch = x0.shape[1]
-        grads = [_layer_grads(prev, d) for prev, _, d, _ in _twoL_wavefront(params, x0, loss)]
-        weight_grads, bias_grads = [w for w, _ in grads[::-1]], [b for _, b in grads[::-1]]
-        return weight_grads, bias_grads, np.full(batch, 2 * params.depth), np.ones(batch, bool)
+        weight_grads, bias_grads = _layer_grads(
+            (prev, d) for prev, _, d, _ in _twoL_wavefront(params, x0, loss)
+        )
+        iterations = np.full(batch, 2 * params.depth)
+        return weight_grads[::-1], bias_grads[::-1], iterations, np.ones(batch, bool)
     beta = beta_array(params, x0)
     m, s, iterations, converged, _ = _relax(params, beta, loss, cfg, _STEPS[cfg.mode])
     weight_grads, bias_grads = _grads_from_delta(params, x0, m, _delta_at(params, beta, m, s))
