@@ -21,7 +21,6 @@ import numpy as np
 
 from dyadicbp import (
     Activation,
-    DyadState,
     LossKind,
     LossSpec,
     RelaxConfig,
@@ -53,7 +52,7 @@ identical = all(
     np.array_equal(a, b) for a, b in zip(bundle.weight_grads, ref.weight_grads)
 ) and all(np.array_equal(a, b) for a, b in zip(bundle.bias_grads, ref.bias_grads))
 print("gradients bitwise identical to backprop:", identical)
-same_stress = np.array_equal(s.data, sens.data)
+same_stress = np.array_equal(s, sens)
 print("stress equals the stacked sensitivities bitwise:", same_stress)
 if not (identical and same_stress):
     sys.exit("TwoL is not bitwise equal to classical backprop")
@@ -67,10 +66,10 @@ print("\n  k | step delta | energy")
 for k in (1, 2, L, 2 * L - 1, 2 * L, trace.iterations_used):
     print(f" {k:2d} | {trace.deltas[k - 1]:10.3e} | {trace.energies[k - 1]:+.6f}")
 
-x = params.global_vector(m.data + 0.5 * s.data)
-z = params.global_vector(m.data - 0.5 * s.data)
-e = energy(params, x0, loss, DyadState(x, z))
-c = loss.value(m.data[params.output_slice])
+# The relaxations return the mean and stress as plain (n,) arrays; the
+# energy takes the doubled state x = m + s/2, z = m - s/2.
+e = energy(params, x0, loss, m + 0.5 * s, m - 0.5 * s)
+c = loss.value(m[params.output_slice])
 print(f"\nenergy at equilibrium  : {e:.12f}")
 print(f"task loss at the mean  : {c:.12f}")
 print(f"difference             : {abs(e - c):.3e}")

@@ -15,7 +15,6 @@ and a training harness with a CLI front end.
 
 from .datasets import DatasetKind, DatasetSpec, generate_dataset, write_dataset_csv
 from .dynamics import (
-    DyadState,
     RelaxConfig,
     RelaxMode,
     RelaxStatus,
@@ -34,7 +33,6 @@ from .fidelity import FidelityReport, compare, log_misalignment
 from .losses import LossKind, LossSpec
 from .network import (
     Activation,
-    GlobalVector,
     LayerParams,
     LayerSpec,
     NetworkParams,
@@ -67,10 +65,8 @@ __all__ = [
     "ConvergenceError",
     "DatasetKind",
     "DatasetSpec",
-    "DyadState",
     "ExperimentConfig",
     "FidelityReport",
-    "GlobalVector",
     "GradientBundle",
     "GradientMethod",
     "LayerParams",

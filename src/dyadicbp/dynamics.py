@@ -1,7 +1,7 @@
 """Doubled-state saddle dynamics: the energy and the relaxations, which
 return the gradient they extract from their equilibrium.
 
-The doubled state is the pair (x, z) of stacked global vectors; the
+The doubled state is the pair (x, z) of stacked (n,) arrays; the
 derived coordinates are the mean m = (x + z) / 2, which relaxes to the
 forward activations, and the stress s = x - z, which relaxes to the
 stacked loss sensitivities. Forward Euler with unit step turns the flow
@@ -47,13 +47,13 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError, enum_from_name
 from .losses import LossSpec, _check_target, _gradient_into
 from .network import (
-    GlobalVector,
     NetworkParams,
     _bias_like,
     _block_plan,
     _block_slices,
     _check_input,
-    _conform,
+    _check_sample,
+    _check_state,
     _sigma_pair,
     _sigma_pair_array,
     _sigma_plan,
@@ -70,7 +70,6 @@ __all__ = [
     "RelaxMode",
     "RelaxConfig",
     "RelaxStatus",
-    "DyadState",
     "RelaxTrace",
     "StabilityReport",
     "energy",
@@ -117,26 +116,6 @@ class RelaxConfig:
             raise ConfigError("k_max must be at least 1")
         if not 0 < self.tol < np.inf:
             raise ConfigError("tolerance must be positive and finite")
-
-
-@dataclass(frozen=True, eq=False)
-class DyadState:
-    """The conjugate pair (x, z); mean and stress are derived views."""
-
-    x: GlobalVector
-    z: GlobalVector
-
-    def __post_init__(self) -> None:
-        if self.x.offsets != self.z.offsets:
-            raise ShapeError("x and z must share the same block layout")
-
-    @property
-    def mean(self) -> GlobalVector:
-        return GlobalVector(0.5 * (self.x.data + self.z.data), self.x.offsets)
-
-    @property
-    def stress(self) -> GlobalVector:
-        return GlobalVector(self.x.data - self.z.data, self.x.offsets)
 
 
 class RelaxStatus(enum.Enum):
@@ -323,17 +302,18 @@ def _energy_ms(
     return float(value) if m.ndim == 1 else value
 
 
-def energy(params: NetworkParams, x0: np.ndarray, loss: LossSpec, state: DyadState) -> float:
-    """Saddle energy E(x, z) of a dyad.
+def energy(
+    params: NetworkParams, x0: np.ndarray, loss: LossSpec, x: np.ndarray, z: np.ndarray
+) -> float:
+    """Saddle energy E(x, z) of the doubled state, two (n,) arrays.
 
     E couples the stress to the forward residual of the mean and adds
     the task loss at the mean's output block, so at any point with
     x = z (zero stress) the energy is exactly the task loss.
     """
-    x0 = _check_input(params, x0)
+    x0 = _check_sample(params, x0)
     loss = _check_target(loss, params.dtype)
-    x = _conform(params, state.x)
-    z = _conform(params, state.z)
+    x, z = _check_state(params, x), _check_state(params, z)
     beta = beta_array(params, x0)
     return _energy_ms(params, beta, loss, 0.5 * (x + z), x - z)
 
@@ -713,19 +693,12 @@ def _relax(
     return (*mean_stress(ws.state.first, ws.state.second), iterations, converged, floored)
 
 
-def _require_single_sample(x0: np.ndarray) -> None:
-    if x0.ndim != 1:
-        raise ShapeError("relaxations take a single input vector; batch via training")
-
-
 def _prepare(
     params: NetworkParams, x0: np.ndarray, loss: LossSpec, batch: bool = False
 ) -> tuple[np.ndarray, LossSpec]:
     """Checked input and loss of one sample (or a column batch)."""
-    x0 = _check_input(params, x0)
-    if not batch:
-        _require_single_sample(x0)
-    elif x0.ndim != 2:
+    x0 = _check_input(params, x0) if batch else _check_sample(params, x0)
+    if batch and x0.ndim != 2:
         raise ShapeError("relax_batch takes column-stacked samples")
     return x0, _check_target(loss, params.dtype)
 
@@ -739,7 +712,7 @@ def _relax_sample(
     mode: RelaxMode,
     caller: str,
     record_steps: bool,
-) -> tuple[GlobalVector, GlobalVector, GradientBundle, RelaxTrace]:
+) -> tuple[np.ndarray, np.ndarray, GradientBundle, RelaxTrace]:
     if cfg.mode is not mode:
         raise ConfigError(f"{caller} requires mode {mode.value}, got {cfg.mode.value}")
     x0, loss = _prepare(params, x0, loss)
@@ -758,7 +731,7 @@ def _relax_sample(
     elif conv:
         trace.status = RelaxStatus.CONVERGED
     bundle = GradientBundle(*_grads_from_delta(params, x0, m, dsig * s))
-    return GlobalVector(m, params.offsets), GlobalVector(s, params.offsets), bundle, trace
+    return m, s, bundle, trace
 
 
 def relax_dyadic(
@@ -769,7 +742,7 @@ def relax_dyadic(
     on_step: Optional[StepCallback] = None,
     *,
     record_steps: bool = True,
-) -> tuple[GlobalVector, GlobalVector, GradientBundle, RelaxTrace]:
+) -> tuple[np.ndarray, np.ndarray, GradientBundle, RelaxTrace]:
     """Relax the doubled state (x, z) by forward Euler on the saddle flow.
 
     Starts from x = z = 0, steps both states with step size eta, and
@@ -799,7 +772,7 @@ def relax_mean_stress(
     on_step: Optional[StepCallback] = None,
     *,
     record_steps: bool = True,
-) -> tuple[GlobalVector, GlobalVector, GradientBundle, RelaxTrace]:
+) -> tuple[np.ndarray, np.ndarray, GradientBundle, RelaxTrace]:
     """Relax in mean/stress coordinates by forward Euler.
 
     At eta = 1 the update is applied in its cancelled form (see
@@ -817,7 +790,7 @@ def relax_mean_stress(
 
 def relax_twoL(
     params: NetworkParams, x0: np.ndarray, loss: LossSpec
-) -> tuple[GlobalVector, GlobalVector, GradientBundle]:
+) -> tuple[np.ndarray, np.ndarray, GradientBundle]:
     """Run the 2L unit-step schedule of the discrete two-phase maps.
 
     m settles to the forward activations within the first L steps; the
@@ -836,7 +809,7 @@ def relax_twoL(
     bundle = GradientBundle(*_layer_grads((prev, d) for prev, _, d, _ in layers))
     m = np.concatenate([m for _, m, _, _ in layers])
     s = np.concatenate([s for _, _, _, s in layers])
-    return GlobalVector(m, params.offsets), GlobalVector(s, params.offsets), bundle
+    return m, s, bundle
 
 
 def relax_split(
@@ -847,7 +820,7 @@ def relax_split(
     on_step: Optional[StepCallback] = None,
     *,
     record_steps: bool = True,
-) -> tuple[GlobalVector, GlobalVector, GradientBundle, RelaxTrace]:
+) -> tuple[np.ndarray, np.ndarray, GradientBundle, RelaxTrace]:
     """Relax the decoupled split scheme: per-state drives and Jacobians.
 
     Each state keeps its own activation drive and derivative diagonal,
@@ -883,9 +856,7 @@ def stability_check(
     exactly 0.0 whatever D(m) is: this checks the block structure of W,
     not the transient before step L.
     """
-    x0 = _check_input(params, x0)
-    _require_single_sample(x0)
-    pres, _ = forward_layers(params, x0)
+    pres, _ = forward_layers(params, _check_sample(params, x0))
     d = sigma_prime_array(params, np.concatenate(pres, axis=0))
     rng = np.random.default_rng(seed)
     max_fwd = 0.0

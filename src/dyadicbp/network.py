@@ -2,16 +2,21 @@
 
 A depth-L chain network with layer widths n_1..n_L acts on stacked
 "global" vectors in R^n, n = n_1 + ... + n_L, holding one contiguous
-block per layer. The global weight operator W carries W_l on the
-subdiagonal block (l, l-1) and is strictly lower block-triangular, so
-W^L = 0 (and likewise for its transpose). W is never materialized as a
-dense matrix; ``apply_w_array`` and ``apply_wt_array`` apply W and
-W^T, one stacked matmul per run of equal-shaped blocks.
+block per layer at ``params.offsets``. The global weight operator W
+carries W_l on the subdiagonal block (l, l-1) and is strictly lower
+block-triangular, so W^L = 0 (and likewise for its transpose). W is
+never materialized as a dense matrix; ``apply_w_array`` and
+``apply_wt_array`` apply W and W^T, one stacked matmul per run of
+equal-shaped blocks.
 
-The private ``*_array`` helpers operate on raw ndarrays of shape (n,)
-for a single state or (n, B) for B independent states stacked as
-columns; every public operation wraps them behind the
-:class:`GlobalVector` interface.
+A stacked state has one type everywhere: a plain ndarray of shape (n,)
+for one sample, or (n, B) for B samples stacked as columns inside the
+engine. The private ``*_array`` kernels take them unchecked. Every
+public operation checks its arguments first, one check per kind of
+array: an input (``_check_input``, ``_check_sample`` for one sample) or
+a state (``_check_state``). Both cast integers to the parameters' dtype
+and reject another float width (``ShapeError``) and non-finite entries
+(``NumericError``).
 
 Each activation formula is written once, in numpy: sigma in
 :meth:`Activation.apply`, sigma' in :func:`_sigma_pair` (together with
@@ -34,7 +39,6 @@ __all__ = [
     "LayerSpec",
     "LayerParams",
     "NetworkParams",
-    "GlobalVector",
     "random_network",
     "forward_pass",
     "beta_drive",
@@ -198,80 +202,46 @@ class NetworkParams:
             ),
         )
 
-    def global_vector(self, data: np.ndarray) -> "GlobalVector":
-        data = np.asarray(data)
-        if data.shape != (self.state_size,):
-            raise ShapeError(
-                f"global vector has shape {data.shape}, expected ({self.state_size},)"
-            )
-        return GlobalVector(data, self.offsets)
 
-    def zeros_global(self) -> "GlobalVector":
-        return GlobalVector(np.zeros(self.state_size, dtype=self.dtype), self.offsets)
-
-
-@dataclass(frozen=True, eq=False)
-class GlobalVector:
-    """A stacked state in R^n with per-layer block indexing (1-based)."""
-
-    data: np.ndarray
-    offsets: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "offsets", tuple(int(o) for o in self.offsets))
-        if data.ndim != 1:
-            raise ShapeError("GlobalVector data must be one-dimensional")
-        if self.offsets[0] != 0 or any(
-            a >= b for a, b in zip(self.offsets, self.offsets[1:])
-        ):
-            raise ShapeError("block offsets must start at 0 and strictly increase")
-        if data.shape[0] != self.offsets[-1]:
-            raise ShapeError(
-                f"data length {data.shape[0]} does not match offsets end {self.offsets[-1]}"
-            )
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.offsets) - 1
-
-    def block(self, layer: int) -> np.ndarray:
-        """View of the entries of layer ``layer`` (1-based)."""
-        if not 1 <= layer <= self.n_layers:
-            raise ShapeError(f"layer index {layer} outside 1..{self.n_layers}")
-        return self.data[self.offsets[layer - 1] : self.offsets[layer]]
-
-    def copy(self) -> "GlobalVector":
-        return GlobalVector(self.data.copy(), self.offsets)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+def _checked_values(params: NetworkParams, arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` in the parameters' dtype, all finite: integers and bools are
+    cast, another float width (it would change the results' dtype) raises."""
+    if arr.dtype != params.dtype:
+        if arr.dtype.kind not in "biu":
+            raise ShapeError(f"{what} dtype {arr.dtype} does not match parameters' {params.dtype}")
+        arr = arr.astype(params.dtype)
+    if not np.isfinite(arr).all():
+        raise NumericError(f"{what} contains non-finite entries")
+    return arr
 
 
 def _check_input(params: NetworkParams, x0: np.ndarray) -> np.ndarray:
+    """One input (n0,) or a column batch (n0, B)."""
     x0 = np.asarray(x0)
     if x0.ndim not in (1, 2) or x0.shape[0] != params.input_dim:
         raise ShapeError(
             f"input has shape {x0.shape}, expected ({params.input_dim},) or "
             f"({params.input_dim}, B)"
         )
-    if x0.dtype != params.dtype:
-        # Any other float width would silently change the results' dtype.
-        if x0.dtype.kind not in "biu":
-            raise ShapeError(f"input dtype {x0.dtype} does not match parameters' {params.dtype}")
-        x0 = x0.astype(params.dtype)
-    if not np.isfinite(x0).all():
-        raise NumericError("network input contains non-finite entries")
+    return _checked_values(params, x0, "network input")
+
+
+def _check_sample(params: NetworkParams, x0: np.ndarray) -> np.ndarray:
+    """One input (n0,): a single sample; batches go through training."""
+    x0 = _check_input(params, x0)
+    if x0.ndim != 1:
+        raise ShapeError(
+            f"input has shape {x0.shape}, expected a single sample ({params.input_dim},)"
+        )
     return x0
 
 
-def _conform(params: NetworkParams, v: GlobalVector) -> np.ndarray:
-    if v.offsets != params.offsets:
-        raise ShapeError(
-            f"global vector blocks {v.offsets} do not match network blocks {params.offsets}"
-        )
-    return v.data
+def _check_state(params: NetworkParams, v: np.ndarray) -> np.ndarray:
+    """One stacked state (n,), laid out in the blocks of ``params``."""
+    v = np.asarray(v)
+    if v.shape != (params.state_size,):
+        raise ShapeError(f"state has shape {v.shape}, expected ({params.state_size},)")
+    return _checked_values(params, v, "state")
 
 
 def _block_slices(params: NetworkParams) -> tuple[slice, ...]:
@@ -454,7 +424,7 @@ def forward_layers(
 
 def forward_pass(
     params: NetworkParams, x0: np.ndarray
-) -> tuple[list[np.ndarray], GlobalVector]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """Run the network forward.
 
     Args:
@@ -463,35 +433,31 @@ def forward_pass(
 
     Returns:
         The per-layer activations ``[a_1, ..., a_L]`` and their stacked
-        concatenation as a :class:`GlobalVector`.
+        concatenation, an (n,) array.
     """
-    x0 = _check_input(params, x0)
-    _, acts = forward_layers(params, x0)
-    stacked = np.concatenate(acts, axis=0)
-    return acts, GlobalVector(stacked, params.offsets)
+    _, acts = forward_layers(params, _check_sample(params, x0))
+    return acts, np.concatenate(acts, axis=0)
 
 
-def beta_drive(params: NetworkParams, x0: np.ndarray) -> GlobalVector:
+def beta_drive(params: NetworkParams, x0: np.ndarray) -> np.ndarray:
     """Stack the constant input-and-bias drive beta(x_0)."""
-    x0 = _check_input(params, x0)
-    return GlobalVector(beta_array(params, x0), params.offsets)
+    return beta_array(params, _check_sample(params, x0))
 
 
-def apply_global_W(params: NetworkParams, v: GlobalVector) -> GlobalVector:
+def apply_global_W(params: NetworkParams, v: np.ndarray) -> np.ndarray:
     """Apply the strictly lower block-triangular global weight operator."""
-    arr = _conform(params, v)
-    return GlobalVector(apply_w_array(params, arr), params.offsets)
+    return apply_w_array(params, _check_state(params, v))
 
 
-def forward_field(params: NetworkParams, x0: np.ndarray, a: GlobalVector) -> GlobalVector:
+def forward_field(params: NetworkParams, x0: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Forward vector field F(a) = sigma(W a + beta(x_0)) - a.
 
     Its unique fixed point is the stacked forward pass.
     """
-    x0 = _check_input(params, x0)
-    arr = _conform(params, a)
-    pre = apply_w_array(params, arr) + beta_array(params, x0)
-    return GlobalVector(sigma_array(params, pre) - arr, params.offsets)
+    x0 = _check_sample(params, x0)
+    a = _check_state(params, a)
+    pre = apply_w_array(params, a) + beta_array(params, x0)
+    return sigma_array(params, pre) - a
 
 
 def random_network(

@@ -20,9 +20,9 @@ import numpy as np
 from .errors import NumericError, ShapeError
 from .losses import LossSpec, _check_target
 from .network import (
-    GlobalVector,
     NetworkParams,
     _check_input,
+    _check_sample,
     apply_wt_array,
     forward_layers,
     sigma_prime_array,
@@ -66,14 +66,12 @@ class GradientBundle:
         """Full flattened concatenation, layer by layer."""
         return np.concatenate([self.layer_flat(i) for i in range(self.depth)])
 
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.flat()))
-
 
 def _backprop(
-    params: NetworkParams, x0: np.ndarray, loss: LossSpec
+    params: NetworkParams, x0: np.ndarray, loss: LossSpec, check_input=_check_input
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The backprop recursion on one sample (n0,) or a column batch (n0, B).
+    """The backprop recursion on one sample (n0,) or a column batch (n0, B),
+    whose input passes ``check_input`` (``_check_sample``: one sample only).
 
     Yields (a_{l-1}, delta_l, sens_l) for l = L, ..., 1, where
     sens_L = grad C, sens_l = W_{l+1}^T delta_{l+1} and
@@ -82,7 +80,7 @@ def _backprop(
     deltas and sensitivities of a 64-column batch grew the training
     loop's heap and slowed the relaxation calls between backprops.
     """
-    x0 = _check_input(params, x0)
+    x0 = check_input(params, x0)
     loss = _check_target(loss, params.dtype)
     pres, acts = forward_layers(params, x0)
     prev = [x0] + acts[:-1]
@@ -96,7 +94,7 @@ def _backprop(
 
 def classical_backprop(
     params: NetworkParams, x0: np.ndarray, loss: LossSpec
-) -> tuple[GradientBundle, GlobalVector]:
+) -> tuple[GradientBundle, np.ndarray]:
     """Classical backpropagation.
 
     Runs the layer recursion delta_L = grad C . sigma'_L(z_L),
@@ -104,16 +102,16 @@ def classical_backprop(
     outer-product gradients dC/dW_l = delta_l a_{l-1}^T, dC/db_l = delta_l.
 
     Returns:
-        The gradient bundle and the stacked activation sensitivities
+        The gradient bundle and the stacked (n,) activation sensitivities
         dC/da_l (block l is W_{l+1}^T delta_{l+1} for l < L and the loss
         gradient at l = L), the quantity the stress variable of the
         doubled dynamics converges to.
     """
-    layers = list(_backprop(params, x0, loss))[::-1]
+    layers = list(_backprop(params, x0, loss, _check_sample))[::-1]
     bundle = GradientBundle(
         tuple(np.outer(d, a) for a, d, _ in layers), tuple(d.copy() for _, d, _ in layers)
     )
-    return bundle, GlobalVector(np.concatenate([s for _, _, s in layers]), params.offsets)
+    return bundle, np.concatenate([s for _, _, s in layers])
 
 
 def finite_difference_grad(
@@ -127,7 +125,7 @@ def finite_difference_grad(
     """
     if not h > 0:
         raise ValueError("finite-difference step h must be positive")
-    x0 = _check_input(params, x0)
+    x0 = _check_sample(params, x0)
     weights = [lp.weight.astype(np.float64).copy() for lp in params.layers]
     biases = [lp.bias.astype(np.float64).copy() for lp in params.layers]
     specs = [lp.spec for lp in params.layers]
@@ -163,7 +161,7 @@ def finite_difference_grad(
 
 def neumann_stress(
     params: NetworkParams, x0: np.ndarray, loss: LossSpec
-) -> GlobalVector:
+) -> np.ndarray:
     """Closed-form equilibrium stress via the finite Neumann series.
 
     Because W^T D is nilpotent of index L, the fixed point of
@@ -171,7 +169,7 @@ def neumann_stress(
     s = sum_{k=0}^{L-1} (W^T D)^k g, with D evaluated at the forward
     fixed point and g the loss gradient embedded in the output block.
     """
-    x0 = _check_input(params, x0)
+    x0 = _check_sample(params, x0)
     loss = _check_target(loss, params.dtype)
     pres, acts = forward_layers(params, x0)
     dbar = sigma_prime_array(params, np.concatenate(pres, axis=0))
@@ -183,7 +181,7 @@ def neumann_stress(
     for _ in range(params.depth - 1):
         term = apply_wt_array(params, dbar * term)
         s += term
-    return GlobalVector(s, params.offsets)
+    return s
 
 
 def backprop_batch(

@@ -1,6 +1,8 @@
 """The four demos and the README's library quickstart run to completion
-as scripts; demos 02 and 04 exit nonzero if TwoL is not bitwise equal to
-classical backprop (its gradients, and its trained parameters)."""
+as scripts. Demo 01 exits nonzero if W^L v is not exactly zero or the
+settled mean is not bitwise the forward stack; demos 02 and 04 exit
+nonzero if TwoL is not bitwise equal to classical backprop (its
+gradients, and its trained parameters)."""
 
 import os
 import subprocess

@@ -20,7 +20,6 @@ from helpers import (
 from dyadicbp import (
     Activation,
     ConfigError,
-    DyadState,
     GradientBundle,
     LayerParams,
     LayerSpec,
@@ -45,10 +44,6 @@ from dyadicbp import (
 from dyadicbp.reference import backprop_batch
 
 
-def _dyad(params, x, z):
-    return DyadState(params.global_vector(x), params.global_vector(z))
-
-
 def _cfg(mode, **kw):
     return RelaxConfig(mode=mode, **kw)
 
@@ -68,7 +63,7 @@ def test_energy_matches_naive_oracle():
         params, x0, loss = make_instance(rng)
         x = rng.standard_normal(params.state_size)
         z = rng.standard_normal(params.state_size)
-        got = energy(params, x0, loss, _dyad(params, x, z))
+        got = energy(params, x0, loss, x, z)
         want = oracles.naive_energy(params, x0, loss.kind, loss.target, x, z)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -77,7 +72,7 @@ def test_energy_equals_loss_when_states_coincide():
     rng = np.random.default_rng(62)
     params, x0, loss = make_instance(rng)
     v = rng.standard_normal(params.state_size)
-    got = energy(params, x0, loss, _dyad(params, v, v.copy()))
+    got = energy(params, x0, loss, v, v.copy())
     out = v[params.output_slice]
     assert got == pytest.approx(loss.value(out), abs=1e-14)
 
@@ -87,7 +82,7 @@ def test_energy_at_forward_stack_is_plain_task_loss():
     for _ in range(20):
         params, x0, loss = make_instance(rng)
         acts, stacked = forward_pass(params, x0)
-        got = energy(params, x0, loss, DyadState(stacked, stacked.copy()))
+        got = energy(params, x0, loss, stacked, stacked.copy())
         assert abs(got - loss.value(acts[-1])) <= 1e-12
 
 
@@ -98,7 +93,7 @@ def test_energy_raises_on_non_finite_state():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(NumericError):
-            energy(params, x0, loss, _dyad(params, bad, np.zeros_like(bad)))
+            energy(params, x0, loss, bad, np.zeros_like(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +108,11 @@ def test_saddle_velocity_sum_and_difference_identities():
         params, x0, loss = make_instance(rng)
         x = rng.standard_normal(params.state_size)
         z = rng.standard_normal(params.state_size)
-        state = _dyad(params, x, z)
         dx, dz = saddle_velocities(params, x0, loss, x, z)
-        f = forward_field(params, x0, state.mean)
+        f = forward_field(params, x0, 0.5 * (x + z))
         scale = max(1.0, float(np.abs(dx).max()))
-        np.testing.assert_allclose(dx + dz, 2.0 * f.data, rtol=0, atol=1e-12 * scale)
-        _, ds = mean_stress_velocities(
-            params, x0, loss, state.mean.data, state.stress.data
-        )
+        np.testing.assert_allclose(dx + dz, 2.0 * f, rtol=0, atol=1e-12 * scale)
+        _, ds = mean_stress_velocities(params, x0, loss, 0.5 * (x + z), x - z)
         np.testing.assert_allclose(dx - dz, ds, rtol=0, atol=1e-12 * scale)
 
 
@@ -135,9 +127,9 @@ def test_equal_states_zero_gradient_collapse_to_forward_field():
     v = rng.standard_normal(params.state_size)
     loss = LossSpec(LossKind.MSE, v[params.output_slice].copy())
     dx, dz = saddle_velocities(params, x0, loss, v, v.copy())
-    f = forward_field(params, x0, params.global_vector(v))
+    f = forward_field(params, x0, v)
     np.testing.assert_array_equal(dx, dz)
-    np.testing.assert_allclose(dx, f.data, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(dx, f, rtol=0, atol=1e-14)
 
 
 def test_velocities_vanish_at_backprop_equilibrium():
@@ -146,8 +138,8 @@ def test_velocities_vanish_at_backprop_equilibrium():
         params, x0, loss = make_instance(rng)
         _, stacked = forward_pass(params, x0)
         _, sens = classical_backprop(params, x0, loss)
-        x = stacked.data + 0.5 * sens.data
-        z = stacked.data - 0.5 * sens.data
+        x = stacked + 0.5 * sens
+        z = stacked - 0.5 * sens
         dx, dz = saddle_velocities(params, x0, loss, x, z)
         assert np.linalg.norm(dx) <= 1e-10
         assert np.linalg.norm(dz) <= 1e-10
@@ -158,7 +150,7 @@ def test_mean_velocity_vanishes_at_forward_fixed_point():
     params, x0, loss = make_instance(rng)
     _, stacked = forward_pass(params, x0)
     dm, _ = mean_stress_velocities(
-        params, x0, loss, stacked.data, np.zeros(params.state_size)
+        params, x0, loss, stacked, np.zeros(params.state_size)
     )
     assert np.linalg.norm(dm) <= 1e-14
 
@@ -169,7 +161,7 @@ def test_stress_velocity_vanishes_at_neumann_stress():
         params, x0, loss = make_instance(rng)
         _, stacked = forward_pass(params, x0)
         sbar = neumann_stress(params, x0, loss)
-        _, ds = mean_stress_velocities(params, x0, loss, stacked.data, sbar.data)
+        _, ds = mean_stress_velocities(params, x0, loss, stacked, sbar)
         assert np.linalg.norm(ds) <= 1e-10
 
 
@@ -187,9 +179,9 @@ def test_dyadic_zero_loss_gradient_settles_to_forward_with_zero_stress():
         params, x0, loss, _cfg(RelaxMode.DYADIC, eta=1.0, tol=1e-12)
     )
     assert trace.converged
-    assert s.norm() <= 1e-12
-    assert bundle.frobenius_norm() <= 1e-12
-    np.testing.assert_allclose(m.data, stacked.data, rtol=0, atol=1e-12)
+    assert np.linalg.norm(s) <= 1e-12
+    assert np.linalg.norm(bundle.flat()) <= 1e-12
+    np.testing.assert_allclose(m, stacked, rtol=0, atol=1e-12)
 
 
 def test_dyadic_unit_step_converges_within_2l_plus_1_and_matches_backprop():
@@ -202,7 +194,7 @@ def test_dyadic_unit_step_converges_within_2l_plus_1_and_matches_backprop():
         )
         assert trace.converged
         assert trace.iterations_used <= 2 * params.depth + 1
-        if ref.frobenius_norm() > 1e-12:
+        if np.linalg.norm(ref.flat()) > 1e-12:
             assert _rel(bundle, ref) <= 1e-10
 
 
@@ -233,8 +225,8 @@ def test_mean_stress_unit_step_matches_twoL_state_for_state():
         states = two_phase_states(params, x0, loss)
         assert len(states) == 2 * params.depth
         m, s, _ = relax_twoL(params, x0, loss)
-        np.testing.assert_array_equal(states[-1][0], m.data)
-        np.testing.assert_array_equal(states[-1][1], s.data)
+        np.testing.assert_array_equal(states[-1][0], m)
+        np.testing.assert_array_equal(states[-1][1], s)
 
 
 def test_forward_layer_freezing_is_exact():
@@ -270,7 +262,7 @@ def test_twoL_fixed_point_persists_after_2l():
     params, x0, loss = make_instance(rng, depth=3)
     m, s, _ = relax_twoL(params, x0, loss)
     beta = beta_array(params, x0)
-    m_arr, s_arr = m.data, s.data
+    m_arr, s_arr = m, s
     for _ in range(3):
         pre = apply_w_array(params, m_arr) + beta
         s_next = apply_wt_array(params, sigma_prime_array(params, pre) * s_arr)
@@ -289,8 +281,8 @@ def test_twoL_single_layer_converges_in_two_steps():
     ref, sens = classical_backprop(params, x0, loss)
     m, s, bundle = relax_twoL(params, x0, loss)
     acts, _ = forward_pass(params, x0)
-    np.testing.assert_array_equal(m.data, acts[-1])
-    np.testing.assert_array_equal(s.data, sens.data)
+    np.testing.assert_array_equal(m, acts[-1])
+    np.testing.assert_array_equal(s, sens)
     np.testing.assert_array_equal(bundle.flat(), ref.flat())
 
 
@@ -305,8 +297,8 @@ def test_change_of_variables_dyadic_equals_mean_stress():
             params, x0, loss, _cfg(RelaxMode.MEAN_STRESS, eta=eta, tol=1e-11, k_max=3000)
         )
         assert t1.converged and t2.converged
-        np.testing.assert_allclose(m1.data, m2.data, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(s1.data, s2.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m1, m2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(s1, s2, rtol=0, atol=1e-12)
         np.testing.assert_allclose(b1.flat(), b2.flat(), rtol=0, atol=1e-12)
 
 
@@ -364,8 +356,8 @@ def test_split_zero_loss_gradient_keeps_states_equal():
         on_step=lambda k, x, z: pairs.append((x, z)),
     )
     assert pairs and all(np.array_equal(x, z) for x, z in pairs)
-    assert s.norm() == 0.0
-    assert bundle.frobenius_norm() == 0.0
+    assert np.linalg.norm(s) == 0.0
+    assert np.linalg.norm(bundle.flat()) == 0.0
 
 
 def test_split_velocities_match_saddle_flow_at_equal_states():
@@ -418,9 +410,9 @@ def test_gradient_from_equilibrium_reproduces_backprop():
         params, x0, loss = make_instance(rng)
         ref, sens = classical_backprop(params, x0, loss)
         _, stacked = forward_pass(params, x0)
-        bundle = gradient_from_equilibrium(params, x0, stacked.data, sens.data)
-        if ref.frobenius_norm() == 0.0:
-            assert bundle.frobenius_norm() == 0.0
+        bundle = gradient_from_equilibrium(params, x0, stacked, sens)
+        if np.linalg.norm(ref.flat()) == 0.0:
+            assert np.linalg.norm(bundle.flat()) == 0.0
         else:
             assert _rel(bundle, ref) <= 1e-12
 
@@ -430,9 +422,9 @@ def test_gradient_from_equilibrium_zero_stress():
     params, x0, _ = make_instance(rng)
     _, stacked = forward_pass(params, x0)
     bundle = gradient_from_equilibrium(
-        params, x0, stacked.data, np.zeros(params.state_size)
+        params, x0, stacked, np.zeros(params.state_size)
     )
-    assert bundle.frobenius_norm() == 0.0
+    assert np.linalg.norm(bundle.flat()) == 0.0
 
 
 def test_gradient_from_equilibrium_single_linear_layer_closed_form():
@@ -528,21 +520,6 @@ def test_relaxations_reject_batched_input():
     xb = rng.standard_normal((params.input_dim, 3))
     with pytest.raises(ShapeError):
         relax_dyadic(params, xb, loss, _cfg(RelaxMode.DYADIC))
-
-
-def test_dyad_state_requires_matching_layout():
-    rng = np.random.default_rng(90)
-    params = make_chain(rng, depth=2)
-    other = make_chain(rng, depth=3)
-    if params.offsets != other.offsets:
-        with pytest.raises(ShapeError):
-            DyadState(params.zeros_global(), other.zeros_global())
-    st = DyadState(
-        params.global_vector(np.ones(params.state_size)),
-        params.global_vector(np.full(params.state_size, 0.5)),
-    )
-    np.testing.assert_array_equal(st.mean.data, np.full(params.state_size, 0.75))
-    np.testing.assert_array_equal(st.stress.data, np.full(params.state_size, 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import oracles
 from helpers import ALL_ACTS
 from dyadicbp import (
     Activation,
-    DyadState,
     ExperimentConfig,
     LayerParams,
     LossKind,
@@ -206,10 +205,9 @@ def test_public_helpers_reject_a_float64_target_with_float32_params():
     params = random_network(3, (4, 2), Activation.TANH, rng, dtype=np.float32)
     x0 = rng.standard_normal(3).astype(np.float32)
     loss = LossSpec(LossKind.MSE, np.full(2, 0.1))
-    v = params.global_vector(rng.standard_normal(params.state_size).astype(np.float32))
-    state = DyadState(v, v.copy())
+    v = rng.standard_normal(params.state_size).astype(np.float32)
     with pytest.raises(ShapeError, match="dtype"):
-        energy(params, x0, loss, state)
+        energy(params, x0, loss, v, v.copy())
     int_loss = LossSpec(LossKind.MSE, np.array([1, 0]))
     m, s, _, _ = relax_dyadic(params, x0, int_loss, RelaxConfig(k_max=20))
-    assert m.data.dtype == s.data.dtype == np.float32
+    assert m.dtype == s.dtype == np.float32

@@ -160,7 +160,7 @@ def _saturated_net(rng, dtype):
     )
     x = rng.standard_normal((3, 4)).astype(dtype)
     _, acts = forward_pass(params, x[:, 0])
-    scale = SATURATED[dtype] / np.abs(acts.block(params.depth)).max()
+    scale = SATURATED[dtype] / np.abs(acts[params.output_slice]).max()
     last = params.layers[-1]
     layers = params.layers[:-1] + (
         LayerParams(last.spec, (last.weight * scale).astype(dtype), last.bias),
@@ -176,7 +176,7 @@ def test_twoL_equals_backprop_in_saturation(dtype):
     target[rng.integers(4, size=x.shape[1]), np.arange(x.shape[1])] = 1.0
     loss = LossSpec(CE, target)
     _, acts = forward_pass(params, x[:, 0])
-    soft = softmax(acts.block(params.depth))
+    soft = softmax(acts[params.output_slice])
     assert (soft == 0).any()
     ws, bs, _, _ = relax_batch(params, x, loss, RelaxConfig(mode=RelaxMode.TWO_L))
     ref_w, ref_b = backprop_batch(params, x, loss)

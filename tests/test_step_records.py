@@ -83,8 +83,8 @@ def test_records_off_returns_the_same_bits(case):
     relax, params, x0, loss, cfg = case
     m1, s1, b1, t1 = relax(params, x0, loss, cfg)
     m2, s2, b2, t2 = relax(params, x0, loss, cfg, record_steps=False)
-    assert_same_bits(m2.data, m1.data)
-    assert_same_bits(s2.data, s1.data)
+    assert_same_bits(m2, m1)
+    assert_same_bits(s2, s1)
     for got, want in zip(b2.weight_grads + b2.bias_grads, b1.weight_grads + b1.bias_grads):
         assert_same_bits(got, want)
     assert len(b2.weight_grads) == len(b1.weight_grads) == params.depth

@@ -95,14 +95,14 @@ def test_relax_twoL_traced_and_untraced_equal_classical_backprop(case):
         ref, sens = classical_backprop(params, x0, col_loss)
         _, acts = forward_pass(params, x0)
         m, s, bundle = relax_twoL(params, x0, col_loss)
-        np.testing.assert_array_equal(m.data, acts.data)
-        np.testing.assert_array_equal(s.data, sens.data)
+        np.testing.assert_array_equal(m, acts)
+        np.testing.assert_array_equal(s, sens)
         _assert_bundle_equal(bundle, ref)
         states = two_phase_states(params, x0, col_loss)
         assert len(states) == 2 * params.depth
         m, s = states[-1]
-        np.testing.assert_array_equal(m, acts.data)
-        np.testing.assert_array_equal(s, sens.data)
+        np.testing.assert_array_equal(m, acts)
+        np.testing.assert_array_equal(s, sens)
         _assert_bundle_equal(gradient_from_equilibrium(params, x0, m, s), ref)
 
 
@@ -132,9 +132,9 @@ def test_traced_blocks_freeze_at_their_settle_steps(case):
     for layer in range(1, depth + 1):
         sl = _block_slices(params)[layer - 1]
         for k in range(layer, 2 * depth + 1):
-            np.testing.assert_array_equal(states[k - 1][0][sl], m_final.data[sl])
+            np.testing.assert_array_equal(states[k - 1][0][sl], m_final[sl])
         for k in range(2 * depth - layer + 1, 2 * depth + 1):
-            np.testing.assert_array_equal(states[k - 1][1][sl], s_final.data[sl])
+            np.testing.assert_array_equal(states[k - 1][1][sl], s_final[sl])
 
 
 def test_wavefront_settle_steps_are_the_first_final_ones():
@@ -149,8 +149,8 @@ def test_wavefront_settle_steps_are_the_first_final_ones():
     m_final, s_final, _ = relax_twoL(params, x0, loss)
     for layer in range(2, depth + 1):
         sl = _block_slices(params)[layer - 1]
-        assert not np.array_equal(states[layer - 2][0][sl], m_final.data[sl])
-        assert not np.array_equal(states[2 * depth - layer - 1][1][sl], s_final.data[sl])
+        assert not np.array_equal(states[layer - 2][0][sl], m_final[sl])
+        assert not np.array_equal(states[2 * depth - layer - 1][1][sl], s_final[sl])
 
 
 def test_float64_input_with_float32_params_is_rejected():
@@ -208,7 +208,7 @@ def test_twoL_equals_backprop_at_the_benchmark_shapes(dtype, batch):
     for j in (0, batch - 1):
         ref, sens = classical_backprop(params, x[:, j], _column_loss(loss, j))
         _, s, bundle = relax_twoL(params, x[:, j], _column_loss(loss, j))
-        assert s.data.tobytes() == sens.data.tobytes()
+        assert s.tobytes() == sens.tobytes()
         _assert_bundle_equal(bundle, ref)
 
 
