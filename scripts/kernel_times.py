@@ -2,7 +2,7 @@
 
 Usage (from a checkout's root):
 
-    PYTHONPATH=src python scripts/kernel_times.py [--repeats N]
+    PYTHONPATH=src python scripts/kernel_times.py [--repeats N] [--against OTHER_SRC]
 
 Times ``apply_w_array``, ``apply_wt_array``, ``_sigma_pair_array``,
 ``LossSpec.gradient``, ``LossSpec.value``, one Dyadic Euler step
@@ -22,6 +22,17 @@ and a float64 batch (n, 64), with BLAS pinned to one thread.
 
 Each of the N repeats (default 25) times a loop of calls sized to take
 about 5 ms; a line reads ``kernel  depth  dtype  shape  median_us``.
+
+``--against OTHER_SRC`` compares this tree with another checkout's
+``src`` directory in one process, where the host's drift between
+processes cannot tell them apart. The other tree's ``dyadicbp`` is
+imported under another module name, each tree builds its instances from
+its own names (an enum of one tree is not ``is``-equal to the other's,
+so a shared instance would take the wrong branches), and each repeat
+times the two trees' loops of the same length back to back, in
+alternating order. A line then reads ``kernel  depth  dtype  shape
+median_us  against_us  ratio``, the ratio being this tree's median over
+the other's.
 """
 
 import os
@@ -30,87 +41,101 @@ for _key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_key] = "1"
 
 import argparse  # noqa: E402
+import importlib.util  # noqa: E402
 import statistics  # noqa: E402
+import sys  # noqa: E402
 import time  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from dyadicbp import (  # noqa: E402
-    Activation,
-    LossKind,
-    LossSpec,
-    RelaxConfig,
-    RelaxMode,
-    classical_backprop,
-    random_network,
-    relax_batch,
-    relax_dyadic,
-    relax_twoL,
-)
-from dyadicbp import dynamics  # noqa: E402
-from dyadicbp.network import (  # noqa: E402
-    _sigma_pair_array,
-    apply_w_array,
-    apply_wt_array,
-    beta_array,
-)
-from dyadicbp.reference import backprop_batch  # noqa: E402
+import dyadicbp  # noqa: E402
 
 DEPTHS = (9, 17)
 CASES = ((np.float32, None), (np.float64, 64))
+AGAINST = "dyadicbp_against"  # the module name of the other tree
 
 
-def kernel_calls(depth: int, dtype, batch):
-    """(zero-argument closure, steps per call) of each kernel on a fixed
-    random instance."""
+def import_tree(src: Path, name: str = AGAINST):
+    """The ``dyadicbp`` package under ``src``, imported as ``name``."""
+    init = src / "dyadicbp" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def dyadic_step(pkg, params, beta, loss, eta, x, z):
+    """One Dyadic Euler step from the state (x, z) into a preallocated
+    workspace, as a zero-argument call. A tree whose steps take the
+    workspace on every call (before the steps were bound once per call)
+    builds its workspace from ``params``."""
+    dynamics = pkg.dynamics
+    step = dynamics._STEPS[pkg.RelaxMode.DYADIC]
+    try:
+        ws = dynamics._Workspace(beta.shape, beta.dtype)
+    except TypeError:
+        ws = dynamics._Workspace(params, beta.shape, beta.dtype)
+        ws.state.both[...] = x, z
+        return lambda: step(params, beta, loss, eta, ws)
+    forward, _ = step(params, beta, loss, eta, ws)
+    ws.state[...] = x, z
+    return forward
+
+
+def kernel_calls(pkg, depth: int, dtype, batch):
+    """(zero-argument closure, steps per call) of each kernel of the
+    package ``pkg`` on a fixed random instance built from its own names."""
+    network, dynamics = pkg.network, pkg.dynamics
     rng = np.random.default_rng(depth)
-    acts = [Activation.TANH] * (depth - 1) + [Activation.IDENTITY]
-    params = random_network(2, (32,) * (depth - 1) + (2,), acts, rng, dtype=dtype)
+    acts = [pkg.Activation.TANH] * (depth - 1) + [pkg.Activation.IDENTITY]
+    params = pkg.random_network(2, (32,) * (depth - 1) + (2,), acts, rng, dtype=dtype)
     tail = () if batch is None else (batch,)
     x0 = rng.standard_normal((2, *tail)).astype(dtype)
     target = np.zeros((2, *tail), dtype=dtype)
     target[0] = 1.0
-    loss = LossSpec(LossKind.SOFTMAX_CROSS_ENTROPY, target)
-    beta = beta_array(params, x0)
+    loss = pkg.LossSpec(pkg.LossKind.SOFTMAX_CROSS_ENTROPY, target)
+    beta = network.beta_array(params, x0)
     x, z = (rng.standard_normal(beta.shape).astype(dtype) for _ in range(2))
-    ws = dynamics._Workspace(params, beta.shape, beta.dtype)
-    ws.state.both[...] = x, z
     out = np.empty_like(beta)
-    pre = apply_w_array(params, x) + beta
+    pre = network.apply_w_array(params, x) + beta
     sig, dsig = np.empty_like(pre), np.empty_like(pre)
     logits = x[params.output_slice]
-    step = dynamics._STEPS[RelaxMode.DYADIC]
     eta = beta.dtype.type(0.5)  # as _relax passes it
-    cfg = RelaxConfig(eta=0.5)
-    one_step = RelaxConfig(eta=0.5, k_max=1)
-    two_l = RelaxConfig(mode=RelaxMode.TWO_L)
+    step = dynamics._STEPS[pkg.RelaxMode.DYADIC]
+    cfg = pkg.RelaxConfig(eta=0.5)
+    one_step = pkg.RelaxConfig(eta=0.5, k_max=1)
+    two_l = pkg.RelaxConfig(mode=pkg.RelaxMode.TWO_L)
 
     def relax():
         return dynamics._relax(params, beta, loss, cfg, step)
 
     def relax_call():
         if batch is None:
-            return relax_dyadic(params, x0, loss, one_step, record_steps=False)
-        return relax_batch(params, x0, loss, one_step)
+            return pkg.relax_dyadic(params, x0, loss, one_step, record_steps=False)
+        return pkg.relax_batch(params, x0, loss, one_step)
 
     def twoL_call():
         if batch is None:
-            return relax_twoL(params, x0, loss)
-        return relax_batch(params, x0, loss, two_l)
+            return pkg.relax_twoL(params, x0, loss)
+        return pkg.relax_batch(params, x0, loss, two_l)
 
     def bp_call():
         if batch is None:
-            return classical_backprop(params, x0, loss)
-        return backprop_batch(params, x0, loss)
+            return pkg.classical_backprop(params, x0, loss)
+        return pkg.reference.backprop_batch(params, x0, loss)
 
     steps = int(np.max(relax()[2]))  # the loop runs until its last column stops
     return {
-        "apply_w_array": (lambda: apply_w_array(params, x, out=out), 1),
-        "apply_wt_array": (lambda: apply_wt_array(params, x, out=out), 1),
-        "_sigma_pair_array": (lambda: _sigma_pair_array(params, pre, sig, dsig), 1),
+        "apply_w_array": (lambda: network.apply_w_array(params, x, out=out), 1),
+        "apply_wt_array": (lambda: network.apply_wt_array(params, x, out=out), 1),
+        "_sigma_pair_array": (lambda: network._sigma_pair_array(params, pre, sig, dsig), 1),
         "LossSpec.gradient": (lambda: loss.gradient(logits), 1),
         "LossSpec.value": (lambda: loss.value(logits), 1),
-        "dyadic_step": (lambda: step(params, beta, loss, eta, ws), 1),
+        "dyadic_step": (dyadic_step(pkg, params, beta, loss, eta, x, z), 1),
         "dyadic_relax_step": (relax, steps),
         "dyadic_relax_call": (relax_call, 1),
         "twoL_call": (twoL_call, 1),
@@ -118,39 +143,78 @@ def kernel_calls(depth: int, dtype, batch):
     }
 
 
-def median_us(call, repeats: int) -> float:
-    """Median over ``repeats`` loops of the time per call, in microseconds."""
+def loop_size(call) -> int:
+    """The number of calls that takes about 5 ms, after a warm-up."""
     start = time.perf_counter()
     for _ in range(10):
         call()
     per_call = (time.perf_counter() - start) / 10
-    number = max(1, int(5e-3 / max(per_call, 1e-9)))
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(number):
-            call()
-        times.append((time.perf_counter() - start) / number)
-    return 1e6 * statistics.median(times)
+    return max(1, int(5e-3 / max(per_call, 1e-9)))
+
+
+def loop_us(call, number: int) -> float:
+    """Microseconds per call over a loop of ``number`` calls."""
+    start = time.perf_counter()
+    for _ in range(number):
+        call()
+    return 1e6 * (time.perf_counter() - start) / number
+
+
+def median_us(call, repeats: int) -> float:
+    """Median over ``repeats`` loops of the time per call, in microseconds."""
+    number = loop_size(call)
+    return statistics.median(loop_us(call, number) for _ in range(repeats))
+
+
+def paired_median_us(call, other, repeats: int) -> tuple[float, float]:
+    """The medians of ``call`` and ``other`` over ``repeats`` rounds, each
+    round one loop of each (of ``call``'s size), the order swapped every
+    round."""
+    number = loop_size(call)
+    loop_size(other)  # its warm-up
+    times: tuple[list, list] = ([], [])
+    for r in range(repeats):
+        for i in (0, 1) if r % 2 == 0 else (1, 0):
+            times[i].append(loop_us((call, other)[i], number))
+    return statistics.median(times[0]), statistics.median(times[1])
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Time the relaxation step's kernels.")
     parser.add_argument("--repeats", type=int, default=25, help="timed loops per kernel")
+    parser.add_argument(
+        "--against",
+        type=Path,
+        metavar="OTHER_SRC",
+        help="another checkout's src directory, timed in alternating rounds",
+    )
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    print(f"{'kernel':<20} {'depth':>5} {'dtype':>8} {'shape':>7} {'median_us':>10}")
+    other = None
+    if args.against is not None:
+        if not (args.against / "dyadicbp" / "__init__.py").is_file():
+            parser.error(f"--against {args.against}: no dyadicbp/__init__.py there")
+        other = import_tree(args.against)
+    columns = f"{'kernel':<20} {'depth':>5} {'dtype':>8} {'shape':>7} {'median_us':>10}"
+    print(columns if other is None else f"{columns} {'against_us':>10} {'ratio':>6}")
     for depth in DEPTHS:
         for dtype, batch in CASES:
             shape = "(n,)" if batch is None else f"(n,{batch})"
-            for name, (call, steps) in kernel_calls(depth, dtype, batch).items():
-                us = median_us(call, args.repeats) / steps
-                print(
-                    f"{name:<20} {'L' + str(depth):>5} {np.dtype(dtype).name:>8} "
-                    f"{shape:>7} {us:>10.2f}",
-                    flush=True,
+            calls = kernel_calls(dyadicbp, depth, dtype, batch)
+            others = None if other is None else kernel_calls(other, depth, dtype, batch)
+            for name, (call, steps) in calls.items():
+                line = (
+                    f"{name:<20} {'L' + str(depth):>5} {np.dtype(dtype).name:>8} {shape:>7} "
                 )
+                if others is None:
+                    line += f"{median_us(call, args.repeats) / steps:>10.2f}"
+                else:
+                    other_call, other_steps = others[name]
+                    us, other_us = paired_median_us(call, other_call, args.repeats)
+                    us, other_us = us / steps, other_us / other_steps
+                    line += f"{us:>10.2f} {other_us:>10.2f} {us / other_us:>6.3f}"
+                print(line, flush=True)
     return 0
 
 

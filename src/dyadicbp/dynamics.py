@@ -23,40 +23,41 @@ arrives. All relaxation modes extract the gradient from the final
 for one sample, their batch means for columns.
 
 The convergence-driven steps write into a per-call workspace
-(``_Workspace``) of state-sized buffers, allocated once per relaxation,
-and evaluate sigma and sigma' in one pass per run of consecutive layers
-that share an activation (``network._sigma_pair_array``). The relaxing
-pair is one (2, n) or (2, n, B) array, so the Euler update, the
-increment and its norms run once per step over both halves, and the
-block-matmul and activation-run views of the buffers are built once per
-call. A step allocates no state-sized array and makes no reshape or
-slice; its floats are those of the unfused per-layer step.
+(``_Workspace``) of state-sized buffers and evaluate sigma and sigma' in
+one pass per run of layers that share an activation. The relaxing pair
+is one (2, n) or (2, n, B) array, so the Euler update, the increment and
+its norms run once per step over both halves. Each call binds its
+scheme's step once (``_STEPS``), for both sides of the state swap: a
+closure over every buffer, block-matmul view, activation run, loss
+temporary and constant, so a step is its numpy calls and no lookups. It
+allocates nothing state-sized; its floats are the unfused per-layer step's.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError, enum_from_name
-from .losses import LossSpec, _check_target, _gradient_into
+from .losses import LossSpec, _bind_gradient, _check_target
 from .network import (
     NetworkParams,
     _bias_like,
+    _bind_sigma_pair,
     _block_plan,
     _block_slices,
     _check_input,
     _check_sample,
     _check_state,
+    _run_block_plan,
     _sigma_pair,
     _sigma_pair_array,
-    _sigma_plan,
     apply_w_array,
     apply_wt_array,
     beta_array,
@@ -177,110 +178,42 @@ class StabilityReport:
     max_backward_residual: float
 
 
-class _Pair:
-    """One (2, n) or (2, n, B) state buffer, ``both``, with its halves
-    ``first`` and ``second``, and the views a step takes of them, built on
-    first use: their output-block rows, W of each half into ``pre``, and
-    sigma of ``pre`` into ``first`` (sigma' into ``dsig``) and W^T pre
-    into ``second``, whose output rows the loss gradient then fills."""
-
-    def __init__(self, params: NetworkParams, pre: np.ndarray, dsig: np.ndarray) -> None:
-        self.params, self.pre, self.dsig = params, pre, dsig
-        self.both = np.zeros((2, *pre.shape), dtype=pre.dtype)
-        self.first, self.second = self.both
-
-    @functools.cached_property
-    def out(self) -> tuple[np.ndarray, np.ndarray]:
-        sl = self.params.output_slice
-        return self.first[sl], self.second[sl]
-
-    @functools.cached_property
-    def w_first(self):
-        return _block_plan(self.params, self.first, self.pre)
-
-    @functools.cached_property
-    def w_second(self):
-        return _block_plan(self.params, self.second, self.pre)
-
-    @functools.cached_property
-    def sigma_first(self):
-        return _sigma_plan(self.params, self.pre, self.first, self.dsig)
-
-    @functools.cached_property
-    def wt_second(self):
-        return _block_plan(self.params, self.pre, self.second, transpose=True)
-
-
 class _Workspace:
-    """The buffers of one relaxation call and the views a step takes of them.
+    """The buffers of one relaxation call. The relaxing pair, (x, z) or
+    (m, s), alternates between ``state`` and ``next``, two (2, n) or
+    (2, n, B) arrays; a step's temporaries live in ``m`` .. ``wt``, and
+    ``diff`` holds the increment. ``half`` is 0.5 as a 0-d array, which
+    numpy reads without converting a scalar. Binding steps writes the zero
+    rows W and W^T leave empty, the sigma' = 1 of Identity runs and (unit
+    MeanStress) both pairs' second output rows: load a state after it."""
 
-    ``state`` holds the relaxing pair, (x, z) or (m, s), as one ``_Pair``:
-    a (2, n) or (2, n, B) array and its two halves. A step reads it,
-    writes its temporaries into the (n[, B]) buffers ``m`` .. ``wt`` and
-    the loss gradient into ``g`` (output rows), and its candidate into the
-    spare pair ``next``; the loop then swaps the two. ``diff`` holds the
-    increment whose norms are the stopping quantity. ``half`` is 0.5 in
-    the state's dtype.
-
-    The block-matmul and activation-run views of these buffers, and their
-    output-block rows, are built on first use: once per call, and only
-    those of the scheme that runs. A step then makes no reshape or slice.
-    Building them writes the zero rows W and W^T leave empty and the
-    sigma' = 1 of Identity runs. Of these a step overwrites only block 1
-    of ``pre`` (also W^T's operand, so ``_pre_activation`` zeroes it
-    again) and the output rows of ``second`` (the unit MeanStress step
-    writes the loss gradient there).
-    """
-
-    def __init__(self, params: NetworkParams, shape: tuple[int, ...], dtype: np.dtype) -> None:
-        self.params = params
+    def __init__(self, shape: tuple[int, ...], dtype: np.dtype) -> None:
         for name in ("m", "s", "pre", "sig", "dsig", "wt"):
             setattr(self, name, np.empty(shape, dtype=dtype))
-        self.state = _Pair(params, self.pre, self.dsig)
-        self.next = _Pair(params, self.pre, self.dsig)
-        self.diff = np.empty_like(self.state.both)
-        self.half = self.m.dtype.type(0.5)
-
-    @functools.cached_property
-    def m_out(self) -> np.ndarray:
-        return self.m[self.params.output_slice]
-
-    @functools.cached_property
-    def pre_1(self) -> np.ndarray:
-        return self.pre[_block_slices(self.params)[0]]
-
-    @functools.cached_property
-    def g(self) -> np.ndarray:
-        return np.empty_like(self.m_out)
-
-    # W m into pre; W^T pre into wt; sigma of pre into sig or m, sigma' into dsig.
-    @functools.cached_property
-    def w_m(self):
-        return _block_plan(self.params, self.m, self.pre)
-
-    @functools.cached_property
-    def wt_wt(self):
-        return _block_plan(self.params, self.pre, self.wt, transpose=True)
-
-    @functools.cached_property
-    def sigma_sig(self):
-        return _sigma_plan(self.params, self.pre, self.sig, self.dsig)
-
-    @functools.cached_property
-    def sigma_m(self):
-        return _sigma_plan(self.params, self.pre, self.m, self.dsig)
+        self.state = np.zeros((2, *shape), dtype=dtype)
+        self.next = np.zeros_like(self.state)
+        self.diff = np.empty_like(self.state)
+        self.half = np.full((), 0.5, dtype=dtype)
 
 
-def _pre_activation(
-    params: NetworkParams, beta: np.ndarray, v: np.ndarray, ws: _Workspace, plan
-) -> np.ndarray:
-    """W v + beta into ``ws.pre`` through ``plan``, the views of v and
-    ``ws.pre``; block 1 is 0 + beta_1, as in the sum of arrays. Steps
-    write ``pre`` between pre-activations, so its block 1 is zeroed here."""
-    ws.pre_1.fill(0)
-    pre = apply_w_array(params, v, ws.pre, plan)
-    pre += beta
-    return pre
+Step = Callable[[], np.ndarray]  # a bound Euler step; returns the pair it wrote
+Bind = Callable[[np.ndarray, np.ndarray], Callable[[], None]]
+
+
+def _bind_pre_activation(
+    params: NetworkParams, beta: np.ndarray, v: np.ndarray, pre: np.ndarray
+) -> Callable[[], None]:
+    """A closure writing W v + beta into ``pre``; block 1 is 0 + beta_1, as
+    in the sum of arrays, zeroed on every call (steps write ``pre``)."""
+    plan = _block_plan(params, v, pre)
+    first = pre[_block_slices(params)[0]]
+
+    def pre_activation() -> None:
+        first.fill(0)
+        _run_block_plan(plan)
+        np.add(pre, beta, pre)
+
+    return pre_activation
 
 
 def _energy_ms(
@@ -292,10 +225,10 @@ def _energy_ms(
     sig: Optional[np.ndarray] = None,
 ):
     """Energy in mean/stress coordinates: s . (sigma(Wm + beta) - m) + C(m_L);
-    ``sig`` is sigma(Wm + beta) if the caller has it."""
+    ``sig`` is sigma(Wm + beta) if the caller has it, and is overwritten."""
     if sig is None:
         sig = sigma_array(params, apply_w_array(params, m) + beta)
-    lift = np.sum(s * (sig - m), axis=0)
+    lift = np.add.reduce(np.multiply(s, np.subtract(sig, m, out=sig), out=sig), axis=0)
     value = lift + loss.value(m[params.output_slice])
     if not np.isfinite(value).all():
         raise NumericError("energy is not finite")
@@ -320,46 +253,79 @@ def energy(
 
 def _saddle_velocity_arrays(
     params: NetworkParams, beta: np.ndarray, loss: LossSpec, ws: _Workspace
-) -> None:
-    """(dx, dz) at the state (x, z) of ``ws`` into ``ws.next``."""
-    x, z = ws.state.first, ws.state.second
-    m = np.add(x, z, out=ws.m)
-    m *= ws.half
-    s = np.subtract(x, z, out=ws.s)
-    _sigma_pair_array(
-        params, _pre_activation(params, beta, m, ws, ws.w_m), ws.sig, ws.dsig, ws.sigma_sig
-    )
-    f = np.subtract(ws.sig, m, out=ws.sig)
-    wt = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.pre), ws.wt, ws.wt_wt)
-    backward = np.subtract(wt, s, out=ws.pre)
-    backward *= ws.half
-    half_g = _gradient_into(loss, ws.m_out, ws.g)
-    half_g *= ws.half
-    # dx = f + backward + cost, the loss gradient embedded in zero rows.
-    # Adding those zeros could only turn a -0.0 of dx into +0.0, and dx
-    # is -0.0 only where m and s are +0.0, that is x = z = +0.0, where
-    # x + eta dx is +0.0 either way: so only the output rows are added.
-    nxt = ws.next
-    dx_out, dz_out = nxt.out
-    np.add(f, backward, out=nxt.first)
-    dx_out += half_g
-    np.subtract(f, backward, out=nxt.second)
-    dz_out -= half_g
+) -> Bind:
+    """``bind(state, nxt)``: a closure writing (dx, dz) at the state (x, z)
+    into ``nxt``. Each ufunc call's last argument is its output."""
+    m, s, pre, sig, dsig, wt, half = ws.m, ws.s, ws.pre, ws.sig, ws.dsig, ws.wt, ws.half
+    out = params.output_slice
+    pre_activation = _bind_pre_activation(params, beta, m, pre)
+    sigma_pair = _bind_sigma_pair(params, pre, sig, dsig)
+    w_t = partial(_run_block_plan, _block_plan(params, pre, wt, transpose=True))
+    half_g = np.empty_like(m[out])
+    gradient = _bind_gradient(loss, m[out], half_g)
+
+    def bind(state: np.ndarray, nxt: np.ndarray) -> Callable[[], None]:
+        (x, z), (dx, dz) = state, nxt
+        dx_out, dz_out = dx[out], dz[out]
+
+        def velocity() -> None:
+            np.add(x, z, m)
+            np.multiply(m, half, m)
+            np.subtract(x, z, s)
+            pre_activation()
+            sigma_pair()
+            np.subtract(sig, m, sig)  # f
+            np.multiply(dsig, s, pre)
+            w_t()
+            np.subtract(wt, s, pre)
+            np.multiply(pre, half, pre)  # backward
+            gradient()
+            np.multiply(half_g, half, half_g)
+            # dx = f + backward + cost, the loss gradient embedded in zero
+            # rows. Adding those zeros could only turn a -0.0 of dx into
+            # +0.0, and dx is -0.0 only where m and s are +0.0, that is
+            # x = z = +0.0, where x + eta dx is +0.0 either way: so only
+            # the output rows are added.
+            np.add(sig, pre, dx)
+            np.add(dx_out, half_g, dx_out)
+            np.subtract(sig, pre, dz)
+            np.subtract(dz_out, half_g, dz_out)
+
+        return velocity
+
+    return bind
 
 
 def _mean_stress_field(
     params: NetworkParams, beta: np.ndarray, loss: LossSpec, ws: _Workspace
-) -> None:
-    """(dm, ds) at the state (m, s) of ``ws`` into ``ws.next``."""
-    state, nxt = ws.state, ws.next
-    m, s = state.first, state.second
-    pre = _pre_activation(params, beta, m, ws, state.w_first)
-    _sigma_pair_array(params, pre, ws.sig, ws.dsig, ws.sigma_sig)
-    np.subtract(ws.sig, m, out=nxt.first)
-    wt = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.pre), ws.wt, ws.wt_wt)
-    np.subtract(wt, s, out=nxt.second)
-    ds_out = nxt.out[1]
-    ds_out += _gradient_into(loss, state.out[0], ws.g)
+) -> Bind:
+    """``bind(state, nxt)``: a closure writing (dm, ds) at the state (m, s)
+    into ``nxt``."""
+    pre, sig, dsig, wt = ws.pre, ws.sig, ws.dsig, ws.wt
+    out = params.output_slice
+    sigma_pair = _bind_sigma_pair(params, pre, sig, dsig)
+    w_t = partial(_run_block_plan, _block_plan(params, pre, wt, transpose=True))
+    g = np.empty_like(pre[out])
+
+    def bind(state: np.ndarray, nxt: np.ndarray) -> Callable[[], None]:
+        (m, s), (dm, ds) = state, nxt
+        ds_out = ds[out]
+        pre_activation = _bind_pre_activation(params, beta, m, pre)
+        gradient = _bind_gradient(loss, m[out], g)
+
+        def velocity() -> None:
+            pre_activation()
+            sigma_pair()
+            np.subtract(sig, m, dm)
+            np.multiply(dsig, s, pre)
+            w_t()
+            np.subtract(wt, s, ds)
+            gradient()
+            np.add(ds_out, g, ds_out)
+
+        return velocity
+
+    return bind
 
 
 def _delta_at(
@@ -381,7 +347,7 @@ def _layer_grads(
     weight_grads, bias_grads = [], []
     for prev, delta in pairs:
         if prev.ndim == 1:
-            weight_grads.append(np.outer(delta, prev))
+            weight_grads.append(np.multiply(delta[:, None], prev))  # np.outer's definition
             bias_grads.append(delta.copy())
         else:
             batch = prev.shape[1]
@@ -435,102 +401,136 @@ def _twoL_wavefront(
             s = params.layers[i].weight.T @ delta
 
 
-def _euler_step(
-    velocity: Callable[..., None],
-    params: NetworkParams,
-    beta: np.ndarray,
-    loss: LossSpec,
-    eta: float,
-    ws: _Workspace,
-) -> np.ndarray:
-    """One Euler step of the state of ``ws`` under ``velocity(params, beta,
-    loss, ws)``, into ``ws.next``: state + eta * velocity for both halves
-    at once, without a temporary (IEEE addition commutes). ``_relax``
-    passes eta cast to the state's dtype once, as numpy would per step."""
-    velocity(params, beta, loss, ws)
-    nxt = ws.next.both
-    nxt *= eta
-    nxt += ws.state.both
-    return nxt
+def _euler(
+    field, params: NetworkParams, beta: np.ndarray, loss: LossSpec, eta, ws: _Workspace
+) -> tuple[Step, Step]:
+    """The Euler steps under the velocity ``field`` from ``ws.state`` into
+    ``ws.next`` and back: the velocity into the candidate pair, then state
+    + eta * velocity for both halves at once (IEEE addition commutes).
+    ``_relax`` passes eta cast to the state's dtype, as numpy would."""
+    bind = field(params, beta, loss, ws)
+    eta = np.full((), eta, dtype=ws.state.dtype)
+
+    def side(state: np.ndarray, nxt: np.ndarray) -> Step:
+        velocity = bind(state, nxt)
+
+        def step() -> np.ndarray:
+            velocity()
+            np.multiply(nxt, eta, nxt)
+            np.add(nxt, state, nxt)
+            return nxt
+
+        return step
+
+    return side(ws.state, ws.next), side(ws.next, ws.state)
 
 
-def _mean_stress_step(
-    params: NetworkParams, beta: np.ndarray, loss: LossSpec, eta: float, ws: _Workspace
-) -> np.ndarray:
-    """One Euler step in mean/stress coordinates, into ``ws.next``.
+def _mean_stress_steps(
+    params: NetworkParams, beta: np.ndarray, loss: LossSpec, eta, ws: _Workspace
+) -> tuple[Step, Step]:
+    """The Euler steps in mean/stress coordinates, as ``_euler`` binds them.
     At eta = 1 the update m + eta (sigma(Wm + beta) - m) cancels to
     sigma(Wm + beta) (likewise for s) and is applied in that form: the
     two-phase map of TwoL."""
     if eta != 1.0:
-        return _euler_step(_mean_stress_field, params, beta, loss, eta, ws)
-    state, nxt = ws.state, ws.next
-    pre = _pre_activation(params, beta, state.first, ws, state.w_first)
-    _sigma_pair_array(params, pre, nxt.first, ws.dsig, nxt.sigma_first)
-    dsig_s = np.multiply(ws.dsig, state.second, out=ws.pre)
-    apply_wt_array(params, dsig_s, nxt.second, nxt.wt_second)
-    _gradient_into(loss, state.out[0], nxt.out[1])
-    return nxt.both
+        return _euler(_mean_stress_field, params, beta, loss, eta, ws)
+    pre, dsig = ws.pre, ws.dsig
+    out = params.output_slice
+
+    def side(state: np.ndarray, nxt: np.ndarray) -> Step:
+        (m, s), (m_next, s_next) = state, nxt
+        pre_activation = _bind_pre_activation(params, beta, m, pre)
+        sigma_pair = _bind_sigma_pair(params, pre, m_next, dsig)
+        w_t = partial(_run_block_plan, _block_plan(params, pre, s_next, transpose=True))
+        gradient = _bind_gradient(loss, m[out], s_next[out])
+
+        def step() -> np.ndarray:
+            pre_activation()
+            sigma_pair()
+            np.multiply(dsig, s, pre)
+            w_t()
+            gradient()
+            return nxt
+
+        return step
+
+    return side(ws.state, ws.next), side(ws.next, ws.state)
 
 
 def _split_velocity_arrays(
     params: NetworkParams, beta: np.ndarray, loss: LossSpec, ws: _Workspace
-) -> None:
-    """(dx, dz) at the state (x, z) of ``ws`` into ``ws.next``."""
-    state, nxt = ws.state, ws.next
-    x, z = state.first, state.second
-    x_out, z_out = state.out
-    half_g = _gradient_into(loss, 0.5 * (x_out + z_out), ws.g)
-    half_g *= ws.half
-    s = np.subtract(x, z, out=ws.s)
-    # sigma and sigma' of x's pre-activation, then of z's; Split has no
-    # mean, so ws.m holds sigma(W z + beta). Halving keeps the +0.0 rows
-    # of wt that W^T leaves empty.
-    pre = _pre_activation(params, beta, x, ws, state.w_first)
-    _sigma_pair_array(params, pre, ws.sig, ws.dsig, ws.sigma_sig)
-    half_back = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.pre), ws.wt, ws.wt_wt)
-    half_back *= ws.half
-    pre = _pre_activation(params, beta, z, ws, state.w_second)
-    _sigma_pair_array(params, pre, ws.m, ws.dsig, ws.sigma_m)
-    avg_drive = np.add(ws.sig, ws.m, out=ws.sig)
-    avg_drive *= ws.half
-    dx_out, dz_out = nxt.out
-    dx = np.subtract(avg_drive, x, out=nxt.first)
-    dx += half_back
-    dx_out += half_g
-    half_back = apply_wt_array(params, np.multiply(ws.dsig, s, out=ws.pre), ws.wt, ws.wt_wt)
-    half_back *= ws.half
-    dz = np.subtract(avg_drive, z, out=nxt.second)
-    dz -= half_back
-    dz_out -= half_g
+) -> Bind:
+    """``bind(state, nxt)``: a closure writing (dx, dz) at the state (x, z)
+    into ``nxt``."""
+    m, s, pre, sig, dsig, wt, half = ws.m, ws.s, ws.pre, ws.sig, ws.dsig, ws.wt, ws.half
+    out = params.output_slice
+    # sigma and sigma' of x's pre-activation, then of z's into m (Split has
+    # no mean). Halving keeps the +0.0 rows of wt that W^T leaves empty.
+    sigma_x = _bind_sigma_pair(params, pre, sig, dsig)
+    sigma_z = _bind_sigma_pair(params, pre, m, dsig)
+    w_t = partial(_run_block_plan, _block_plan(params, pre, wt, transpose=True))
+    mid, half_g = np.empty((2, *pre[out].shape), dtype=pre.dtype)
+    gradient = _bind_gradient(loss, mid, half_g)
+
+    def bind(state: np.ndarray, nxt: np.ndarray) -> Callable[[], None]:
+        (x, z), (dx, dz) = state, nxt
+        x_out, z_out, dx_out, dz_out = x[out], z[out], dx[out], dz[out]
+        pre_x = _bind_pre_activation(params, beta, x, pre)
+        pre_z = _bind_pre_activation(params, beta, z, pre)
+
+        def velocity() -> None:
+            np.add(x_out, z_out, mid)
+            np.multiply(mid, half, mid)
+            gradient()
+            np.multiply(half_g, half, half_g)
+            np.subtract(x, z, s)
+            pre_x()
+            sigma_x()
+            np.multiply(dsig, s, pre)
+            w_t()
+            np.multiply(wt, half, wt)  # half_back of x
+            pre_z()
+            sigma_z()
+            np.add(sig, m, sig)
+            np.multiply(sig, half, sig)  # the averaged drive
+            np.subtract(sig, x, dx)
+            np.add(dx, wt, dx)
+            np.add(dx_out, half_g, dx_out)
+            np.multiply(dsig, s, pre)
+            w_t()
+            np.multiply(wt, half, wt)  # half_back of z
+            np.subtract(sig, z, dz)
+            np.subtract(dz, wt, dz)
+            np.subtract(dz_out, half_g, dz_out)
+
+        return velocity
+
+    return bind
 
 
-# The Euler step of each convergence-driven scheme. Dyadic and Split
-# step the doubled state (x, z); MeanStress steps (m, s) directly.
+# The Euler steps of each convergence-driven scheme, bound once per call:
+# ``_STEPS[mode](params, beta, loss, eta, ws)``. Dyadic and Split step the
+# doubled state (x, z); MeanStress steps (m, s) directly.
 _STEPS = {
-    RelaxMode.DYADIC: functools.partial(_euler_step, _saddle_velocity_arrays),
-    RelaxMode.MEAN_STRESS: _mean_stress_step,
-    RelaxMode.SPLIT: functools.partial(_euler_step, _split_velocity_arrays),
+    RelaxMode.DYADIC: partial(_euler, _saddle_velocity_arrays),
+    RelaxMode.MEAN_STRESS: _mean_stress_steps,
+    RelaxMode.SPLIT: partial(_euler, _split_velocity_arrays),
 }
 
 
-def _pair_norm(pair: np.ndarray, dots: Optional[tuple[np.ndarray, np.ndarray]] = None):
-    """The L2 norms of the two halves of a (2, n) or (2, n, B) array,
-    summed, per column; each half's norm has the bits of np.linalg.norm.
-
-    One sample keeps the vector norm's sqrt(v . v), both halves in one
-    batched matmul of the (2, 1, n) and (2, n, 1) views ``dots`` (made
-    here if None), and returns a Python float, which holds the dtype's
-    value exactly. Columns take the norm's own sum of squares along the
-    rows, squared in place: ``pair`` is overwritten. (Summing one
-    sample's squares along its rows would add in another order.)
-    """
+def _bind_pair_norm(pair: np.ndarray) -> Callable[[], object]:
+    """A closure returning the summed L2 norms of the two halves of a (2, n)
+    or (2, n, B) ``pair``, per column, each with np.linalg.norm's bits. One
+    sample keeps the vector norm's sqrt(v . v) (summing its squares along
+    the rows would add in another order), both halves in one batched
+    matmul, as a Python float. Columns square ``pair`` in place and sum
+    along the rows, into a new (B,) array per call."""
+    add, sqrt = np.add.reduce, np.sqrt
+    norms = np.empty((2, 1, 1) if pair.ndim == 2 else (2, *pair.shape[2:]), dtype=pair.dtype)
     if pair.ndim == 2:
-        rows, cols = dots or (pair[:, None, :], pair[:, :, None])
-        norms = np.matmul(rows, cols)
-        return float(np.add.reduce(np.sqrt(norms, out=norms), axis=None))
-    np.multiply(pair, pair, out=pair)
-    norms = np.add.reduce(pair, axis=1)
-    return np.add.reduce(np.sqrt(norms, out=norms), axis=0)
+        rows, cols = pair[:, None, :], pair[:, :, None]
+        return lambda: float(add(sqrt(np.matmul(rows, cols, norms), norms), None))
+    return lambda: add(sqrt(add(np.multiply(pair, pair, pair), 1, None, norms), norms), 0)
 
 
 def _record(
@@ -574,7 +574,7 @@ def _below_floor(delta, stalled, state: np.ndarray, scale):
     """
     cols = np.flatnonzero(stalled)
     below = np.zeros_like(stalled)
-    below[cols] = delta[cols] < scale * _pair_norm(state[:, :, cols])
+    below[cols] = delta[cols] < scale * _bind_pair_norm(state[:, :, cols])()
     return below
 
 
@@ -583,11 +583,12 @@ def _relax(
     beta: np.ndarray,
     loss: LossSpec,
     cfg: RelaxConfig,
-    step: Callable[..., np.ndarray],
+    step: Callable[..., tuple[Step, Step]],
     trace: Optional[RelaxTrace] = None,
     on_step: Optional[StepCallback] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Euler-relax an (n,) or (n, B) state from zero under ``step``.
+    """Euler-relax an (n,) or (n, B) state from zero under ``step``, one of
+    ``_STEPS``, which binds the steps on the call's workspace.
 
     The state is (x, z), or (m, s) in MeanStress mode, and a column's
     delta is the summed L2 norm of its two increments. A column freezes
@@ -612,18 +613,15 @@ def _relax(
     per call (``_Workspace``), so the Euler update, the increment, its
     norms, the frozen-column copy and the floor's state norms each run
     once per step over both halves, and a step allocates no state-sized
-    array. The step writes its candidate into the spare pair
-    ``ws.next``, and the two pairs swap. eta, the tolerance and gate
-    (``_limits``) and the floor's scale are cast to the state's dtype once
-    per call. A sample's delta is then tested as a Python float, and (B,)
-    columns by masked ufuncs.
+    array. Odd steps go from ``ws.state`` to ``ws.next``, even steps back.
+    eta, the tolerance and gate (``_limits``) and the floor's scale are
+    cast to the state's dtype once per call. A sample's delta is then
+    tested as a Python float, and (B,) columns by masked ufuncs.
     """
     doubled = cfg.mode is not RelaxMode.MEAN_STRESS
     columns = beta.shape[1:]
     dtype = beta.dtype
-    ws = _Workspace(params, beta.shape, dtype)
-    diff = ws.diff
-    dots = None if columns else (diff[:, None, :], diff[:, :, None])  # see _pair_norm
+    ws = _Workspace(beta.shape, dtype)
     active = np.ones(columns, dtype=bool)
     iterations = np.full(columns, cfg.k_max)
     converged = np.zeros(columns, dtype=bool)
@@ -636,14 +634,19 @@ def _relax(
     previous = math.inf
     frozen = None  # the mask of frozen columns, once some column froze
     every, some = np.logical_and.reduce, np.logical_or.reduce
+    forward, back = step(params, beta, loss, eta, ws)
+    sides = ((back, ws.next, ws.state), (forward, ws.state, ws.next))  # by k & 1
+    diff = ws.diff
+    norm = _bind_pair_norm(diff)
 
     def mean_stress(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (0.5 * (a + b), a - b) if doubled else (a, b)
 
     for k in range(1, cfg.k_max + 1):
-        cand = step(params, beta, loss, eta, ws)
-        state = ws.state.both
-        delta = _pair_norm(np.subtract(cand, state, out=diff), dots)
+        advance, old, state = sides[k & 1]
+        advance()
+        np.subtract(state, old, diff)
+        delta = norm()
         if columns:
             # The masked tests run only once some delta is non-finite or
             # below the floor's gate, so running columns pay two per step.
@@ -654,19 +657,17 @@ def _relax(
         if diverged:
             raise NumericError("relaxation state diverged (non-finite step delta)")
         if frozen is not None:  # frozen columns keep their state
-            np.copyto(cand, state, where=frozen)
-        ws.state, ws.next = ws.next, ws.state
-        first, second = ws.state.first, ws.state.second
+            np.copyto(state, old, where=frozen)
         if trace is not None:
-            _record(params, trace, beta, loss, delta, *mean_stress(first, second))
+            _record(params, trace, beta, loss, delta, *mean_stress(*state))
         if on_step is not None:
-            on_step(k, first.copy(), second.copy())
+            on_step(k, state[0].copy(), state[1].copy())
         if not columns:
             # Stop below tol, or at the floor: a stall below the gate that
             # is within the rounding noise of the new state.
             if delta < gate and (
                 delta < tol
-                or delta >= previous and delta < scale * _pair_norm(ws.state.both)
+                or delta >= previous and delta < scale * _bind_pair_norm(state)()
             ):
                 iterations[()] = k
                 converged[()] = True
@@ -678,7 +679,7 @@ def _relax(
             # stays flat: only running columns can stall.
             stalled = near & (delta >= previous) & active
             if some(stalled):
-                stalled = _below_floor(delta, stalled & ~done, ws.state.both, scale)
+                stalled = _below_floor(delta, stalled & ~done, state, scale)
                 floored |= stalled
                 done |= stalled
             if some(done):
@@ -690,7 +691,7 @@ def _relax(
                     break
                 frozen = ~active
         previous = delta
-    return (*mean_stress(ws.state.first, ws.state.second), iterations, converged, floored)
+    return (*mean_stress(*state), iterations, converged, floored)
 
 
 def _prepare(
@@ -730,7 +731,7 @@ def _relax_sample(
         trace.status = RelaxStatus.PRECISION_FLOOR
     elif conv:
         trace.status = RelaxStatus.CONVERGED
-    bundle = GradientBundle(*_grads_from_delta(params, x0, m, dsig * s))
+    bundle = GradientBundle(*_grads_from_delta(params, x0, m, np.multiply(dsig, s, out=dsig)))
     return m, s, bundle, trace
 
 

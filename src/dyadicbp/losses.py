@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -99,6 +101,25 @@ def _gradient_into(loss: LossSpec, output: np.ndarray, out: np.ndarray) -> np.nd
     out /= np.add.reduce(out)
     out -= loss.target
     return out
+
+
+def _bind_gradient(loss: LossSpec, output: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+    """``_gradient_into(loss, output, out)`` as one closure: the same ufunc
+    calls, with the column maxima and sums written into buffers made here."""
+    target = loss.target
+    if loss.kind is LossKind.MSE:
+        return partial(np.subtract, output, target, out)
+    peak, total = (np.empty(output.shape[1:], dtype=out.dtype) for _ in range(2))
+
+    def gradient() -> None:
+        np.maximum.reduce(output, 0, None, peak)
+        np.subtract(output, peak, out)
+        np.exp(out, out)
+        np.add.reduce(out, 0, None, total)
+        np.divide(out, total, out)
+        np.subtract(out, target, out)
+
+    return gradient
 
 
 def _logsumexp(output: np.ndarray):

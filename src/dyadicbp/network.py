@@ -28,7 +28,8 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -296,36 +297,28 @@ def _run_block_plan(plan) -> None:
 
 
 def apply_w_array(
-    params: NetworkParams,
-    arr: np.ndarray,
-    out: Optional[np.ndarray] = None,
-    plan=None,
+    params: NetworkParams, arr: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Action of the global W: block 1 -> 0, block l -> W_l @ block(l-1).
 
-    One matmul per run of equal-shaped W_l, the bits of one per block.
-    Written into ``out`` when given (it must not overlap ``arr``), through
-    ``plan``, the ``_block_plan(params, arr, out)`` views, when given: then
-    block 1 of ``out`` must still hold the zeros the plan wrote.
+    One matmul per run of equal-shaped W_l, the bits of one per block,
+    written into ``out`` when given (it must not overlap ``arr``).
     """
     out = np.empty_like(arr) if out is None else out
-    _run_block_plan(plan or _block_plan(params, arr, out))
+    _run_block_plan(_block_plan(params, arr, out))
     return out
 
 
 def apply_wt_array(
-    params: NetworkParams,
-    arr: np.ndarray,
-    out: Optional[np.ndarray] = None,
-    plan=None,
+    params: NetworkParams, arr: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Action of the global W transpose: block L -> 0, block l -> W_{l+1}^T @ block(l+1).
 
     As :func:`apply_w_array`, on a transposed view of each stack (BLAS's
-    transpose flag); ``plan`` is ``_block_plan(params, arr, out, transpose=True)``.
+    transpose flag).
     """
     out = np.empty_like(arr) if out is None else out
-    _run_block_plan(plan or _block_plan(params, arr, out, transpose=True))
+    _run_block_plan(_block_plan(params, arr, out, transpose=True))
     return out
 
 
@@ -397,14 +390,39 @@ def _sigma_plan(
 
 
 def _sigma_pair_array(
-    params: NetworkParams, pre: np.ndarray, sig: np.ndarray, dsig: np.ndarray, plan=None
+    params: NetworkParams, pre: np.ndarray, sig: np.ndarray, dsig: np.ndarray
 ) -> None:
     """Blockwise sigma and sigma' of a stacked pre-activation, written into
     ``sig`` and ``dsig``: one kernel call per run of consecutive blocks
-    that share an activation, through ``plan``, the ``_sigma_plan`` views
-    of the same arrays, when given."""
-    for act, v, s, d in plan or _sigma_plan(params, pre, sig, dsig):
+    that share an activation."""
+    for act, v, s, d in _sigma_plan(params, pre, sig, dsig):
         _sigma_pair(act, v, s, d)
+
+
+def _bind_sigma_pair(
+    params: NetworkParams, pre: np.ndarray, sig: np.ndarray, dsig: np.ndarray
+) -> Callable[[], None]:
+    """``_sigma_pair_array(params, pre, sig, dsig)`` as one closure: per run,
+    the ufunc calls of :func:`_sigma_pair` on views and a 0-d unit built once."""
+    one = np.ones((), dtype=pre.dtype)
+    calls = []
+    for act, v, s, d in _sigma_plan(params, pre, sig, dsig):
+        if act is Activation.TANH:
+            calls += [partial(np.tanh, v, s), partial(np.multiply, s, s, d)]
+            calls.append(partial(np.subtract, one, d, d))
+        elif act is Activation.SIGMOID:
+            calls += [partial(_logistic, v, s), partial(np.subtract, one, s, d)]
+            calls.append(partial(np.multiply, s, d, d))
+        elif act is Activation.RELU:
+            calls += [partial(np.greater, v, 0, d), partial(np.maximum, v, 0, out=s)]
+        else:
+            calls.append(partial(np.copyto, s, v))
+
+    def sigma_pair() -> None:
+        for call in calls:
+            call()
+
+    return sigma_pair
 
 
 def forward_layers(

@@ -74,18 +74,20 @@ def make_instance(rng, **chain_kwargs):
     return params, x0, loss
 
 
-def loaded_workspace(params, beta, first, second):
-    """A step workspace whose state pair is (first, second)."""
-    ws = _Workspace(params, beta.shape, np.result_type(beta, first, second))
-    ws.state.both[...] = first, second
-    return ws
+def bound_velocity(field, params, beta, loss, first, second):
+    """The velocity ``field`` bound on a workspace whose state pair is
+    (first, second), and the workspace: the closure writes the velocity
+    into ``ws.next``."""
+    ws = _Workspace(beta.shape, np.result_type(beta, first, second))
+    velocity = field(params, beta, loss, ws)(ws.state, ws.next)
+    ws.state[...] = first, second
+    return velocity, ws
 
 
 def _velocities(field, params, x0, loss, first, second):
-    beta = beta_array(params, x0)
-    ws = loaded_workspace(params, beta, first, second)
-    field(params, beta, loss, ws)
-    return tuple(ws.next.both)
+    velocity, ws = bound_velocity(field, params, beta_array(params, x0), loss, first, second)
+    velocity()
+    return tuple(ws.next)
 
 
 def saddle_velocities(params, x0, loss, x, z):
@@ -136,8 +138,9 @@ def ufunc_stop_relax(params, beta, loss, cfg):
     a Python float. Returns the final pair of the package's own step,
     the iterations and the converged and floored flags per column."""
     columns = beta.shape[1:]
-    ws = _Workspace(params, beta.shape, beta.dtype)
-    step = _STEPS[cfg.mode]
+    ws = _Workspace(beta.shape, beta.dtype)
+    steps = _STEPS[cfg.mode](params, beta, loss, cfg.eta, ws)
+    pairs = (ws.state, ws.next)  # step k goes from pairs[(k - 1) % 2] to pairs[k % 2]
     active = np.ones(columns, dtype=bool)
     iterations = np.full(columns, cfg.k_max)
     converged = np.zeros(columns, dtype=bool)
@@ -148,15 +151,14 @@ def ufunc_stop_relax(params, beta, loss, cfg):
     frozen = None
     every, some = np.logical_and.reduce, np.logical_or.reduce
     for k in range(1, cfg.k_max + 1):
-        cand = step(params, beta, loss, cfg.eta, ws)
-        state = ws.state.both
+        state = pairs[(k - 1) % 2]
+        cand = steps[(k - 1) % 2]()
         delta = _ufunc_pair_norm(cand - state)
         finite = np.isfinite(delta)
         if not every(finite, axis=None) and some(active & ~finite, axis=None):
             raise NumericError("non-finite step delta")
         if frozen is not None:
             np.copyto(cand, state, where=frozen)
-        ws.state, ws.next = ws.next, ws.state
         near = delta < gate
         if some(near, axis=None):
             done = delta < cfg.tol
@@ -166,11 +168,9 @@ def ufunc_stop_relax(params, beta, loss, cfg):
                 if columns:
                     cols = np.flatnonzero(stalled)
                     stalled = np.zeros_like(stalled)
-                    stalled[cols] = delta[cols] < scale * _ufunc_pair_norm(
-                        ws.state.both[:, :, cols]
-                    )
+                    stalled[cols] = delta[cols] < scale * _ufunc_pair_norm(cand[:, :, cols])
                 else:
-                    stalled = stalled & (delta < scale * _ufunc_pair_norm(ws.state.both))
+                    stalled = stalled & (delta < scale * _ufunc_pair_norm(cand))
                 floored |= stalled
                 done |= stalled
             if some(done, axis=None):
@@ -182,4 +182,4 @@ def ufunc_stop_relax(params, beta, loss, cfg):
                     break
                 frozen = ~active
         previous = delta
-    return ws.state.both.copy(), iterations, converged, floored
+    return cand.copy(), iterations, converged, floored

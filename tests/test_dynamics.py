@@ -8,8 +8,8 @@ import pytest
 import oracles
 from helpers import (
     SMOOTH_ACTS,
+    bound_velocity,
     gradient_from_equilibrium,
-    loaded_workspace,
     make_chain,
     make_instance,
     make_loss,
@@ -369,9 +369,9 @@ def test_split_velocities_match_saddle_flow_at_equal_states():
     v = rng.standard_normal(params.state_size)
     beta = beta_array(params, x0)
     dx_ref, dz_ref = saddle_velocities(params, x0, loss, v, v.copy())
-    ws = loaded_workspace(params, beta, v, v.copy())
-    _split_velocity_arrays(params, beta, loss, ws)
-    dx, dz = ws.next.both
+    velocity, ws = bound_velocity(_split_velocity_arrays, params, beta, loss, v, v.copy())
+    velocity()
+    dx, dz = ws.next
     np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-13)
     np.testing.assert_allclose(dz, dz_ref, rtol=0, atol=1e-13)
 

@@ -104,6 +104,8 @@ def _sweep_case(eta):
 @given(step_cases(), st.sampled_from(tuple(SINGLE)))
 @example(_sweep_case(0.25), "Dyadic")
 @example(_sweep_case(1.0), "Dyadic")
+@example(_sweep_case(1.0), "MeanStress")  # the bound unit step
+@example(_sweep_case(0.5), "Split")
 def test_single_sample_states_match_unfused_step(case, mode):
     params, x, loss, eta = case
     x0 = x[:, 0]
@@ -138,9 +140,10 @@ def test_batch_step_on_random_states_matches_unfused_step(case, mode, seed):
     a, b = (
         _signed_zeros(rng, rng.standard_normal(beta.shape).astype(beta.dtype)) for _ in range(2)
     )
-    ws = dynamics._Workspace(params, beta.shape, beta.dtype)
-    ws.state.both[...] = a, b
-    got = dynamics._STEPS[RelaxMode.from_name(mode)](params, beta, loss, eta, ws)
+    ws = dynamics._Workspace(beta.shape, beta.dtype)
+    step, _ = dynamics._STEPS[RelaxMode.from_name(mode)](params, beta, loss, eta, ws)
+    ws.state[...] = a, b
+    got = step()
     want = oracles.unfused_step(mode, params, beta, loss, a, b, eta)
     for g, w in zip(got, want):
         assert_same_bits(g, w)
@@ -162,6 +165,18 @@ def test_batch_relaxation_states_match_unfused_loop(case, mode):
     for (got_a, got_b), (want_a, want_b) in zip(states, want):
         assert_same_bits(got_a, want_a)
         assert_same_bits(got_b, want_b)
+
+
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+def test_layer_grads_single_sample_equals_outer(dtype):
+    tiny = np.finfo(dtype).smallest_subnormal
+    delta = np.array([0.0, -0.0, tiny, -tiny, np.inf, -np.inf, 1.5, -3.0], dtype=dtype)
+    prev = np.array([-0.0, 0.0, tiny, 2.0, -np.inf, np.inf, -tiny], dtype=dtype)
+    with np.errstate(invalid="ignore"):  # inf * 0 is nan in both
+        (weight_grad,), (bias_grad,) = dynamics._layer_grads([(prev, delta)])
+        want = np.outer(delta, prev)
+    assert_same_bits(weight_grad, want)
+    assert_same_bits(bias_grad, delta)
 
 
 def _kernel_inputs(dtype):

@@ -86,11 +86,17 @@ def _far_out_step(params, beta, loss, eta, ws):
     """Jump the first state to 1e17, then move it by 64 per entry and step
     (exact in float64): the delta stays at 64 sqrt(n), far below the
     rounding noise 16 eps |first| (about 615 for n = 3), yet never settles."""
-    first, second = ws.state.both
-    nxt = ws.next.both
-    nxt[0] = first + (64.0 if first.any() else 1e17)
-    nxt[1] = second
-    return nxt
+
+    def bind(state, nxt):
+        def step():
+            first, second = state
+            nxt[0] = first + (64.0 if first.any() else 1e17)
+            nxt[1] = second
+            return nxt
+
+        return step
+
+    return bind(ws.state, ws.next), bind(ws.next, ws.state)
 
 
 @pytest.mark.parametrize("shape", ((3,), (3, 2)), ids=("sample", "batch"))
