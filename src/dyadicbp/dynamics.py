@@ -29,7 +29,7 @@ is one (2, n) or (2, n, B) array, so the Euler update, the increment and
 its norms run once per step over both halves. Each call binds its
 scheme's step once (``_STEPS``), for both sides of the state swap: a
 closure over every buffer, block-matmul view, activation run, loss
-temporary and constant, so a step is its numpy calls and no lookups. It
+temporary and constant, so a step looks up no buffer or view. It
 allocates nothing state-sized; its floats are the unfused per-layer step's.
 """
 
