@@ -27,7 +27,6 @@ from .training import (
     ExperimentConfig,
     SWEEP_FIELDS,
     _ETA_DRIVEN,
-    _PARSE,
     _random_instance,
     _sample_gradient,
     check_gradients,
@@ -49,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="YAML config file")
     parser.add_argument("--eta", type=float, help="relaxation step size")
-    parser.add_argument("--kmax", type=int, help="iteration cap")
+    parser.add_argument("--kmax", type=int, dest="k_max", help="iteration cap")
     parser.add_argument("--tol", type=float, help="stopping tolerance")
     parser.add_argument("--seed", type=int, help="RNG seed")
     parser.add_argument(
@@ -57,7 +56,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="gradient method: BP, Dyadic, MeanStress, TwoL, Split, FiniteDiff",
     )
     parser.add_argument("--precision", type=int, choices=(32, 64), help="float width")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument(
         "--strict",
         action="store_const",
@@ -96,14 +95,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# Each override flag and the config field it sets; its value goes through
-# the parser that the same value from the YAML file goes through.
-_FLAG_FIELDS = {
-    "eta": "eta", "kmax": "k_max", "tol": "tol", "seed": "seed", "method": "method",
-    "precision": "precision", "out": "out_dir", "strict": "strict",
-}
-
-
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     mapping: dict = {}
     if args.config:
@@ -117,16 +108,10 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {args.config} must contain a mapping")
         mapping = loaded
-    config = ExperimentConfig.from_mapping(mapping)
-
-    overrides = {
-        field: _PARSE[field](getattr(args, flag))
-        for flag, field in _FLAG_FIELDS.items()
-        if getattr(args, flag) is not None
-    }
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+    # Each override flag's dest is the field it sets, which checks it.
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    return dataclasses.replace(ExperimentConfig.from_mapping(mapping), **overrides)
 
 
 # Each _cmd_* writes its output and returns what did not converge, or

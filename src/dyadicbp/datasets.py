@@ -16,7 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, enum_from_name
+from .errors import (
+    INTEGER, NUMBER, STRING, ConfigError, check_fields, checked, enum_from_name, member, optional
+)
 
 __all__ = [
     "DatasetKind",
@@ -42,13 +44,14 @@ class DatasetKind(enum.Enum):
 class DatasetSpec:
     """What to generate (or load): kind, size, noise, classes, file path."""
 
-    kind: DatasetKind = DatasetKind.TWO_MOONS
-    n_samples: int = 1000
-    noise: float = 0.1
-    classes: int = 2
-    path: Optional[str] = None
+    kind: DatasetKind = checked(DatasetKind.TWO_MOONS, member(DatasetKind))
+    n_samples: int = checked(1000, INTEGER)
+    noise: float = checked(0.1, NUMBER)
+    classes: int = checked(2, INTEGER)
+    path: Optional[str] = checked(None, optional(STRING))
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.kind is not DatasetKind.CSV_FILE:
             if self.n_samples < 1:
                 raise ConfigError("n_samples must be positive")

@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, enum_from_name
+from .errors import INTEGER, ConfigError, NumericError, ShapeError, enum_from_name
 from .losses import LossSpec, _bind_gradient, _check_target
 from .network import (
     NetworkParams,
@@ -52,7 +52,7 @@ from .network import (
     _bind_sigma_pair,
     _block_plan,
     _block_slices,
-    _check_input,
+    _check_batch,
     _check_sample,
     _check_state,
     _run_block_plan,
@@ -113,7 +113,7 @@ class RelaxConfig:
             warnings.warn(
                 "eta > 1 is outside the analyzed step-size range", RuntimeWarning
             )
-        if self.k_max < 1:
+        if INTEGER("k_max", self.k_max) < 1:
             raise ConfigError("k_max must be at least 1")
         if not 0 < self.tol < np.inf:
             raise ConfigError("tolerance must be positive and finite")
@@ -697,10 +697,12 @@ def _relax(
 def _prepare(
     params: NetworkParams, x0: np.ndarray, loss: LossSpec, batch: bool = False
 ) -> tuple[np.ndarray, LossSpec]:
-    """Checked input and loss of one sample (or a column batch)."""
-    x0 = _check_input(params, x0) if batch else _check_sample(params, x0)
-    if batch and x0.ndim != 2:
-        raise ShapeError("relax_batch takes column-stacked samples")
+    """Checked input (n0,) and target (n_L,) of one sample, or (n0, B) and
+    (n_L, B) of a column batch."""
+    x0 = (_check_batch if batch else _check_sample)(params, x0)
+    expected = (params.widths[-1],) + x0.shape[1:]
+    if loss.target.shape != expected:
+        raise ShapeError(f"loss target has shape {loss.target.shape}, expected {expected}")
     return x0, _check_target(loss, params.dtype)
 
 

@@ -46,8 +46,8 @@ class LossSpec:
     def __post_init__(self) -> None:
         target = np.asarray(self.target)
         object.__setattr__(self, "target", target)
-        if target.ndim not in (1, 2):
-            raise ShapeError("loss target must be a vector or a column batch")
+        if target.ndim not in (1, 2) or target.size == 0:
+            raise ShapeError("loss target must be a vector or a column batch, not empty")
         if not np.isfinite(target).all():
             raise ValueError("loss target must be finite")
         if self.kind is LossKind.SOFTMAX_CROSS_ENTROPY:

@@ -13,14 +13,20 @@ A stacked state has one type everywhere: a plain ndarray of shape (n,)
 for one sample, or (n, B) for B samples stacked as columns inside the
 engine. The private ``*_array`` kernels take them unchecked. Every
 public operation checks its arguments first, one check per kind of
-array: an input (``_check_input``, ``_check_sample`` for one sample) or
-a state (``_check_state``). Both cast integers to the parameters' dtype
-and reject another float width (``ShapeError``) and non-finite entries
-(``NumericError``).
+array: an input (``_check_sample`` for one sample, ``_check_batch`` for
+a column batch) or a state (``_check_state``). Both cast integers
+to the parameters' dtype and reject another float width (``ShapeError``)
+and non-finite entries (``NumericError``).
 
-Each activation formula is written once, in numpy: sigma in
+Each activation formula is written in numpy: sigma in
 :meth:`Activation.apply`, sigma' in :func:`_sigma_pair` (together with
 sigma, at one pre-activation) and the logistic in :func:`_logistic`.
+The bound Euler steps repeat two of them as ufunc calls:
+:func:`_bind_sigma_pair` those of :func:`_sigma_pair`, and
+``losses._bind_gradient`` those of the cross-entropy gradient.
+``tests/test_fused_step.py`` pins the copies: it checks the bound steps
+against ``oracles.unfused_step``, and ``_sigma_pair`` against ``apply``
+and ``derivative`` (``test_sigma_pair_equals_apply_and_derivative``).
 """
 
 from __future__ import annotations
@@ -216,25 +222,17 @@ def _checked_values(params: NetworkParams, arr: np.ndarray, what: str) -> np.nda
     return arr
 
 
-def _check_input(params: NetworkParams, x0: np.ndarray) -> np.ndarray:
-    """One input (n0,) or a column batch (n0, B)."""
+def _check_input(params: NetworkParams, x0: np.ndarray, ndim: int) -> np.ndarray:
+    """One input (n0,) for ``ndim`` 1, or a column batch (n0, B) of B >= 1."""
     x0 = np.asarray(x0)
-    if x0.ndim not in (1, 2) or x0.shape[0] != params.input_dim:
-        raise ShapeError(
-            f"input has shape {x0.shape}, expected ({params.input_dim},) or "
-            f"({params.input_dim}, B)"
-        )
+    if x0.ndim != ndim or x0.shape[0] != params.input_dim or x0.size == 0:
+        expected = f"({params.input_dim},)" if ndim == 1 else f"({params.input_dim}, B), B >= 1"
+        raise ShapeError(f"input has shape {x0.shape}, expected {expected}")
     return _checked_values(params, x0, "network input")
 
 
-def _check_sample(params: NetworkParams, x0: np.ndarray) -> np.ndarray:
-    """One input (n0,): a single sample; batches go through training."""
-    x0 = _check_input(params, x0)
-    if x0.ndim != 1:
-        raise ShapeError(
-            f"input has shape {x0.shape}, expected a single sample ({params.input_dim},)"
-        )
-    return x0
+_check_sample = partial(_check_input, ndim=1)
+_check_batch = partial(_check_input, ndim=2)
 
 
 def _check_state(params: NetworkParams, v: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from .errors import NumericError, ShapeError
 from .losses import LossSpec, _check_target
 from .network import (
     NetworkParams,
-    _check_input,
+    _check_batch,
     _check_sample,
     apply_wt_array,
     forward_layers,
@@ -68,10 +68,10 @@ class GradientBundle:
 
 
 def _backprop(
-    params: NetworkParams, x0: np.ndarray, loss: LossSpec, check_input=_check_input
+    params: NetworkParams, x0: np.ndarray, loss: LossSpec, check_input=_check_batch
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The backprop recursion on one sample (n0,) or a column batch (n0, B),
-    whose input passes ``check_input`` (``_check_sample``: one sample only).
+    """The backprop recursion on a column batch (n0, B), or on one sample
+    (n0,) with ``check_input`` ``_check_sample``.
 
     Yields (a_{l-1}, delta_l, sens_l) for l = L, ..., 1, where
     sens_L = grad C, sens_l = W_{l+1}^T delta_{l+1} and

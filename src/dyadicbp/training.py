@@ -21,7 +21,7 @@ from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .datasets import DatasetKind, DatasetSpec, generate_dataset
+from .datasets import DatasetSpec, generate_dataset
 from .dynamics import (
     RelaxConfig,
     RelaxMode,
@@ -32,7 +32,10 @@ from .dynamics import (
     relax_split,
     relax_twoL,
 )
-from .errors import ConfigError, NumericError, enum_from_name
+from .errors import (
+    BOOL, INTEGER, NUMBER, STRING, ConfigError, NumericError, check_fields, checked,
+    enum_from_name, list_of, member, optional, typed,
+)
 from .fidelity import compare
 from .losses import LossKind, LossSpec
 from .network import (
@@ -86,75 +89,6 @@ _ETA_DRIVEN = frozenset(
 
 _DESK_HIDDEN = (32,) * 8
 
-# The config file's sections, each with its keys in order; None is the
-# top level. A key names the field it sets, except "loss" (loss_kind);
-# the dataset section sets the fields of the DatasetSpec.
-_CONFIG_SECTIONS = (
-    (None, ("seed", "precision", "method", "loss", "fd_step")),
-    ("network", ("input_dim", "widths", "activation", "activations")),
-    ("relax", ("eta", "k_max", "tol")),
-    (
-        "optimizer",
-        ("lr_max", "lr_min", "momentum", "weight_decay", "epochs", "batch_size", "test_fraction"),
-    ),
-    ("dataset", ("kind", "n_samples", "noise", "classes", "path")),
-)
-# Top-level keys read from a config file but left out of the hash:
-# neither changes a computed number.
-_UNHASHED = ("out_dir", "strict")
-_FIELD_OF_KEY = {"loss": "loss_kind"}
-
-
-def _typed(key: str, kinds: tuple, what: str):
-    """Parser of ``key`` that passes a value of ``kinds`` through unchanged
-    (a bool only where ``kinds`` names it) and raises ConfigError on
-    anything else. It never converts: a valid file's values, and so its
-    config hash, stay as written."""
-
-    def parse(value):
-        is_bool = isinstance(value, bool)
-        if not isinstance(value, kinds) or (is_bool and bool not in kinds):
-            raise ConfigError(f"{key} must be {what}, got {value!r}")
-        return value
-
-    return parse
-
-
-def _list_of(key: str, item):
-    """Parser of a list-valued ``key``: a tuple of ``item`` of each entry."""
-
-    def parse(value):
-        if not isinstance(value, list):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
-        return tuple(item(v) for v in value)
-
-    return parse
-
-
-_INTEGER_KEYS = (
-    "seed", "precision", "input_dim", "k_max", "epochs", "batch_size", "n_samples", "classes"
-)
-_NUMBER_KEYS = (
-    "fd_step", "eta", "tol", "lr_max", "lr_min", "momentum", "weight_decay", "test_fraction",
-    "noise",
-)
-# Every key's parser: the file value, type-checked, or the field value
-# it names (an enum member, a tuple).
-_PARSE = {
-    **{key: _typed(key, (int,), "an integer") for key in _INTEGER_KEYS},
-    **{key: _typed(key, (int, float), "a number") for key in _NUMBER_KEYS},
-    "out_dir": _typed("out_dir", (str,), "a string"),
-    "path": _typed("path", (str,), "a string"),
-    "strict": _typed("strict", (bool,), "true or false"),
-    "method": GradientMethod.from_name,
-    "loss": LossKind.from_name,
-    "widths": _list_of("widths", _typed("widths", (int,), "a list of integers")),
-    "activation": Activation.from_name,
-    "activations": _list_of("activations", Activation.from_name),
-    "kind": DatasetKind.from_name,
-}
-
-
 def _plain(value):
     """A field value as the config file spells it."""
     if isinstance(value, enum.Enum):
@@ -173,36 +107,45 @@ class ExperimentConfig:
     output layer sized to the dataset's class count.  Learning rates
     default to the cosine schedule endpoints 0.035 and 0.0002, scaled
     by ``batch_size / 64``.
+
+    Each field is one key of a config file: its checker, the section
+    that holds it (the top level where none is named), its file key
+    where that is not the field name, and ``hashed=False`` where the
+    config hash leaves it out. The dataset section holds the fields of
+    ``dataset``.
     """
 
-    seed: int = 0
-    precision: int = 64
-    method: GradientMethod = GradientMethod.DYADIC
-    out_dir: str = "."
-    # network
-    input_dim: int = 2
-    widths: Optional[tuple] = None
-    activation: Activation = Activation.TANH
-    activations: Optional[tuple] = None
-    loss_kind: LossKind = LossKind.SOFTMAX_CROSS_ENTROPY
-    # relaxation
-    eta: float = 1.0
-    k_max: int = 1000
-    tol: float = 1e-6
-    # optimizer
-    lr_max: Optional[float] = None
-    lr_min: Optional[float] = None
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    epochs: int = 100
-    batch_size: int = 64
-    test_fraction: float = 0.2
-    # misc
-    fd_step: float = 1e-5
-    strict: bool = False
+    seed: int = checked(0, INTEGER)
+    precision: int = checked(64, INTEGER)
+    method: GradientMethod = checked(GradientMethod.DYADIC, member(GradientMethod))
+    out_dir: str = checked(".", STRING, hashed=False)
+    input_dim: int = checked(2, INTEGER, section="network")
+    widths: Optional[tuple] = checked(
+        None, optional(list_of(typed((int,), "a list of integers"))), section="network"
+    )
+    activation: Activation = checked(Activation.TANH, member(Activation), section="network")
+    activations: Optional[tuple] = checked(
+        None, optional(list_of(member(Activation))), section="network"
+    )
+    loss_kind: LossKind = checked(LossKind.SOFTMAX_CROSS_ENTROPY, member(LossKind), key="loss")
+    eta: float = checked(1.0, NUMBER, section="relax")
+    k_max: int = checked(1000, INTEGER, section="relax")
+    tol: float = checked(1e-6, NUMBER, section="relax")
+    lr_max: Optional[float] = checked(None, optional(NUMBER), section="optimizer")
+    lr_min: Optional[float] = checked(None, optional(NUMBER), section="optimizer")
+    momentum: float = checked(0.9, NUMBER, section="optimizer")
+    weight_decay: float = checked(5e-4, NUMBER, section="optimizer")
+    epochs: int = checked(100, INTEGER, section="optimizer")
+    batch_size: int = checked(64, INTEGER, section="optimizer")
+    test_fraction: float = checked(0.2, NUMBER, section="optimizer")
+    fd_step: float = checked(1e-5, NUMBER)
+    strict: bool = checked(False, BOOL, hashed=False)
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
 
     def __post_init__(self) -> None:
+        check_fields(self)
+        if not isinstance(self.dataset, DatasetSpec):
+            raise ConfigError(f"dataset must be a DatasetSpec, got {self.dataset!r}")
         if self.precision not in (32, 64):
             raise ConfigError(f"precision must be 32 or 64, got {self.precision}")
         if self.seed < 0:
@@ -221,12 +164,10 @@ class ExperimentConfig:
             raise ConfigError("weight_decay must be >= 0")
         if self.fd_step <= 0.0:
             raise ConfigError("fd_step must be positive")
-        if self.widths is not None:
-            object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-            if not self.widths or any(w < 1 for w in self.widths):
-                raise ConfigError("widths must be a non-empty list of positive integers")
-        if self.activations is not None:
-            object.__setattr__(self, "activations", tuple(self.activations))
+        if any(lr is not None and lr <= 0.0 for lr in (self.lr_max, self.lr_min)):
+            raise ConfigError("learning rates must be positive")
+        if self.widths is not None and (not self.widths or any(w < 1 for w in self.widths)):
+            raise ConfigError("widths must be a non-empty list of positive integers")
         if self.method not in (GradientMethod.BP, GradientMethod.FINITE_DIFF):
             self.relax_config()  # fail on eta, k_max or tol before any output
 
@@ -252,8 +193,6 @@ class ExperimentConfig:
         scale = self.batch_size / 64.0
         lr_max = self.lr_max if self.lr_max is not None else 0.035 * scale
         lr_min = self.lr_min if self.lr_min is not None else 0.0002 * scale
-        if lr_max <= 0.0 or lr_min <= 0.0:
-            raise ConfigError("learning rates must be positive")
         return lr_max, lr_min
 
     def relax_config(self) -> RelaxConfig:
@@ -267,13 +206,13 @@ class ExperimentConfig:
         number, so runs differing only there share a hash.
         """
         out: dict = {}
-        for section, keys in _CONFIG_SECTIONS:
-            owner = self.dataset if section == "dataset" else self
-            values = {k: _plain(getattr(owner, _FIELD_OF_KEY.get(k, k))) for k in keys}
-            if section is None:
-                out.update(values)
-            else:
-                out[section] = values
+        for f in dataclasses.fields(self):
+            if f.name == "dataset":
+                out["dataset"] = {k: _plain(v) for k, v in dataclasses.asdict(self.dataset).items()}
+            elif f.metadata.get("hashed", True):
+                section = f.metadata.get("section")
+                into = out.setdefault(section, {}) if section else out
+                into[f.metadata.get("key", f.name)] = _plain(getattr(self, f.name))
         return out
 
     def config_hash(self) -> str:
@@ -284,35 +223,43 @@ class ExperimentConfig:
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
         """Build a config from a parsed YAML mapping.
 
-        Accepts the same nested sections `to_canonical` emits.  Unknown
-        keys anywhere raise ConfigError so typos fail loudly.
+        Accepts the same nested sections `to_canonical` emits and hands
+        each value to the field it sets, which checks it.  Unknown keys
+        anywhere raise ConfigError so typos fail loudly.
         """
         if not isinstance(mapping, dict):
             raise ConfigError("config root must be a mapping")
-        top_keys = _CONFIG_SECTIONS[0][1] + _UNHASHED
-        unknown = set(mapping) - set(top_keys) - {s for s, _ in _CONFIG_SECTIONS[1:]}
+        sections = _sections()
+        unknown = set(mapping) - set(sections[None]) - {s for s in sections if s}
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
         kwargs: dict = {}
-        ds_kwargs: dict = {}
-        for section, keys in _CONFIG_SECTIONS:
-            if section is None:
-                sub, keys = mapping, top_keys
+        for section, keys in sections.items():
+            sub = mapping if section is None else mapping.get(section) or {}
+            if not isinstance(sub, dict):
+                raise ConfigError(f"config section {section!r} must be a mapping")
+            extra = set(sub) - set(keys) if section else ()
+            if extra:
+                raise ConfigError(f"unknown keys in {section!r}: {sorted(extra, key=str)}")
+            values = {keys[k]: v for k, v in sub.items() if k in keys and v is not None}
+            if section == "dataset":
+                kwargs["dataset"] = DatasetSpec(**values)
             else:
-                sub = mapping.get(section) or {}
-                if not isinstance(sub, dict):
-                    raise ConfigError(f"config section {section!r} must be a mapping")
-                extra = set(sub) - set(keys)
-                if extra:
-                    raise ConfigError(f"unknown keys in {section!r}: {sorted(extra)}")
-            into = ds_kwargs if section == "dataset" else kwargs
-            for key in keys:
-                if sub.get(key) is not None:
-                    value = _PARSE[key](sub[key])
-                    into[_FIELD_OF_KEY.get(key, key)] = value
-        if ds_kwargs:
-            kwargs["dataset"] = DatasetSpec(**ds_kwargs)
+                kwargs.update(values)
         return cls(**kwargs)
+
+
+def _sections() -> dict:
+    """Each section of a config file (None: the top level) with its keys,
+    each mapped to the field it sets."""
+    sections: dict = {None: {}}
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name == "dataset":
+            sections["dataset"] = {g.name: g.name for g in dataclasses.fields(DatasetSpec)}
+        else:
+            key = f.metadata.get("key", f.name)
+            sections.setdefault(f.metadata.get("section"), {})[key] = f.name
+    return sections
 
 
 # ---------------------------------------------------------------------------
