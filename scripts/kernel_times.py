@@ -18,7 +18,10 @@ backprop gradient (``bp_call``: ``classical_backprop``, or
 reference depth-9 net (input 2, eight Tanh layers of width 32, an
 Identity output of width 2, cross-entropy loss) and on the depth-17 net
 with sixteen hidden layers. Each runs for a float32 single state (n,)
-and a float64 batch (n, 64), with BLAS pinned to one thread.
+and a float64 batch (n, 64), with BLAS pinned to one thread. The batch
+case adds one epoch of ``train`` with TwoL (``train_epoch``: 1,000
+two-moons samples, batches of 64, float64), which at depth 17 is the
+config of the benchmark's ``train-twoL-L17`` workload.
 
 Each of the N repeats (default 25) times a loop of calls sized to take
 about 5 ms; a line reads ``kernel  depth  dtype  shape  median_us``.
@@ -129,7 +132,7 @@ def kernel_calls(pkg, depth: int, dtype, batch):
         return pkg.reference.backprop_batch(params, x0, loss)
 
     steps = int(np.max(relax()[2]))  # the loop runs until its last column stops
-    return {
+    calls = {
         "apply_w_array": (lambda: network.apply_w_array(params, x, out=out), 1),
         "apply_wt_array": (lambda: network.apply_wt_array(params, x, out=out), 1),
         "_sigma_pair_array": (lambda: network._sigma_pair_array(params, pre, sig, dsig), 1),
@@ -141,6 +144,16 @@ def kernel_calls(pkg, depth: int, dtype, batch):
         "twoL_call": (twoL_call, 1),
         "bp_call": (bp_call, 1),
     }
+    if batch is not None:
+        epoch = pkg.ExperimentConfig(
+            method=pkg.GradientMethod.TWO_L,
+            precision=np.finfo(dtype).bits,
+            widths=(32,) * (depth - 1) + (2,),
+            epochs=1,
+            dataset=pkg.DatasetSpec(n_samples=1000),
+        )
+        calls["train_epoch"] = (lambda: pkg.train(epoch), 1)
+    return calls
 
 
 def loop_size(call) -> int:

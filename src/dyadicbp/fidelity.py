@@ -52,6 +52,18 @@ def _cosine(t: np.ndarray, r: np.ndarray) -> float:
     return float(np.clip(np.dot(t, r) / (nt * nr), -1.0, 1.0))
 
 
+def _global_metrics(t: np.ndarray, r: np.ndarray) -> tuple:
+    """(cos, rel_err, norm_ratio, snr) of the float64 vector ``t`` against
+    ``r``: the global metrics of :func:`compare`, the ones ``train`` logs."""
+    nt = float(np.linalg.norm(t))
+    nr = float(np.linalg.norm(r))
+    diff = float(np.linalg.norm(t - r))
+    if not nr > 0.0:
+        return _cosine(t, r), None, None, None
+    snr = math.inf if diff == 0.0 else (nr * nr) / (diff * diff)
+    return _cosine(t, r), diff / nr, nt / nr, snr
+
+
 @dataclass(frozen=True)
 class FidelityReport:
     """The metric set comparing a test bundle against a reference bundle.
@@ -104,19 +116,9 @@ def compare(test: GradientBundle, reference: GradientBundle) -> FidelityReport:
     # One float64 (W, b) vector per layer; their concatenation is ``flat()``.
     t_layers = [test.layer_flat(i).astype(np.float64, copy=False) for i in range(test.depth)]
     r_layers = [reference.layer_flat(i).astype(np.float64, copy=False) for i in range(test.depth)]
-    t = np.concatenate(t_layers)
-    r = np.concatenate(r_layers)
-    nt = float(np.linalg.norm(t))
-    nr = float(np.linalg.norm(r))
-    diff = float(np.linalg.norm(t - r))
-
-    cos = _cosine(t, r)
-    if nr > 0.0:
-        relative_error: Optional[float] = diff / nr
-        norm_ratio: Optional[float] = nt / nr
-        snr: Optional[float] = math.inf if diff == 0.0 else (nr * nr) / (diff * diff)
-    else:
-        relative_error = norm_ratio = snr = None
+    cos, relative_error, norm_ratio, snr = _global_metrics(
+        np.concatenate(t_layers), np.concatenate(r_layers)
+    )
 
     per_cos = []
     per_logmis = []

@@ -32,7 +32,6 @@ and ``derivative`` (``test_sigma_pair_equals_apply_and_derivative``).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -101,8 +100,8 @@ class LayerSpec:
 
 @dataclass(frozen=True, eq=False)
 class LayerParams:
-    """One layer's spec, weight matrix and bias vector, read-only so that the
-    stacks of :class:`NetworkParams` cannot go stale (a view is copied first)."""
+    """One layer's spec, weight matrix and bias vector. In a
+    :class:`NetworkParams` both are read-only views of its buffer."""
 
     spec: LayerSpec
     weight: np.ndarray
@@ -119,11 +118,6 @@ class LayerParams:
             )
         if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
             raise ValueError("layer parameters must be finite")
-        for name in ("weight", "bias"):
-            arr = getattr(self, name)
-            if arr.base is not None:  # a view: its base could still be written
-                object.__setattr__(self, name, arr := arr.copy(order="K"))
-            arr.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +125,11 @@ class NetworkParams:
     """The full parameter set of a depth-L chain network.
 
     Layers are ordered from input to output; ``layers[i].weight`` has
-    shape (n_{i+1}, n_i) with n_0 = ``input_dim``. Construction fixes the
-    block layout and stacks each run of consecutive equal-shaped W_2..W_L.
+    shape (n_{i+1}, n_i) with n_0 = ``input_dim``. Construction copies
+    the layers, all of one dtype, into one read-only (P,) buffer in the
+    order of ``GradientBundle.flat()``: W_1 (row-major), b_1, ..., W_L,
+    b_L. Each weight and bias, and the stack of each run of consecutive
+    equal-shaped W_2..W_L (a strided (k, r, c) view), is a view of it.
     """
 
     input_dim: int
@@ -145,35 +142,60 @@ class NetworkParams:
             raise ValueError("a network needs at least one layer")
         object.__setattr__(self, "layers", tuple(self.layers))
         fan_in = self.input_dim
+        dtype = self.layers[0].weight.dtype
         for i, lp in enumerate(self.layers):
             if lp.weight.shape[1] != fan_in:
                 raise ShapeError(
                     f"layer {i + 1} expects fan-in {lp.weight.shape[1]}, "
                     f"previous width is {fan_in}"
                 )
+            if lp.weight.dtype != dtype or lp.bias.dtype != dtype:
+                raise ShapeError(f"layer {i + 1} holds {lp.weight.dtype} weights and "
+                                 f"{lp.bias.dtype} biases, layer 1 {dtype}: one dtype per network")
             fan_in = lp.spec.width
+        # Frozen params fix the block layout and the place of each W_l in
+        # the buffer (b_l follows it): relaxation steps read them, not rebuild them.
         offsets = np.cumsum([0] + [lp.spec.width for lp in self.layers]).tolist()
-        # Frozen params fix the block layout: relaxation steps read it, not rebuild it.
-        slices = tuple(slice(offsets[i], offsets[i + 1]) for i in range(len(self.layers)))
-        runs: list[tuple[slice, Activation]] = []
-        for sl, lp in zip(slices, self.layers):
-            act = lp.spec.activation
-            if runs and runs[-1][1] is act:
-                runs[-1] = (slice(runs[-1][0].start, sl.stop), act)
-            else:
-                runs.append((sl, act))
+        acts = [lp.spec.activation for lp in self.layers]
+        runs = [(slice(offsets[a], offsets[b]), acts[a]) for a, b in _equal_runs(acts)]
+        starts = np.cumsum([0] + [lp.weight.size + lp.bias.size for lp in self.layers]).tolist()
+        places = [(p, *lp.weight.shape) for p, lp in zip(starts, self.layers)]
         # One stack per run of equal-shaped W_l (l >= 2); lo/hi: its input/output rows.
-        stacks = []
-        key = [(lp.weight.shape, lp.weight.dtype) for lp in self.layers]
-        for _, run in itertools.groupby(range(1, len(key)), key.__getitem__):
-            idx = list(run)
-            lo = slice(offsets[idx[0] - 1], offsets[idx[-1]])
-            hi = slice(offsets[idx[0]], offsets[idx[-1] + 1])
-            stacks.append((np.stack([self.layers[i].weight for i in idx]), lo, hi))
-        object.__setattr__(self, "_offsets", tuple(offsets))
-        object.__setattr__(self, "_slices", slices)
-        object.__setattr__(self, "_runs", tuple(runs))
-        object.__setattr__(self, "_stacks", tuple(stacks))
+        shapes = [None] + [lp.weight.shape for lp in self.layers[1:]]  # W_1 runs alone
+        spans = [(*places[a], b - a, slice(offsets[a - 1], offsets[b - 1]),
+                  slice(offsets[a], offsets[b])) for a, b in _equal_runs(shapes)[1:]]
+        slices = tuple(map(slice, offsets[:-1], offsets[1:]))
+        vars(self).update(_offsets=tuple(offsets), _slices=slices, _runs=tuple(runs),
+                          _places=tuple(places), _spans=tuple(spans))
+        self._bind(np.concatenate([a.ravel() for lp in self.layers for a in (lp.weight, lp.bias)]))
+
+    def _with_flat(self, flat: np.ndarray) -> "NetworkParams":
+        """This network on ``flat``, a (P,) vector nothing writes again: no copy, no checks."""
+        params = object.__new__(type(self))
+        vars(params).update(vars(self))
+        params._bind(flat)
+        return params
+
+    def _layer_views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The (W_l, b_l) views of a (P,) vector in this network's layout."""
+        return [
+            (flat[p : p + r * c].reshape(r, c), flat[p + r * c : p + r * c + r])
+            for p, r, c in self._places  # type: ignore[attr-defined]
+        ]
+
+    def _bind(self, flat: np.ndarray) -> None:
+        """Make ``flat`` the read-only buffer, the layers and stacks its views."""
+        flat.flags.writeable = False
+        layers = []
+        for lp, (weight, bias) in zip(self.layers, self._layer_views(flat)):
+            layer = object.__new__(LayerParams)  # checked already: no copy, no checks
+            vars(layer).update(spec=lp.spec, weight=weight, bias=bias)
+            layers.append(layer)
+        stacks = tuple(
+            (flat[p : p + k * (r * c + r)].reshape(k, -1)[:, : r * c].reshape(k, r, c), lo, hi)
+            for p, r, c, k, lo, hi in self._spans  # type: ignore[attr-defined]
+        )
+        vars(self).update(layers=tuple(layers), _flat=flat, _stacks=stacks)
 
     @property
     def depth(self) -> int:
@@ -193,21 +215,23 @@ class NetworkParams:
 
     @property
     def dtype(self) -> np.dtype:
-        return self.layers[0].weight.dtype
+        return self._flat.dtype  # type: ignore[attr-defined]
 
     @property
     def output_slice(self) -> slice:
         return self._slices[-1]  # type: ignore[attr-defined]
 
     def astype(self, dtype) -> "NetworkParams":
-        dtype = np.dtype(dtype)
-        return NetworkParams(
-            self.input_dim,
-            tuple(
-                LayerParams(lp.spec, lp.weight.astype(dtype), lp.bias.astype(dtype))
-                for lp in self.layers
-            ),
-        )
+        flat = self._flat.astype(dtype)  # type: ignore[attr-defined]
+        if not np.isfinite(flat).all():
+            raise ValueError("layer parameters must be finite")
+        return self._with_flat(flat)
+
+
+def _equal_runs(keys: list) -> list[tuple[int, int]]:
+    """(start, stop) of each run of consecutive equal ``keys``."""
+    cuts = [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]]
+    return list(zip([0] + cuts, cuts + [len(keys)]))
 
 
 def _checked_values(params: NetworkParams, arr: np.ndarray, what: str) -> np.ndarray:

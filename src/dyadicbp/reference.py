@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 
+_NON_FINITE = "gradient bundle contains non-finite entries"
+
+
 @dataclass(frozen=True, eq=False)
 class GradientBundle:
     """Per-layer weight and bias gradients, the output of any gradient method."""
@@ -52,7 +55,7 @@ class GradientBundle:
             if gw.ndim != 2 or gb.ndim != 1 or gw.shape[0] != gb.shape[0]:
                 raise ShapeError("gradient shapes do not form layer pairs")
             if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-                raise NumericError("gradient bundle contains non-finite entries")
+                raise NumericError(_NON_FINITE)
 
     @property
     def depth(self) -> int:
@@ -126,37 +129,21 @@ def finite_difference_grad(
     if not h > 0:
         raise ValueError("finite-difference step h must be positive")
     x0 = _check_sample(params, x0)
-    weights = [lp.weight.astype(np.float64).copy() for lp in params.layers]
-    biases = [lp.bias.astype(np.float64).copy() for lp in params.layers]
-    specs = [lp.spec for lp in params.layers]
+    theta = params._flat.astype(np.float64)  # type: ignore[attr-defined]
+    layers = list(zip(params.layers, params._layer_views(theta)))
 
-    def loss_value() -> float:
+    def loss_at(k: int, value) -> float:
+        theta[k] = value
         a = x0
-        for w, b, spec in zip(weights, biases, specs):
-            a = spec.activation.apply(w @ a + b)
+        for lp, (w, b) in layers:
+            a = lp.spec.activation.apply(w @ a + b)
         return loss.value(a)
 
-    def central(arr: np.ndarray, idx) -> float:
-        orig = arr[idx]
-        arr[idx] = orig + h
-        plus = loss_value()
-        arr[idx] = orig - h
-        minus = loss_value()
-        arr[idx] = orig
-        return (plus - minus) / (2.0 * h)
-
-    weight_grads = []
-    bias_grads = []
-    for w, b in zip(weights, biases):
-        gw = np.empty_like(w)
-        for idx in np.ndindex(w.shape):
-            gw[idx] = central(w, idx)
-        gb = np.empty_like(b)
-        for j in range(b.shape[0]):
-            gb[j] = central(b, j)
-        weight_grads.append(gw)
-        bias_grads.append(gb)
-    return GradientBundle(tuple(weight_grads), tuple(bias_grads))
+    grad = np.empty_like(theta)
+    for k, orig in enumerate(theta.copy()):  # the buffer's order: W_1 row-major, b_1, ...
+        grad[k] = (loss_at(k, orig + h) - loss_at(k, orig - h)) / (2.0 * h)
+        theta[k] = orig
+    return GradientBundle(*zip(*params._layer_views(grad)))
 
 
 def neumann_stress(

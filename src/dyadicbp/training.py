@@ -36,16 +36,11 @@ from .errors import (
     BOOL, INTEGER, NUMBER, STRING, ConfigError, NumericError, check_fields, checked,
     enum_from_name, list_of, member, optional, typed,
 )
-from .fidelity import compare
+from .fidelity import _global_metrics, compare
 from .losses import LossKind, LossSpec
-from .network import (
-    Activation,
-    LayerParams,
-    NetworkParams,
-    forward_layers,
-    random_network,
-)
+from .network import Activation, NetworkParams, forward_layers, random_network
 from .reference import (
+    _NON_FINITE,
     GradientBundle,
     backprop_batch,
     classical_backprop,
@@ -265,8 +260,8 @@ def _sections() -> dict:
 # ---------------------------------------------------------------------------
 # CSV plumbing shared by train / check / sweep and the CLI.
 
-# The columns of FidelityReport.to_record() that train averages per
-# epoch, each logged as ``fid_<key>``.
+# The global metrics of ``fidelity._global_metrics`` (in its order, with
+# to_record()'s keys) that train averages per epoch as ``fid_<key>``.
 _FID_KEYS = ("cos", "rel_err", "norm_ratio", "snr")
 
 TRAIN_FIELDS = (
@@ -366,19 +361,11 @@ def _fd_batch(
 ) -> tuple:
     """Mean finite-difference gradient over the columns of ``xb``."""
     batch = xb.shape[1]
-    acc_w = [np.zeros_like(lp.weight, dtype=np.float64) for lp in params.layers]
-    acc_b = [np.zeros_like(lp.bias, dtype=np.float64) for lp in params.layers]
+    acc = np.zeros(params._flat.size)  # type: ignore[attr-defined]
     for j in range(batch):
         sample_loss = LossSpec(loss.kind, loss.target[:, j])
-        bundle = finite_difference_grad(params, xb[:, j], sample_loss, h=config.fd_step)
-        for i in range(len(acc_w)):
-            acc_w[i] += bundle.weight_grads[i]
-            acc_b[i] += bundle.bias_grads[i]
-    dtype = params.dtype
-    return (
-        [(w / batch).astype(dtype) for w in acc_w],
-        [(b / batch).astype(dtype) for b in acc_b],
-    )
+        acc += finite_difference_grad(params, xb[:, j], sample_loss, h=config.fd_step).flat()
+    return tuple(zip(*params._layer_views((acc / batch).astype(params.dtype))))
 
 
 def _batch_gradients(
@@ -419,26 +406,25 @@ def _cosine_lr(epoch: int, epochs: int, lr_max: float, lr_min: float) -> float:
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * t))
 
 
-def _evaluate(
-    params: NetworkParams, x_cols: np.ndarray, onehot_rows: np.ndarray, kind: LossKind
-) -> tuple:
+def _eval_set(features: np.ndarray, onehot: np.ndarray, kind: LossKind, dtype) -> tuple:
+    """The (inputs as columns, loss, labels) that :func:`_evaluate` takes, built once."""
+    x_cols = np.ascontiguousarray(features.T.astype(dtype))
+    return x_cols, LossSpec(kind, onehot.T.astype(dtype)), np.argmax(onehot, axis=1)
+
+
+def _evaluate(params: NetworkParams, x_cols: np.ndarray, loss: LossSpec, labels) -> tuple:
     """Mean loss and accuracy over a sample set held as columns."""
     _, acts = forward_layers(params, x_cols)
     out = acts[-1]
-    loss = LossSpec(kind, onehot_rows.T.astype(out.dtype)).value(out)
-    mean_loss = float(np.asarray(loss, dtype=np.float64).mean())
-    pred = np.argmax(out, axis=0)
-    label = np.argmax(onehot_rows, axis=1)
-    acc = float(np.mean(pred == label))
+    mean_loss = float(np.asarray(loss.value(out), dtype=np.float64).mean())
+    acc = float(np.mean(np.argmax(out, axis=0) == labels))
     return mean_loss, acc
 
 
-def _with_arrays(params: NetworkParams, weights, biases) -> NetworkParams:
-    layers = tuple(
-        LayerParams(lp.spec, w, b)
-        for lp, w, b in zip(params.layers, weights, biases)
-    )
-    return NetworkParams(params.input_dim, layers)
+def _pack(views, weight_grads, bias_grads) -> None:
+    """Write per-layer gradients into the (W_l, b_l) views of a (P,) vector."""
+    for (w, b), gw, gb in zip(views, weight_grads, bias_grads, strict=True):
+        w[...], b[...] = gw, gb
 
 
 def _mean_or_none(values) -> Optional[float]:
@@ -483,16 +469,18 @@ def train(config: ExperimentConfig, csv_path=None) -> TrainResult:
     test_idx, train_idx = perm[:n_test], perm[n_test:]
     if train_idx.size == 0:
         raise ConfigError("test_fraction leaves no training samples")
-    x_train = np.ascontiguousarray(features[train_idx].T.astype(dtype))
-    y_train = onehot[train_idx]
-    x_test = np.ascontiguousarray(features[test_idx].T.astype(dtype))
-    y_test = onehot[test_idx]
-    y_train_cols = np.ascontiguousarray(y_train.T.astype(dtype))
+    train_set = _eval_set(features[train_idx], onehot[train_idx], config.loss_kind, dtype)
+    if n_test:
+        test_set = _eval_set(features[test_idx], onehot[test_idx], config.loss_kind, dtype)
+    x_train = train_set[0]
+    y_train_cols = np.ascontiguousarray(onehot[train_idx].T.astype(dtype))
 
     lr_max, lr_min = config.resolved_lr()
-    # Every weight, then every bias: the order _with_arrays takes them in.
-    arrays = [lp.weight for lp in params.layers] + [lp.bias for lp in params.layers]
-    velocities = [np.zeros_like(arr) for arr in arrays]
+    # One parameter vector and one velocity in the buffer's layout; each
+    # update wraps its new parameter vector, which nothing writes again.
+    theta = params._flat  # type: ignore[attr-defined]
+    velocity = np.zeros_like(theta)
+    grad, ref = np.empty_like(theta), np.empty_like(theta)
 
     writer = None
     if csv_path is not None:
@@ -501,8 +489,8 @@ def train(config: ExperimentConfig, csv_path=None) -> TrainResult:
 
     def log_epoch(params: NetworkParams, epoch: int, lr=None, **columns) -> None:
         """Log the row of ``epoch``: ``params`` on the train and test sets."""
-        train_loss, train_acc = _evaluate(params, x_train, y_train, config.loss_kind)
-        test_acc = _evaluate(params, x_test, y_test, config.loss_kind)[1] if n_test else None
+        train_loss, train_acc = _evaluate(params, *train_set)
+        test_acc = _evaluate(params, *test_set)[1] if n_test else None
         rows.append(dict(epoch=epoch, lr=lr, train_loss=train_loss, train_acc=train_acc,
                          test_acc=test_acc, **columns))
         if writer is not None:
@@ -512,49 +500,47 @@ def train(config: ExperimentConfig, csv_path=None) -> TrainResult:
         log_epoch(params, 0)
 
         n_train = x_train.shape[1]
-        mu = config.momentum
-        wd = config.weight_decay
+        mu, wd = config.momentum, config.weight_decay
         for epoch in range(1, config.epochs + 1):
             lr = _cosine_lr(epoch, config.epochs, lr_max, lr_min)
             order = rng.permutation(n_train)
-            iter_counts: list = []
-            conv_flags: list = []
-            fid_records: list = []
+            iter_counts, conv_flags, fid_records = [], [], []  # per batch
             for start in range(0, n_train, config.batch_size):
                 idx = order[start : start + config.batch_size]
                 xb = x_train[:, idx]
                 loss = LossSpec(config.loss_kind, y_train_cols[:, idx])
                 ws, bs, iters, conv = _batch_gradients(params, xb, loss, config)
+                _pack(params._layer_views(grad), ws, bs)
                 if iters is not None:
                     iter_counts.append(float(np.mean(iters)))
                     conv_flags.append(float(np.mean(conv)))
                 if config.method is not GradientMethod.BP:
-                    ref_w, ref_b = backprop_batch(params, xb, loss)
-                    report = compare(GradientBundle(ws, bs), GradientBundle(ref_w, ref_b))
-                    fid_records.append(report.to_record())
+                    _pack(params._layer_views(ref), *backprop_batch(params, xb, loss))
+                    if not (np.isfinite(grad).all() and np.isfinite(ref).all()):
+                        raise NumericError(_NON_FINITE)  # GradientBundle's check
+                    t, r = (v.astype(np.float64, copy=False) for v in (grad, ref))
+                    fid_records.append(_global_metrics(t, r))
 
-                for i, grad in enumerate([*ws, *bs]):
-                    grad = grad + wd * arrays[i]
-                    velocities[i] = mu * velocities[i] + grad
-                    arrays[i] = (arrays[i] - lr * (grad + mu * velocities[i])).astype(dtype)
-                    if not np.all(np.isfinite(arrays[i])):
-                        raise NumericError(
-                            f"parameters diverged in epoch {epoch}; partial log kept"
-                        )
-                params = _with_arrays(params, arrays[: params.depth], arrays[params.depth :])
+                # Nesterov: g = grad + wd theta, v = mu v + g, theta - lr (g + mu v),
+                # in grad and velocity with ref as scratch; grad becomes the new theta.
+                grad += np.multiply(theta, wd, out=ref)
+                velocity *= mu
+                velocity += grad
+                grad += np.multiply(velocity, mu, out=ref)
+                grad *= lr
+                np.subtract(theta, grad, out=grad)
+                if not np.isfinite(grad).all():
+                    raise NumericError(f"parameters diverged in epoch {epoch}; partial log kept")
+                params = params._with_flat(grad)
+                theta = grad  # frees the old theta, whose memory the next grad reuses
+                grad = np.empty_like(theta)
 
             fidelity = {
-                f"fid_{key}": _mean_or_none(rec[key] for rec in fid_records)
-                for key in _FID_KEYS
+                f"fid_{key}": _mean_or_none(rec[i] for rec in fid_records)
+                for i, key in enumerate(_FID_KEYS)
             }
-            log_epoch(
-                params,
-                epoch,
-                lr,
-                mean_iterations=_mean_or_none(iter_counts),
-                frac_converged=_mean_or_none(conv_flags),
-                **fidelity,
-            )
+            log_epoch(params, epoch, lr, mean_iterations=_mean_or_none(iter_counts),
+                      frac_converged=_mean_or_none(conv_flags), **fidelity)
     finally:
         if writer is not None:
             writer.close()

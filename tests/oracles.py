@@ -3,7 +3,7 @@
 Everything here rebuilds quantities with explicit dense matrices and
 plain per-layer loops, sharing no code with the package's
 operator-action kernels, so agreement between the two is evidence and
-not tautology. The last three sections are the exception: they keep
+not tautology. The last four sections are the exception: they keep
 earlier package formulas as they were written, so that a rewrite of
 the package can be pinned to the same bits.
 """
@@ -12,8 +12,17 @@ import math
 
 import numpy as np
 
-from dyadicbp import Activation, LossKind
-from dyadicbp.fidelity import _cosine, log_misalignment
+from dyadicbp import (
+    Activation,
+    GradientMethod,
+    LayerParams,
+    LossKind,
+    LossSpec,
+    NetworkParams,
+    NumericError,
+    generate_dataset,
+)
+from dyadicbp.fidelity import _cosine, compare, log_misalignment
 from dyadicbp.network import (
     _block_slices,
     apply_w_array,
@@ -21,6 +30,14 @@ from dyadicbp.network import (
     beta_array,
     forward_layers,
     sigma_prime_array,
+)
+from dyadicbp.reference import GradientBundle, backprop_batch
+from dyadicbp.training import (
+    _FID_KEYS,
+    _batch_gradients,
+    _cosine_lr,
+    _draw_network,
+    _mean_or_none,
 )
 
 
@@ -389,3 +406,80 @@ def per_block_wt(params, arr, out=None):
     for i in range(params.depth - 1):
         np.matmul(params.layers[i + 1].weight.T, arr[slices[i + 1]], out=out[slices[i]])
     return out
+
+
+# The training loop as the package wrote it before the flat parameter
+# buffer: 2L separately owned arrays, a Nesterov update per array with
+# its own finiteness check, params rebuilt from the arrays after each
+# batch, and the fidelity columns taken from ``compare``. ``train`` must
+# log the same rows bit for bit.
+
+
+def per_array_train(config, rows):
+    """Run ``config`` as that loop, appending each epoch's row to ``rows``
+    as it is logged, so a divergence leaves the partial log there."""
+    rng = np.random.default_rng(config.seed)
+    features, onehot = generate_dataset(config.dataset, config.seed)
+    n, input_dim = features.shape
+    params = _draw_network(config, input_dim, onehot.shape[1], rng)
+    dtype = params.dtype
+    n_test = int(round(config.test_fraction * n))
+    perm = rng.permutation(n)
+    test_idx, train_idx = perm[:n_test], perm[n_test:]
+    x_train = np.ascontiguousarray(features[train_idx].T.astype(dtype))
+    y_train = onehot[train_idx]
+    x_test = np.ascontiguousarray(features[test_idx].T.astype(dtype))
+    y_test = onehot[test_idx]
+    y_train_cols = np.ascontiguousarray(y_train.T.astype(dtype))
+
+    def evaluate(params, x_cols, onehot_rows):
+        out = forward_layers(params, x_cols)[1][-1]
+        loss = LossSpec(config.loss_kind, onehot_rows.T.astype(out.dtype)).value(out)
+        acc = float(np.mean(np.argmax(out, axis=0) == np.argmax(onehot_rows, axis=1)))
+        return float(np.asarray(loss, dtype=np.float64).mean()), acc
+
+    def log_epoch(params, epoch, lr=None, **columns):
+        train_loss, train_acc = evaluate(params, x_train, y_train)
+        test_acc = evaluate(params, x_test, y_test)[1] if n_test else None
+        rows.append(dict(epoch=epoch, lr=lr, train_loss=train_loss, train_acc=train_acc,
+                         test_acc=test_acc, **columns))
+
+    lr_max, lr_min = config.resolved_lr()
+    arrays = [lp.weight for lp in params.layers] + [lp.bias for lp in params.layers]
+    velocities = [np.zeros_like(arr) for arr in arrays]
+    log_epoch(params, 0)
+    n_train = x_train.shape[1]
+    mu, wd = config.momentum, config.weight_decay
+    for epoch in range(1, config.epochs + 1):
+        lr = _cosine_lr(epoch, config.epochs, lr_max, lr_min)
+        order = rng.permutation(n_train)
+        iter_counts, conv_flags, fid_records = [], [], []
+        for start in range(0, n_train, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            xb = x_train[:, idx]
+            loss = LossSpec(config.loss_kind, y_train_cols[:, idx])
+            ws, bs, iters, conv = _batch_gradients(params, xb, loss, config)
+            if iters is not None:
+                iter_counts.append(float(np.mean(iters)))
+                conv_flags.append(float(np.mean(conv)))
+            if config.method is not GradientMethod.BP:
+                ref_w, ref_b = backprop_batch(params, xb, loss)
+                report = compare(GradientBundle(ws, bs), GradientBundle(ref_w, ref_b))
+                fid_records.append(report.to_record())
+            for i, grad in enumerate([*ws, *bs]):
+                grad = grad + wd * arrays[i]
+                velocities[i] = mu * velocities[i] + grad
+                arrays[i] = (arrays[i] - lr * (grad + mu * velocities[i])).astype(dtype)
+                if not np.all(np.isfinite(arrays[i])):
+                    raise NumericError(f"parameters diverged in epoch {epoch}; partial log kept")
+            layers = tuple(
+                LayerParams(lp.spec, w, b)
+                for lp, w, b in zip(params.layers, arrays[: params.depth], arrays[params.depth :])
+            )
+            params = NetworkParams(params.input_dim, layers)
+        fidelity = {
+            f"fid_{key}": _mean_or_none(rec[key] for rec in fid_records) for key in _FID_KEYS
+        }
+        log_epoch(params, epoch, lr, mean_iterations=_mean_or_none(iter_counts),
+                  frac_converged=_mean_or_none(conv_flags), **fidelity)
+    return params

@@ -1,12 +1,12 @@
-"""The stacked block plan: ``NetworkParams`` stacks the weights of each
-run of consecutive equal-shaped W_l once, and ``apply_w_array`` /
-``apply_wt_array`` do one matmul per run. These properties pin both
-kernels to the per-block products they replaced
-(``oracles.per_block_w``/``per_block_wt``) byte for byte, over depths
-1-7, runs of every length, both precisions, (n,), (n, 1) and (n, B)
-states and calls with and without ``out=``; they pin the stacks of
-rebuilt params to fresh ones, and the read-only weights that keep the
-stacks from going stale.
+"""The stacked block plan: ``NetworkParams`` holds the weights of each
+run of consecutive equal-shaped W_l as one strided view of its
+parameter buffer, and ``apply_w_array`` / ``apply_wt_array`` do one
+matmul per run. These properties pin both kernels to the per-block
+products they replaced (``oracles.per_block_w``/``per_block_wt``) byte
+for byte, over depths 1-7, runs of every length, both precisions, (n,),
+(n, 1) and (n, B) states and calls with and without ``out=``; they pin
+the stacks of rebuilt params to fresh ones, and the one read-only
+buffer that the weights, biases and stacks are views of.
 
 Consecutive W_l of equal shape are square (W_l is n_l x n_{l-1}), so
 non-square shapes appear as runs of length one, between square runs.
@@ -19,9 +19,16 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import ALL_ACTS
-from dyadicbp import Activation, LayerParams, LayerSpec, NetworkParams, random_network
+from dyadicbp import (
+    Activation,
+    GradientBundle,
+    LayerParams,
+    LayerSpec,
+    NetworkParams,
+    ShapeError,
+    random_network,
+)
 from dyadicbp.network import apply_w_array, apply_wt_array
-from dyadicbp.training import _with_arrays
 
 
 def assert_same_bits(got, want):
@@ -134,11 +141,7 @@ def test_rebuilt_params_carry_fresh_stacks(case):
     cast = params.astype(other)
     _assert_stacks_match_layers(cast)
     assert all(s.dtype == np.dtype(other) for s, _, _ in cast._stacks)
-    stepped = _with_arrays(
-        params,
-        [lp.weight - 0.25 for lp in params.layers],
-        [lp.bias + 0.5 for lp in params.layers],
-    )
+    stepped = params._with_flat(params._flat - 0.25)  # a training step's route
     _assert_stacks_match_layers(stepped)
     for old, new in zip(params.layers, stepped.layers):
         assert_same_bits(new.weight, old.weight - 0.25)
@@ -156,17 +159,35 @@ def test_layer_arrays_are_read_only(case):
             lp.weight += 1.0
 
 
-def test_caller_array_becomes_read_only():
-    # The flag is set on the array handed in, so the caller cannot
-    # change the weights under the stacked copy either.
+@given(plan_cases())
+def test_layers_and_stacks_are_views_of_one_read_only_buffer(case):
+    params, arr = case
+    for p in (params, params.astype(np.float32), params._with_flat(params._flat * 2)):
+        flat = p._flat
+        assert flat.ndim == 1 and not flat.flags.writeable
+        views = [a for lp in p.layers for a in (lp.weight, lp.bias)]
+        views += [stack for stack, _, _ in p._stacks]
+        assert all(np.shares_memory(v, flat) for v in views)
+        # Layer-major order W_1, b_1, ..., W_L, b_L: the order of GradientBundle.flat().
+        bundle = GradientBundle([lp.weight for lp in p.layers], [lp.bias for lp in p.layers])
+        assert_same_bits(flat, bundle.flat())
+        _assert_stacks_match_layers(p)
+        x = arr.astype(p.dtype)
+        assert_same_bits(apply_w_array(p, x), oracles.per_block_w(p, x))
+        assert_same_bits(apply_wt_array(p, x), oracles.per_block_wt(p, x))
+
+
+def test_caller_arrays_are_copied_into_the_buffer():
+    # The arrays handed in stay the caller's: writing into them does not
+    # reach the network's buffer.
     weight = np.ones((3, 2))
     bias = np.zeros(3)
     params = NetworkParams(2, (LayerParams(LayerSpec(3, Activation.TANH), weight, bias),))
-    assert params.layers[0].weight is weight
-    with pytest.raises(ValueError):
-        weight[0, 0] = 2.0
-    with pytest.raises(ValueError):
-        bias[0] = 2.0
+    weight[0, 0] = 2.0
+    bias[0] = 2.0
+    assert_same_bits(params.layers[0].weight, np.ones((3, 2)))
+    assert_same_bits(params.layers[0].bias, np.zeros(3))
+    assert not np.shares_memory(params._flat, weight)
 
 
 def test_view_of_a_writable_buffer_is_copied():
@@ -192,19 +213,15 @@ def test_view_of_a_writable_buffer_is_copied():
     assert_same_bits(apply_w_array(params, arr), oracles.per_block_w(params, arr))
 
 
-def test_equal_shapes_of_different_dtypes_stack_apart():
-    # A float64 block next to a float32 one of the same shape: one stack
-    # would upcast the float32 block and change its products' bits.
+@pytest.mark.parametrize("part", ["weight", "bias"])
+def test_layers_of_different_dtypes_are_rejected(part):
+    # A float64 layer after float32 ones would upcast every later
+    # activation, and the network would report only layer 1's dtype.
     rng = np.random.default_rng(3)
     params = random_network(3, (4, 4, 4, 4), Activation.TANH, rng, dtype=np.float32)
     layers = list(params.layers)
-    layers[2] = LayerParams(layers[2].spec, layers[2].weight.astype(np.float64), layers[2].bias)
-    mixed = NetworkParams(params.input_dim, tuple(layers))
-    assert [(s.shape[0], s.dtype) for s, _, _ in mixed._stacks] == [
-        (1, np.float32),
-        (1, np.float64),
-        (1, np.float32),
-    ]
-    arr = rng.standard_normal(mixed.state_size).astype(np.float32)
-    assert_same_bits(apply_w_array(mixed, arr), oracles.per_block_w(mixed, arr))
-    assert_same_bits(apply_wt_array(mixed, arr), oracles.per_block_wt(mixed, arr))
+    arrays = {"weight": layers[2].weight, "bias": layers[2].bias}
+    arrays[part] = arrays[part].astype(np.float64)
+    layers[2] = LayerParams(layers[2].spec, **arrays)
+    with pytest.raises(ShapeError, match="layer 3 holds"):
+        NetworkParams(params.input_dim, tuple(layers))

@@ -23,6 +23,7 @@ KERNELS = (
     "bp_call",
 )
 CASES = (("float32", "(n,)"), ("float64", "(n,64)"))
+BATCH_ONLY = ("train_epoch",)  # timed in the batch case only
 
 
 def _run(*args, timeout=120):
@@ -45,7 +46,7 @@ def _rows(proc, columns):
         (kernel, depth, dtype, shape)
         for depth in ("L9", "L17")
         for dtype, shape in CASES
-        for kernel in KERNELS
+        for kernel in KERNELS + (BATCH_ONLY if shape != "(n,)" else ())
     ]
     return rows
 

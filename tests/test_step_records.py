@@ -28,7 +28,6 @@ from dyadicbp import (
     relax_split,
 )
 from dyadicbp.network import _activation_runs, _block_slices
-from dyadicbp.training import _with_arrays
 
 SINGLE = {
     "Dyadic": relax_dyadic,
@@ -157,11 +156,7 @@ def test_stored_layout_equals_a_fresh_one(seed, acts):
     rng = np.random.default_rng(seed)
     widths = [int(rng.integers(1, 7)) for _ in acts]
     params = random_network(int(rng.integers(1, 6)), widths, acts, rng)
-    rebuilt = _with_arrays(
-        params,
-        [lp.weight * 2 for lp in params.layers],
-        [lp.bias + 1 for lp in params.layers],
-    )
+    rebuilt = params._with_flat(params._flat * 2 + 1)  # a training step's route
     for p in (params, params.astype(np.float32), rebuilt):
         slices, runs = _fresh_layout(p)
         assert list(_block_slices(p)) == slices
