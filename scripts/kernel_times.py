@@ -21,7 +21,10 @@ with sixteen hidden layers. Each runs for a float32 single state (n,)
 and a float64 batch (n, 64), with BLAS pinned to one thread. The batch
 case adds one epoch of ``train`` with TwoL (``train_epoch``: 1,000
 two-moons samples, batches of 64, float64), which at depth 17 is the
-config of the benchmark's ``train-twoL-L17`` workload.
+config of the benchmark's ``train-twoL-L17`` workload, and one
+``_evaluate`` of 800 of those samples as columns (``evaluate``), the
+size of that config's training set, which ``train`` evaluates once per
+epoch.
 
 Each of the N repeats (default 25) times a loop of calls sized to take
 about 5 ms; a line reads ``kernel  depth  dtype  shape  median_us``.
@@ -45,6 +48,7 @@ for _key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
+import inspect  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -87,6 +91,20 @@ def dyadic_step(pkg, params, beta, loss, eta, x, z):
     forward, _ = step(params, beta, loss, eta, ws)
     ws.state[...] = x, z
     return forward
+
+
+def evaluate_call(pkg, params):
+    """One ``_evaluate`` of 800 two-moons samples as columns, as a
+    zero-argument call. A tree whose evaluation set takes the dtype
+    (before the output-only forward, it held no buffers) gets
+    ``params.dtype``."""
+    training = pkg.training
+    features, onehot = pkg.datasets.generate_dataset(pkg.DatasetSpec(n_samples=1000), 0)
+    takes_params = "params" in inspect.signature(training._eval_set).parameters
+    layout = params if takes_params else params.dtype
+    kind = pkg.LossKind.SOFTMAX_CROSS_ENTROPY
+    eval_set = training._eval_set(features[:800], onehot[:800], kind, layout)
+    return lambda: training._evaluate(params, *eval_set)
 
 
 def kernel_calls(pkg, depth: int, dtype, batch):
@@ -152,6 +170,7 @@ def kernel_calls(pkg, depth: int, dtype, batch):
             epochs=1,
             dataset=pkg.DatasetSpec(n_samples=1000),
         )
+        calls["evaluate"] = (evaluate_call(pkg, params), 1)
         calls["train_epoch"] = (lambda: pkg.train(epoch), 1)
     return calls
 

@@ -342,8 +342,9 @@ def _layer_grads(
     ``pairs``, by the engine's one gradient rule: delta m^T and delta for
     one sample, as ``classical_backprop`` forms them, and their batch
     means for columns, (delta @ m^T) / B and the row sums of delta over
-    B. Those are the floats of ``backprop_batch``'s ``mean(axis=1)`` at
-    about half its cost. Each pair is consumed as it arrives."""
+    B, each divided in place. Those are the floats of ``backprop_batch``'s
+    ``mean(axis=1)`` at about half its cost. Each pair is consumed as it
+    arrives."""
     weight_grads, bias_grads = [], []
     for prev, delta in pairs:
         if prev.ndim == 1:
@@ -351,8 +352,11 @@ def _layer_grads(
             bias_grads.append(delta.copy())
         else:
             batch = prev.shape[1]
-            weight_grads.append((delta @ prev.T) / batch)
-            bias_grads.append(np.add.reduce(delta, axis=1) / batch)
+            weight_grad, bias_grad = delta @ prev.T, np.add.reduce(delta, axis=1)
+            weight_grad /= batch
+            bias_grad /= batch
+            weight_grads.append(weight_grad)
+            bias_grads.append(bias_grad)
     return weight_grads, bias_grads
 
 
@@ -380,13 +384,15 @@ def _twoL_wavefront(
     s_{l-1} = W_l^T delta_l. These are backprop's floating-point
     operations in backprop's order, so the outputs equal it bitwise.
 
-    Every array is one layer's block: the pre-activation becomes m_l in
-    place and sigma'_l becomes delta_l, and each is dropped once the
-    caller has consumed it, so no (state_size[, B]) array is built.
+    Every array is one layer's block: the matmul result takes the bias
+    and becomes m_l in place, sigma'_l becomes delta_l, and each is
+    dropped once the caller has consumed it, so no (state_size[, B])
+    array is built.
     """
     means, dsigs = [x0], []
     for lp in params.layers:
-        pre = lp.weight @ means[-1] + _bias_like(lp.bias, x0)
+        pre = lp.weight @ means[-1]
+        pre += _bias_like(lp.bias, x0)
         dsig = np.empty_like(pre)
         _sigma_pair(lp.spec.activation, pre, pre, dsig)
         means.append(pre)

@@ -51,8 +51,10 @@ class LossSpec:
         if not np.isfinite(target).all():
             raise ValueError("loss target must be finite")
         if self.kind is LossKind.SOFTMAX_CROSS_ENTROPY:
+            # np.allclose(sums, 1.0, atol=1e-6) written out: its bound
+            # atol + rtol * 1.0 compared in the sums' dtype; inf and NaN fail.
             sums = target.sum(axis=0)
-            if target.min() < 0 or not np.allclose(sums, 1.0, atol=1e-6):
+            if target.min() < 0 or not (abs(sums - 1.0) <= 1e-6 + 1e-5).all():
                 raise ValueError(
                     "cross-entropy targets must be probability vectors summing to 1"
                 )

@@ -19,7 +19,8 @@ to the parameters' dtype and reject another float width (``ShapeError``)
 and non-finite entries (``NumericError``).
 
 Each activation formula is written in numpy: sigma in
-:meth:`Activation.apply`, sigma' in :func:`_sigma_pair` (together with
+:meth:`Activation.apply` (in place with ``out=``, as the output-only
+:func:`forward_output` runs it), sigma' in :func:`_sigma_pair` (together with
 sigma, at one pre-activation) and the logistic in :func:`_logistic`.
 The bound Euler steps repeat two of them as ufunc calls:
 :func:`_bind_sigma_pair` those of :func:`_sigma_pair`, and
@@ -65,14 +66,15 @@ class Activation(enum.Enum):
     def from_name(cls, name: str) -> "Activation":
         return enum_from_name(cls, name, "activation")
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def apply(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """sigma(v), written into ``out`` when given (it may be ``v``)."""
         if self is Activation.IDENTITY:
-            return v.copy()
+            return np.positive(v, out=out)  # a copy, -0.0 kept
         if self is Activation.TANH:
-            return np.tanh(v)
+            return np.tanh(v, out=out)
         if self is Activation.SIGMOID:
-            return _logistic(v, np.empty_like(v))
-        return np.maximum(v, 0)
+            return _logistic(v, np.empty_like(v) if out is None else out)
+        return np.maximum(v, 0, out=out)
 
     def derivative(self, v: np.ndarray) -> np.ndarray:
         """Exact elementwise derivative at pre-activation v (:func:`_sigma_pair`).
@@ -460,6 +462,24 @@ def forward_layers(
         pres.append(pre)
         acts.append(a)
     return pres, acts
+
+
+def forward_output(
+    params: NetworkParams, x0: np.ndarray, bufs: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """The output block of the forward pass on the columns of ``x0``, the
+    floats of ``forward_layers(params, x0)[1][-1]``, and no other layer kept.
+
+    Layer l runs in the first n_l rows of ``bufs[l % 2]``, two (max width,
+    B) buffers: the matmul writes them, the bias is added and sigma applied
+    in place. Returns a view of one buffer, valid until it is reused.
+    """
+    a = x0
+    for i, lp in enumerate(params.layers):
+        pre = np.matmul(lp.weight, a, out=bufs[i % 2][: lp.spec.width])
+        pre += lp.bias[:, None]
+        a = lp.spec.activation.apply(pre, out=pre)
+    return a
 
 
 def forward_pass(

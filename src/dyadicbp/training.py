@@ -38,7 +38,7 @@ from .errors import (
 )
 from .fidelity import _global_metrics, compare
 from .losses import LossKind, LossSpec
-from .network import Activation, NetworkParams, forward_layers, random_network
+from .network import Activation, NetworkParams, forward_output, random_network
 from .reference import (
     _NON_FINITE,
     GradientBundle,
@@ -406,16 +406,24 @@ def _cosine_lr(epoch: int, epochs: int, lr_max: float, lr_min: float) -> float:
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * t))
 
 
-def _eval_set(features: np.ndarray, onehot: np.ndarray, kind: LossKind, dtype) -> tuple:
-    """The (inputs as columns, loss, labels) that :func:`_evaluate` takes, built once."""
+def _eval_set(
+    features: np.ndarray, onehot: np.ndarray, kind: LossKind, params: NetworkParams
+) -> tuple:
+    """The (inputs as columns, loss, labels, forward buffers) that
+    :func:`_evaluate` takes for ``params``' layout, built once per run."""
+    dtype = params.dtype
     x_cols = np.ascontiguousarray(features.T.astype(dtype))
-    return x_cols, LossSpec(kind, onehot.T.astype(dtype)), np.argmax(onehot, axis=1)
+    shape = (max(params.widths), x_cols.shape[1])
+    bufs = (np.empty(shape, dtype), np.empty(shape, dtype))
+    return x_cols, LossSpec(kind, onehot.T.astype(dtype)), np.argmax(onehot, axis=1), bufs
 
 
-def _evaluate(params: NetworkParams, x_cols: np.ndarray, loss: LossSpec, labels) -> tuple:
-    """Mean loss and accuracy over a sample set held as columns."""
-    _, acts = forward_layers(params, x_cols)
-    out = acts[-1]
+def _evaluate(
+    params: NetworkParams, x_cols: np.ndarray, loss: LossSpec, labels, bufs: tuple
+) -> tuple:
+    """Mean loss and accuracy over a sample set held as columns, from the
+    output-only forward through the set's two buffers."""
+    out = forward_output(params, x_cols, bufs)
     mean_loss = float(np.asarray(loss.value(out), dtype=np.float64).mean())
     acc = float(np.mean(np.argmax(out, axis=0) == labels))
     return mean_loss, acc
@@ -462,18 +470,17 @@ def train(config: ExperimentConfig, csv_path=None) -> TrainResult:
         raise ConfigError(
             f"output width {params.widths[-1]} does not match {classes} classes"
         )
-    dtype = params.dtype
 
     n_test = int(round(config.test_fraction * n))
     perm = rng.permutation(n)
     test_idx, train_idx = perm[:n_test], perm[n_test:]
     if train_idx.size == 0:
         raise ConfigError("test_fraction leaves no training samples")
-    train_set = _eval_set(features[train_idx], onehot[train_idx], config.loss_kind, dtype)
+    train_set = _eval_set(features[train_idx], onehot[train_idx], config.loss_kind, params)
     if n_test:
-        test_set = _eval_set(features[test_idx], onehot[test_idx], config.loss_kind, dtype)
+        test_set = _eval_set(features[test_idx], onehot[test_idx], config.loss_kind, params)
     x_train = train_set[0]
-    y_train_cols = np.ascontiguousarray(onehot[train_idx].T.astype(dtype))
+    y_train_cols = np.ascontiguousarray(onehot[train_idx].T.astype(params.dtype))
 
     lr_max, lr_min = config.resolved_lr()
     # One parameter vector and one velocity in the buffer's layout; each
@@ -481,6 +488,7 @@ def train(config: ExperimentConfig, csv_path=None) -> TrainResult:
     theta = params._flat  # type: ignore[attr-defined]
     velocity = np.zeros_like(theta)
     grad, ref = np.empty_like(theta), np.empty_like(theta)
+    ref_views = params._layer_views(ref)  # ref is never replaced, its views built once
 
     writer = None
     if csv_path is not None:
@@ -515,7 +523,7 @@ def train(config: ExperimentConfig, csv_path=None) -> TrainResult:
                     iter_counts.append(float(np.mean(iters)))
                     conv_flags.append(float(np.mean(conv)))
                 if config.method is not GradientMethod.BP:
-                    _pack(params._layer_views(ref), *backprop_batch(params, xb, loss))
+                    _pack(ref_views, *backprop_batch(params, xb, loss))
                     if not (np.isfinite(grad).all() and np.isfinite(ref).all()):
                         raise NumericError(_NON_FINITE)  # GradientBundle's check
                     t, r = (v.astype(np.float64, copy=False) for v in (grad, ref))

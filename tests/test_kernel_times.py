@@ -23,7 +23,7 @@ KERNELS = (
     "bp_call",
 )
 CASES = (("float32", "(n,)"), ("float64", "(n,64)"))
-BATCH_ONLY = ("train_epoch",)  # timed in the batch case only
+BATCH_ONLY = ("evaluate", "train_epoch")  # timed in the batch case only
 
 
 def _run(*args, timeout=120):
