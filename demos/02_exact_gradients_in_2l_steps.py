@@ -8,9 +8,10 @@ At unit step size the whole thing is dead-beat: after 2L updates both
 components sit at their fixed point and the gradient read off the
 equilibrium is classical backprop's, float for float.
 
-The script runs the depth-9 reference architecture, compares against
-an independent backprop implementation (exiting nonzero if they differ
-in a single bit), and prints the relaxation trace including the saddle
+The script runs the depth-9 reference architecture, compares the 2L
+schedule and the unit-step Dyadic relaxation against an independent
+backprop implementation (exiting nonzero if either differs in a single
+bit), and prints the relaxation trace including the saddle
 energy, which lands on the plain task loss once the forward residual
 is gone.
 """
@@ -61,6 +62,10 @@ if not (identical and same_stress):
 m, s, bundle, trace = relax_dyadic(params, x0, loss, RelaxConfig(eta=1.0))
 print(f"\nstopping rule fired at iteration {trace.iterations_used} "
       f"(settled at 2L = {2 * L}, detected one step later)")
+relaxed = np.array_equal(bundle.flat(), ref.flat())
+print("relaxed gradients bitwise identical to backprop:", relaxed)
+if not relaxed:
+    sys.exit("the unit-step Dyadic relaxation is not bitwise equal to classical backprop")
 
 print("\n  k | step delta | energy")
 for k in (1, 2, L, 2 * L - 1, 2 * L, trace.iterations_used):

@@ -6,7 +6,9 @@ Usage (from a checkout's root):
 
 Times ``apply_w_array``, ``apply_wt_array``, ``_sigma_pair_array``,
 ``LossSpec.gradient``, ``LossSpec.value``, one Dyadic Euler step
-(``dynamics._STEPS``, eta 0.5, into a preallocated workspace), one
+(``dynamics._STEPS``, eta 0.5, from a random (m, s) into a preallocated
+workspace; a tree whose Dyadic step runs in (x, z) takes the same pair
+as its (x, z)), one
 step of a whole Dyadic relaxation (``dyadic_relax_step``: ``_relax`` from
 zero at eta 0.5, default tolerance, divided by its step count) and one
 call of the public Dyadic relaxation at ``k_max=1`` (``dyadic_relax_call``:
@@ -75,8 +77,8 @@ def import_tree(src: Path, name: str = AGAINST):
     return module
 
 
-def dyadic_step(pkg, params, beta, loss, eta, x, z):
-    """One Dyadic Euler step from the state (x, z) into a preallocated
+def dyadic_step(pkg, params, beta, loss, eta, m, s):
+    """One Dyadic Euler step from the state (m, s) into a preallocated
     workspace, as a zero-argument call. A tree whose steps take the
     workspace on every call (before the steps were bound once per call)
     builds its workspace from ``params``."""
@@ -86,10 +88,10 @@ def dyadic_step(pkg, params, beta, loss, eta, x, z):
         ws = dynamics._Workspace(beta.shape, beta.dtype)
     except TypeError:
         ws = dynamics._Workspace(params, beta.shape, beta.dtype)
-        ws.state.both[...] = x, z
+        ws.state.both[...] = m, s
         return lambda: step(params, beta, loss, eta, ws)
     forward, _ = step(params, beta, loss, eta, ws)
-    ws.state[...] = x, z
+    ws.state[...] = m, s
     return forward
 
 
@@ -120,11 +122,11 @@ def kernel_calls(pkg, depth: int, dtype, batch):
     target[0] = 1.0
     loss = pkg.LossSpec(pkg.LossKind.SOFTMAX_CROSS_ENTROPY, target)
     beta = network.beta_array(params, x0)
-    x, z = (rng.standard_normal(beta.shape).astype(dtype) for _ in range(2))
+    m, s = (rng.standard_normal(beta.shape).astype(dtype) for _ in range(2))
     out = np.empty_like(beta)
-    pre = network.apply_w_array(params, x) + beta
+    pre = network.apply_w_array(params, m) + beta
     sig, dsig = np.empty_like(pre), np.empty_like(pre)
-    logits = x[params.output_slice]
+    logits = m[params.output_slice]
     eta = beta.dtype.type(0.5)  # as _relax passes it
     step = dynamics._STEPS[pkg.RelaxMode.DYADIC]
     cfg = pkg.RelaxConfig(eta=0.5)
@@ -151,12 +153,12 @@ def kernel_calls(pkg, depth: int, dtype, batch):
 
     steps = int(np.max(relax()[2]))  # the loop runs until its last column stops
     calls = {
-        "apply_w_array": (lambda: network.apply_w_array(params, x, out=out), 1),
-        "apply_wt_array": (lambda: network.apply_wt_array(params, x, out=out), 1),
+        "apply_w_array": (lambda: network.apply_w_array(params, m, out=out), 1),
+        "apply_wt_array": (lambda: network.apply_wt_array(params, m, out=out), 1),
         "_sigma_pair_array": (lambda: network._sigma_pair_array(params, pre, sig, dsig), 1),
         "LossSpec.gradient": (lambda: loss.gradient(logits), 1),
         "LossSpec.value": (lambda: loss.value(logits), 1),
-        "dyadic_step": (dyadic_step(pkg, params, beta, loss, eta, x, z), 1),
+        "dyadic_step": (dyadic_step(pkg, params, beta, loss, eta, m, s), 1),
         "dyadic_relax_step": (relax, steps),
         "dyadic_relax_call": (relax_call, 1),
         "twoL_call": (twoL_call, 1),

@@ -14,6 +14,11 @@ MeanStress, Split) for a single sample or a column batch: it starts
 from zero, takes the scheme's Euler step, freezes each column once its
 increment drops below the tolerance or stalls at the rounding noise of
 its state (the precision floor), and records a trace only when asked.
+Dyadic and MeanStress step (m, s), the same flow in the same
+coordinates (dm = (dx + dz) / 2 and ds = dx - dz), so at unit step both
+apply the cancelled two-phase map and return backprop's bits; Dyadic
+forms (x, z) = (m + s/2, m - s/2) only for its ``on_step`` observer.
+Split has no mean/stress form and steps (x, z).
 Each column reports why it stopped as a ``RelaxStatus``. TwoL runs the
 exact 2L schedule instead, as an O(L) block wavefront on per-layer
 blocks (``_twoL_wavefront``), for a sample and a batch alike: it builds
@@ -139,8 +144,9 @@ class RelaxTrace:
     """Per-iteration diagnostics of one relaxation run.
 
     Record i describes the state after update i + 1: the stopping
-    quantity delta (the summed L2 norms of the two state increments),
-    the energy, and the per-layer stress norms. ``iterations_used``
+    quantity delta (the summed L2 norms of the increments of the stepped
+    pair, ||dm|| + ||ds||, or ||dx|| + ||dz|| for Split), the energy,
+    and the per-layer stress norms. ``iterations_used``
     equals the number of Euler updates performed, so with step records
     on all record lists have that length; with ``record_steps=False``
     they are empty. ``status`` says why the run stopped (see
@@ -184,8 +190,9 @@ class _Workspace:
     (2, n, B) arrays; a step's temporaries live in ``m`` .. ``wt``, and
     ``diff`` holds the increment. ``half`` is 0.5 as a 0-d array, which
     numpy reads without converting a scalar. Binding steps writes the zero
-    rows W and W^T leave empty, the sigma' = 1 of Identity runs and (unit
-    MeanStress) both pairs' second output rows: load a state after it."""
+    rows W and W^T leave empty, the sigma' = 1 of Identity runs and (the
+    unit mean/stress step) both pairs' second output rows: load a state
+    after it."""
 
     def __init__(self, shape: tuple[int, ...], dtype: np.dtype) -> None:
         for name in ("m", "s", "pre", "sig", "dsig", "wt"):
@@ -249,51 +256,6 @@ def energy(
     x, z = _check_state(params, x), _check_state(params, z)
     beta = beta_array(params, x0)
     return _energy_ms(params, beta, loss, 0.5 * (x + z), x - z)
-
-
-def _saddle_velocity_arrays(
-    params: NetworkParams, beta: np.ndarray, loss: LossSpec, ws: _Workspace
-) -> Bind:
-    """``bind(state, nxt)``: a closure writing (dx, dz) at the state (x, z)
-    into ``nxt``. Each ufunc call's last argument is its output."""
-    m, s, pre, sig, dsig, wt, half = ws.m, ws.s, ws.pre, ws.sig, ws.dsig, ws.wt, ws.half
-    out = params.output_slice
-    pre_activation = _bind_pre_activation(params, beta, m, pre)
-    sigma_pair = _bind_sigma_pair(params, pre, sig, dsig)
-    w_t = partial(_run_block_plan, _block_plan(params, pre, wt, transpose=True))
-    half_g = np.empty_like(m[out])
-    gradient = _bind_gradient(loss, m[out], half_g)
-
-    def bind(state: np.ndarray, nxt: np.ndarray) -> Callable[[], None]:
-        (x, z), (dx, dz) = state, nxt
-        dx_out, dz_out = dx[out], dz[out]
-
-        def velocity() -> None:
-            np.add(x, z, m)
-            np.multiply(m, half, m)
-            np.subtract(x, z, s)
-            pre_activation()
-            sigma_pair()
-            np.subtract(sig, m, sig)  # f
-            np.multiply(dsig, s, pre)
-            w_t()
-            np.subtract(wt, s, pre)
-            np.multiply(pre, half, pre)  # backward
-            gradient()
-            np.multiply(half_g, half, half_g)
-            # dx = f + backward + cost, the loss gradient embedded in zero
-            # rows. Adding those zeros could only turn a -0.0 of dx into
-            # +0.0, and dx is -0.0 only where m and s are +0.0, that is
-            # x = z = +0.0, where x + eta dx is +0.0 either way: so only
-            # the output rows are added.
-            np.add(sig, pre, dx)
-            np.add(dx_out, half_g, dx_out)
-            np.subtract(sig, pre, dz)
-            np.subtract(dz_out, half_g, dz_out)
-
-        return velocity
-
-    return bind
 
 
 def _mean_stress_field(
@@ -515,10 +477,10 @@ def _split_velocity_arrays(
 
 
 # The Euler steps of each convergence-driven scheme, bound once per call:
-# ``_STEPS[mode](params, beta, loss, eta, ws)``. Dyadic and Split step the
-# doubled state (x, z); MeanStress steps (m, s) directly.
+# ``_STEPS[mode](params, beta, loss, eta, ws)``. Dyadic and MeanStress step
+# (m, s); Split steps the doubled state (x, z).
 _STEPS = {
-    RelaxMode.DYADIC: partial(_euler, _saddle_velocity_arrays),
+    RelaxMode.DYADIC: _mean_stress_steps,
     RelaxMode.MEAN_STRESS: _mean_stress_steps,
     RelaxMode.SPLIT: partial(_euler, _split_velocity_arrays),
 }
@@ -596,8 +558,8 @@ def _relax(
     """Euler-relax an (n,) or (n, B) state from zero under ``step``, one of
     ``_STEPS``, which binds the steps on the call's workspace.
 
-    The state is (x, z), or (m, s) in MeanStress mode, and a column's
-    delta is the summed L2 norm of its two increments. A column freezes
+    The state is (m, s), or (x, z) in Split mode, and a column's delta
+    is the summed L2 norm of its two increments. A column freezes
     once its delta drops below the tolerance (converged), or at the
     precision floor: when its delta is below 1e3 tol, no smaller than
     its previous delta, and below 16 eps (|first| + |second|) of its
@@ -624,7 +586,7 @@ def _relax(
     cast to the state's dtype once per call. A sample's delta is then
     tested as a Python float, and (B,) columns by masked ufuncs.
     """
-    doubled = cfg.mode is not RelaxMode.MEAN_STRESS
+    doubled = cfg.mode is RelaxMode.SPLIT
     columns = beta.shape[1:]
     dtype = beta.dtype
     ws = _Workspace(beta.shape, dtype)
@@ -635,7 +597,7 @@ def _relax(
     tol, gate = _limits(cfg, dtype)
     scale = _FLOOR_ULPS * np.finfo(dtype).eps
     eta = dtype.type(cfg.eta)
-    if eta == 1.0 != cfg.eta:  # only rounds to 1: no MeanStress unit step
+    if eta == 1.0 != cfg.eta:  # only rounds to 1: no cancelled unit step
         eta = cfg.eta
     previous = math.inf
     frozen = None  # the mask of frozen columns, once some column froze
@@ -743,6 +705,11 @@ def _relax_sample(
     return m, s, bundle, trace
 
 
+def _doubled(on_step: StepCallback) -> StepCallback:
+    """``on_step`` fed (k, x, z) = (k, m + s/2, m - s/2) for (k, m, s)."""
+    return lambda k, m, s: on_step(k, m + 0.5 * s, m - 0.5 * s)
+
+
 def relax_dyadic(
     params: NetworkParams,
     x0: np.ndarray,
@@ -754,22 +721,27 @@ def relax_dyadic(
 ) -> tuple[np.ndarray, np.ndarray, GradientBundle, RelaxTrace]:
     """Relax the doubled state (x, z) by forward Euler on the saddle flow.
 
-    Starts from x = z = 0, steps both states with step size eta, and
-    stops when the summed L2 norms of the two increments drop below the
-    tolerance, or when they stall at the float rounding noise of the
-    state (the precision floor of ``_relax``), or when the iteration
-    budget runs out. The trace's ``status`` names which; running out of
-    budget is reported (``converged`` false), not raised. Returns the
-    mean, the stress, the extracted gradient, and the trace. ``on_step``
-    (if given) receives (k, x, z) copies after each update. The trace
+    The flow is stepped in its mean/stress coordinates, m = (x + z) / 2
+    and s = x - z, where the Euler step is ``relax_mean_stress``'s and
+    at eta = 1 the cancelled two-phase map: the unit-step gradient is
+    backprop's, bit for bit. Starts from x = z = 0 and stops when
+    ||dm|| + ||ds||, the summed L2 norms of the two increments, drops
+    below the tolerance, or when it stalls at the float rounding noise
+    of the state (the precision floor of ``_relax``), or when the
+    iteration budget runs out. The trace's ``status`` names which;
+    running out of budget is reported (``converged`` false), not raised.
+    Returns the mean, the stress, the extracted gradient, and the trace.
+    ``on_step`` (if given) receives (k, x, z) after each update, formed
+    as (m + s/2, m - s/2) from the stepped pair. The trace
     records the delta, energy and stress norms of every update only with
     ``record_steps``; without, the same bits come back with the trace's
     counts and status alone, and the energy (NumericError if not finite)
     is checked only at the end, so a transient overflow of it with
     finite increments no longer raises.
     """
+    doubled = None if on_step is None else _doubled(on_step)
     return _relax_sample(
-        params, x0, loss, cfg, on_step, RelaxMode.DYADIC, "relax_dyadic", record_steps
+        params, x0, loss, cfg, doubled, RelaxMode.DYADIC, "relax_dyadic", record_steps
     )
 
 
@@ -785,7 +757,7 @@ def relax_mean_stress(
     """Relax in mean/stress coordinates by forward Euler.
 
     At eta = 1 the update is applied in its cancelled form (see
-    ``_mean_stress_step``). That keeps the unit-step run identical,
+    ``_mean_stress_steps``). That keeps the unit-step run identical,
     float for float, to the discrete two-phase scheme, which is what
     makes the layerwise freezing of the mean hold as exact equality of
     stored floats rather than up to rounding. ``on_step`` receives

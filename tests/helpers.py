@@ -22,9 +22,9 @@ from dyadicbp.dynamics import (
     _delta_at,
     _grads_from_delta,
     _mean_stress_field,
-    _saddle_velocity_arrays,
 )
 from dyadicbp.network import beta_array
+from oracles import _saddle_velocity
 
 SMOOTH_ACTS = (Activation.IDENTITY, Activation.TANH, Activation.SIGMOID)
 ALL_ACTS = SMOOTH_ACTS + (Activation.RELU,)
@@ -91,8 +91,9 @@ def _velocities(field, params, x0, loss, first, second):
 
 
 def saddle_velocities(params, x0, loss, x, z):
-    """(dx, dz) of the saddle flow at the arrays (x, z)."""
-    return _velocities(_saddle_velocity_arrays, params, x0, loss, x, z)
+    """(dx, dz) of the saddle flow at the arrays (x, z), by the oracle's
+    unfused velocity: the package steps this flow in (m, s) only."""
+    return _saddle_velocity(params, beta_array(params, x0), loss, x, z)
 
 
 def mean_stress_velocities(params, x0, loss, m, s):

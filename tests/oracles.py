@@ -281,31 +281,38 @@ def _mean_stress(params, beta, loss, m, s, eta):
     return m + eta * dm, s + eta * ds
 
 
+def doubled(m, s):
+    """The doubled state (x, z) = (m + s/2, m - s/2) of a mean and stress."""
+    return m + 0.5 * s, m - 0.5 * s
+
+
 def unfused_step(mode, params, beta, loss, a, b, eta):
-    """One Euler step of ``mode`` ("Dyadic", "MeanStress" or "Split") from
-    the state (a, b): (x, z), or (m, s) for MeanStress."""
-    if mode == "MeanStress":
+    """One Euler step of ``mode`` from the state (a, b). "Dyadic" and
+    "MeanStress" step the mean/stress flow in (m, s); "Split" steps
+    (x, z), and so does "Saddle": the Dyadic flow in its doubled
+    coordinates, through the velocity of the saddle energy."""
+    if mode in ("Dyadic", "MeanStress"):
         return _mean_stress(params, beta, loss, a, b, eta)
-    if mode == "Dyadic":
-        da, db = _saddle_velocity(params, beta, loss, a, b)
-    else:
-        da, db = _split_velocity(params, beta, loss, a, b)
+    velocity = _saddle_velocity if mode == "Saddle" else _split_velocity
+    da, db = velocity(params, beta, loss, a, b)
     return a + eta * da, b + eta * db
 
 
-def unfused_relax_states(mode, params, beta, loss, eta, k_max, tol):
-    """States after each step of a column batch relaxed from zero, each
-    column frozen once its summed increment norm drops below ``tol``, or
-    at the precision floor: once that norm is below 1e3 tol, no smaller
-    than the previous step's, and below 16 eps times the summed column
-    norms of the new state."""
+def unfused_relax(mode, params, beta, loss, eta, k_max, tol):
+    """The pairs after each step of a column batch relaxed from zero under
+    ``unfused_step``, and the iterations per column. Each column freezes
+    once the summed norm of its pair's two increments drops below
+    ``tol``, or at the precision floor: once that norm is below 1e3 tol,
+    no smaller than the previous step's, and below 16 eps times the
+    summed column norms of the new pair."""
     first = np.zeros_like(beta)
     second = np.zeros_like(beta)
     active = np.ones(beta.shape[1], dtype=bool)
     previous = np.full(beta.shape[1], np.inf)
     eps = np.finfo(beta.dtype).eps
+    iterations = np.full(beta.shape[1], k_max)
     states = []
-    for _ in range(k_max):
+    for k in range(1, k_max + 1):
         cand1, cand2 = unfused_step(mode, params, beta, loss, first, second, eta)
         delta = np.linalg.norm(cand1 - first, axis=0) + np.linalg.norm(cand2 - second, axis=0)
         first = np.where(active, cand1, first)
@@ -313,11 +320,13 @@ def unfused_relax_states(mode, params, beta, loss, eta, k_max, tol):
         states.append((first, second))
         noise = 16 * eps * (np.linalg.norm(first, axis=0) + np.linalg.norm(second, axis=0))
         floor = (delta < 1e3 * tol) & (delta >= previous) & (delta < noise)
-        active &= ~((delta < tol) | floor)
+        stops = active & ((delta < tol) | floor)
+        iterations[stops] = k
+        active &= ~stops
         if not active.any():
             break
         previous = delta
-    return states
+    return states, iterations
 
 
 # The check-side formulas as the package wrote them before the oracles

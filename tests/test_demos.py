@@ -2,7 +2,8 @@
 as scripts. Demo 01 exits nonzero if W^L v is not exactly zero or the
 settled mean is not bitwise the forward stack; demos 02 and 04 exit
 nonzero if TwoL is not bitwise equal to classical backprop (its
-gradients, and its trained parameters)."""
+gradients, and its trained parameters), and demo 02 also if the
+unit-step Dyadic relaxation's gradients are not."""
 
 import os
 import subprocess

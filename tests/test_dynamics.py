@@ -101,6 +101,9 @@ def test_energy_raises_on_non_finite_state():
 
 
 def test_saddle_velocity_sum_and_difference_identities():
+    # The oracle's (x, z) velocity of the saddle flow is the package's
+    # mean/stress field in doubled coordinates: dm = (dx + dz) / 2 and
+    # ds = dx - dz. This is why Dyadic may step (m, s).
     rng = np.random.default_rng(65)
     from dyadicbp import forward_field
 
@@ -112,7 +115,8 @@ def test_saddle_velocity_sum_and_difference_identities():
         f = forward_field(params, x0, 0.5 * (x + z))
         scale = max(1.0, float(np.abs(dx).max()))
         np.testing.assert_allclose(dx + dz, 2.0 * f, rtol=0, atol=1e-12 * scale)
-        _, ds = mean_stress_velocities(params, x0, loss, 0.5 * (x + z), x - z)
+        dm, ds = mean_stress_velocities(params, x0, loss, 0.5 * (x + z), x - z)
+        np.testing.assert_allclose(0.5 * (dx + dz), dm, rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(dx - dz, ds, rtol=0, atol=1e-12 * scale)
 
 

@@ -388,7 +388,7 @@ def test_check_gradients_dyadic_unit_step():
     for row in rows:
         assert row["converged"] is True
         assert row["iterations"] <= 2 * 3 + 1
-        assert row["rel_err"] <= 1e-10
+        assert row["rel_err"] == 0.0
 
 
 def test_check_gradients_finite_difference():
@@ -399,10 +399,12 @@ def test_check_gradients_finite_difference():
 
 
 def test_check_gradients_is_seed_deterministic():
-    rows1 = check_gradients(_check_config(), trials=4)
-    rows2 = check_gradients(_check_config(), trials=4)
+    # At eta = 0.5: at eta = 1 every trial of every seed reads cos 1 and
+    # rel_err 0, Dyadic being backprop bit for bit there.
+    rows1 = check_gradients(_check_config(eta=0.5), trials=4)
+    rows2 = check_gradients(_check_config(eta=0.5), trials=4)
     assert rows1 == rows2
-    rows3 = check_gradients(_check_config(seed=6), trials=4)
+    rows3 = check_gradients(_check_config(eta=0.5, seed=6), trials=4)
     assert rows1 != rows3
 
 
