@@ -7,8 +7,8 @@ Usage (from a checkout's root):
 Times ``apply_w_array``, ``apply_wt_array``, ``_sigma_pair_array``,
 ``LossSpec.gradient``, ``LossSpec.value``, one Dyadic Euler step
 (``dynamics._STEPS``, eta 0.5, from a random (m, s) into a preallocated
-workspace; a tree whose Dyadic step runs in (x, z) takes the same pair
-as its (x, z)), one
+workspace: the unit-step map and its blend toward it; a tree whose
+Dyadic step runs in (x, z) takes the same pair as its (x, z)), one
 step of a whole Dyadic relaxation (``dyadic_relax_step``: ``_relax`` from
 zero at eta 0.5, default tolerance, divided by its step count) and one
 call of the public Dyadic relaxation at ``k_max=1`` (``dyadic_relax_call``:
@@ -127,7 +127,7 @@ def kernel_calls(pkg, depth: int, dtype, batch):
     pre = network.apply_w_array(params, m) + beta
     sig, dsig = np.empty_like(pre), np.empty_like(pre)
     logits = m[params.output_slice]
-    eta = beta.dtype.type(0.5)  # as _relax passes it
+    eta = 0.5  # as _relax passes cfg.eta; the step's binder casts it
     step = dynamics._STEPS[pkg.RelaxMode.DYADIC]
     cfg = pkg.RelaxConfig(eta=0.5)
     one_step = pkg.RelaxConfig(eta=0.5, k_max=1)

@@ -15,10 +15,12 @@ from zero, takes the scheme's Euler step, freezes each column once its
 increment drops below the tolerance or stalls at the rounding noise of
 its state (the precision floor), and records a trace only when asked.
 Dyadic and MeanStress step (m, s), the same flow in the same
-coordinates (dm = (dx + dz) / 2 and ds = dx - dz), so at unit step both
-apply the cancelled two-phase map and return backprop's bits; Dyadic
-forms (x, z) = (m + s/2, m - s/2) only for its ``on_step`` observer.
-Split has no mean/stress form and steps (x, z).
+coordinates (dm = (dx + dz) / 2 and ds = dx - dz), by one kernel at
+every step size: it writes the cancelled two-phase map, which at unit
+step is the step and returns backprop's bits, and at any other step
+size blends the state toward it (``_mean_stress_steps``). Dyadic forms
+(x, z) = (m + s/2, m - s/2) only for its ``on_step`` observer. Split
+has no mean/stress form and steps (x, z) under its velocity field.
 Each column reports why it stopped as a ``RelaxStatus``. TwoL runs the
 exact 2L schedule instead, as an O(L) block wavefront on per-layer
 blocks (``_twoL_wavefront``), for a sample and a batch alike: it builds
@@ -185,22 +187,21 @@ class StabilityReport:
 
 
 class _Workspace:
-    """The buffers of one relaxation call. The relaxing pair, (x, z) or
-    (m, s), alternates between ``state`` and ``next``, two (2, n) or
-    (2, n, B) arrays; a step's temporaries live in ``m`` .. ``wt``, and
-    ``diff`` holds the increment. ``half`` is 0.5 as a 0-d array, which
-    numpy reads without converting a scalar. Binding steps writes the zero
-    rows W and W^T leave empty, the sigma' = 1 of Identity runs and (the
-    unit mean/stress step) both pairs' second output rows: load a state
-    after it."""
+    """The buffers every convergence-driven step of one relaxation call
+    shares. The relaxing pair, (x, z) or (m, s), alternates between
+    ``state`` and ``next``, two (2, n) or (2, n, B) arrays; ``pre`` and
+    ``dsig`` hold a step's pre-activation and sigma', and ``diff`` the
+    increment. Split's other temporaries are made by its binder. Binding
+    steps writes the zero rows W and W^T leave empty, the sigma' = 1 of
+    Identity runs and (the mean/stress step) both pairs' second output
+    rows: load a state after it."""
 
     def __init__(self, shape: tuple[int, ...], dtype: np.dtype) -> None:
-        for name in ("m", "s", "pre", "sig", "dsig", "wt"):
-            setattr(self, name, np.empty(shape, dtype=dtype))
+        self.pre = np.empty(shape, dtype=dtype)
+        self.dsig = np.empty_like(self.pre)
         self.state = np.zeros((2, *shape), dtype=dtype)
         self.next = np.zeros_like(self.state)
         self.diff = np.empty_like(self.state)
-        self.half = np.full((), 0.5, dtype=dtype)
 
 
 Step = Callable[[], np.ndarray]  # a bound Euler step; returns the pair it wrote
@@ -256,38 +257,6 @@ def energy(
     x, z = _check_state(params, x), _check_state(params, z)
     beta = beta_array(params, x0)
     return _energy_ms(params, beta, loss, 0.5 * (x + z), x - z)
-
-
-def _mean_stress_field(
-    params: NetworkParams, beta: np.ndarray, loss: LossSpec, ws: _Workspace
-) -> Bind:
-    """``bind(state, nxt)``: a closure writing (dm, ds) at the state (m, s)
-    into ``nxt``."""
-    pre, sig, dsig, wt = ws.pre, ws.sig, ws.dsig, ws.wt
-    out = params.output_slice
-    sigma_pair = _bind_sigma_pair(params, pre, sig, dsig)
-    w_t = partial(_run_block_plan, _block_plan(params, pre, wt, transpose=True))
-    g = np.empty_like(pre[out])
-
-    def bind(state: np.ndarray, nxt: np.ndarray) -> Callable[[], None]:
-        (m, s), (dm, ds) = state, nxt
-        ds_out = ds[out]
-        pre_activation = _bind_pre_activation(params, beta, m, pre)
-        gradient = _bind_gradient(loss, m[out], g)
-
-        def velocity() -> None:
-            pre_activation()
-            sigma_pair()
-            np.subtract(sig, m, dm)
-            np.multiply(dsig, s, pre)
-            w_t()
-            np.subtract(wt, s, ds)
-            gradient()
-            np.add(ds_out, g, ds_out)
-
-        return velocity
-
-    return bind
 
 
 def _delta_at(
@@ -374,8 +343,8 @@ def _euler(
 ) -> tuple[Step, Step]:
     """The Euler steps under the velocity ``field`` from ``ws.state`` into
     ``ws.next`` and back: the velocity into the candidate pair, then state
-    + eta * velocity for both halves at once (IEEE addition commutes).
-    ``_relax`` passes eta cast to the state's dtype, as numpy would."""
+    + eta * velocity for both halves at once (IEEE addition commutes),
+    with eta cast to the state's dtype here, as numpy would cast it."""
     bind = field(params, beta, loss, ws)
     eta = np.full((), eta, dtype=ws.state.dtype)
 
@@ -396,14 +365,18 @@ def _euler(
 def _mean_stress_steps(
     params: NetworkParams, beta: np.ndarray, loss: LossSpec, eta, ws: _Workspace
 ) -> tuple[Step, Step]:
-    """The Euler steps in mean/stress coordinates, as ``_euler`` binds them.
-    At eta = 1 the update m + eta (sigma(Wm + beta) - m) cancels to
-    sigma(Wm + beta) (likewise for s) and is applied in that form: the
-    two-phase map of TwoL."""
-    if eta != 1.0:
-        return _euler(_mean_stress_field, params, beta, loss, eta, ws)
+    """The Euler steps in mean/stress coordinates from ``ws.state`` into
+    ``ws.next`` and back. Each writes the unit-step map of TwoL,
+    F = (sigma(Wm + beta), W^T D(m) s + grad C(m_L)), into the candidate
+    pair, and at eta != 1 blends it, (F - state) * eta + state over both
+    halves: the floats of state + eta * velocity, as F - state is the
+    velocity (at the output rows a zero of g - s may differ in sign from
+    (0 - s) + g only where adding s back gives +0.0 either way). Unit is
+    eta == 1 before the cast, so an eta that only rounds to 1 blends."""
     pre, dsig = ws.pre, ws.dsig
     out = params.output_slice
+    blend = eta != 1.0
+    eta = np.full((), eta, dtype=ws.state.dtype)
 
     def side(state: np.ndarray, nxt: np.ndarray) -> Step:
         (m, s), (m_next, s_next) = state, nxt
@@ -418,6 +391,10 @@ def _mean_stress_steps(
             np.multiply(dsig, s, pre)
             w_t()
             gradient()
+            if blend:
+                np.subtract(nxt, state, nxt)
+                np.multiply(nxt, eta, nxt)
+                np.add(nxt, state, nxt)
             return nxt
 
         return step
@@ -429,8 +406,10 @@ def _split_velocity_arrays(
     params: NetworkParams, beta: np.ndarray, loss: LossSpec, ws: _Workspace
 ) -> Bind:
     """``bind(state, nxt)``: a closure writing (dx, dz) at the state (x, z)
-    into ``nxt``."""
-    m, s, pre, sig, dsig, wt, half = ws.m, ws.s, ws.pre, ws.sig, ws.dsig, ws.wt, ws.half
+    into ``nxt``, with its temporaries made once per call."""
+    pre, dsig = ws.pre, ws.dsig
+    m, s, sig, wt = np.empty((4, *pre.shape), dtype=pre.dtype)
+    half = np.full((), 0.5, dtype=pre.dtype)
     out = params.output_slice
     # sigma and sigma' of x's pre-activation, then of z's into m (Split has
     # no mean). Halving keeps the +0.0 rows of wt that W^T leaves empty.
@@ -569,7 +548,8 @@ def _relax(
     it) from passing as settled, and keeps the state norms, taken only
     for columns past both cheap tests, off the path of a run whose
     deltas keep falling. A non-finite increment in a running column
-    raises NumericError.
+    raises NumericError, and an eta that casts to 0.0 in the state's
+    dtype (every step a no-op) raises ConfigError.
 
     ``trace`` (single sample) receives one record per update and
     ``on_step`` receives (k, first, second) copies. Returns the final
@@ -582,13 +562,16 @@ def _relax(
     norms, the frozen-column copy and the floor's state norms each run
     once per step over both halves, and a step allocates no state-sized
     array. Odd steps go from ``ws.state`` to ``ws.next``, even steps back.
-    eta, the tolerance and gate (``_limits``) and the floor's scale are
-    cast to the state's dtype once per call. A sample's delta is then
-    tested as a Python float, and (B,) columns by masked ufuncs.
+    The tolerance and gate (``_limits``) and the floor's scale are cast to
+    the state's dtype once per call; ``step`` takes ``cfg.eta`` uncast and
+    casts it. A sample's delta is then tested as a Python float, and (B,)
+    columns by masked ufuncs.
     """
     doubled = cfg.mode is RelaxMode.SPLIT
     columns = beta.shape[1:]
     dtype = beta.dtype
+    if dtype.type(cfg.eta) == 0:
+        raise ConfigError(f"step size eta {cfg.eta!r} is 0 in {dtype.name}")
     ws = _Workspace(beta.shape, dtype)
     active = np.ones(columns, dtype=bool)
     iterations = np.full(columns, cfg.k_max)
@@ -596,13 +579,10 @@ def _relax(
     floored = np.zeros(columns, dtype=bool)
     tol, gate = _limits(cfg, dtype)
     scale = _FLOOR_ULPS * np.finfo(dtype).eps
-    eta = dtype.type(cfg.eta)
-    if eta == 1.0 != cfg.eta:  # only rounds to 1: no cancelled unit step
-        eta = cfg.eta
     previous = math.inf
     frozen = None  # the mask of frozen columns, once some column froze
     every, some = np.logical_and.reduce, np.logical_or.reduce
-    forward, back = step(params, beta, loss, eta, ws)
+    forward, back = step(params, beta, loss, cfg.eta, ws)
     sides = ((back, ws.next, ws.state), (forward, ws.state, ws.next))  # by k & 1
     diff = ws.diff
     norm = _bind_pair_norm(diff)
@@ -756,12 +736,13 @@ def relax_mean_stress(
 ) -> tuple[np.ndarray, np.ndarray, GradientBundle, RelaxTrace]:
     """Relax in mean/stress coordinates by forward Euler.
 
-    At eta = 1 the update is applied in its cancelled form (see
-    ``_mean_stress_steps``). That keeps the unit-step run identical,
-    float for float, to the discrete two-phase scheme, which is what
-    makes the layerwise freezing of the mean hold as exact equality of
-    stored floats rather than up to rounding. ``on_step`` receives
-    (k, m, s) copies after each update; ``record_steps`` as in ``relax_dyadic``.
+    Each step writes the cancelled two-phase map and, at eta other than
+    1, blends the state toward it (see ``_mean_stress_steps``). So the
+    unit-step run is identical, float for float, to the discrete
+    two-phase scheme, which is what makes the layerwise freezing of the
+    mean hold as exact equality of stored floats rather than up to
+    rounding. ``on_step`` receives (k, m, s) copies after each update;
+    ``record_steps`` as in ``relax_dyadic``.
     """
     return _relax_sample(
         params, x0, loss, cfg, on_step, RelaxMode.MEAN_STRESS, "relax_mean_stress",

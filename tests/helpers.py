@@ -21,7 +21,6 @@ from dyadicbp.dynamics import (
     _Workspace,
     _delta_at,
     _grads_from_delta,
-    _mean_stress_field,
 )
 from dyadicbp.network import beta_array
 from oracles import _saddle_velocity
@@ -84,12 +83,6 @@ def bound_velocity(field, params, beta, loss, first, second):
     return velocity, ws
 
 
-def _velocities(field, params, x0, loss, first, second):
-    velocity, ws = bound_velocity(field, params, beta_array(params, x0), loss, first, second)
-    velocity()
-    return tuple(ws.next)
-
-
 def saddle_velocities(params, x0, loss, x, z):
     """(dx, dz) of the saddle flow at the arrays (x, z), by the oracle's
     unfused velocity: the package steps this flow in (m, s) only."""
@@ -97,8 +90,14 @@ def saddle_velocities(params, x0, loss, x, z):
 
 
 def mean_stress_velocities(params, x0, loss, m, s):
-    """(dm, ds) of the mean/stress flow at the arrays (m, s)."""
-    return _velocities(_mean_stress_field, params, x0, loss, m, s)
+    """(dm, ds) of the mean/stress flow at the arrays (m, s): the package's
+    unit step from (m, s) minus (m, s), the difference its step at any
+    other eta scales and adds back."""
+    beta = beta_array(params, x0)
+    ws = _Workspace(beta.shape, np.result_type(beta, m, s))
+    step, _ = _STEPS[RelaxMode.MEAN_STRESS](params, beta, loss, 1.0, ws)
+    ws.state[...] = m, s
+    return tuple(step() - ws.state)
 
 
 def gradient_from_equilibrium(params, x0, m, s):

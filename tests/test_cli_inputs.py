@@ -8,11 +8,12 @@ from dyadicbp.cli import main
 NOT_UTF8 = b"# \xff\xfe\n"
 
 
-def run_cli(command, cfg, tmp_path, capsys):
-    """Run ``command`` with config ``cfg``; assert exit 1, ``error:`` and no
-    output directory, and return stderr."""
+def run_cli(command, cfg, tmp_path, capsys, *flags):
+    """Run ``command`` with config ``cfg`` (None: no config) and ``flags``;
+    assert exit 1, ``error:`` and no output directory, and return stderr."""
     out = tmp_path / "run"
-    code = main([command, "--config", str(cfg), "--out", str(out)])
+    config = () if cfg is None else ("--config", str(cfg))
+    code = main([command, *config, *flags, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:")
@@ -70,3 +71,8 @@ def test_unreadable_dataset_exits_1(tmp_path, capsys, body, names_file):
     cfg = csv_dataset_config(tmp_path, data)
     err = run_cli("train", cfg, tmp_path, capsys)
     assert (str(data) in err) == names_file
+
+
+def test_eta_that_is_zero_in_float32_exits_1(tmp_path, capsys):
+    err = run_cli("relax", None, tmp_path, capsys, "--precision", "32", "--eta", "1e-46")
+    assert "eta" in err

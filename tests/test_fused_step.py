@@ -89,7 +89,9 @@ def step_cases(draw):
     else:
         target = np.zeros((widths[-1], batch), dtype=dtype)
         target[rng.integers(widths[-1], size=batch), np.arange(batch)] = 1.0
-    eta = draw(st.sampled_from((0.5, 1.0)))
+    # Every sweep eta, and one that rounds to 1 in float32 only, where the
+    # mean/stress step still blends (the unfused step tests eta == 1 uncast).
+    eta = draw(st.sampled_from((0.25, 0.5, 0.75, 1.0, 1 - 2**-25)))
     return params, x, LossSpec(kind, target), eta
 
 
@@ -106,6 +108,7 @@ def _sweep_case(eta):
 @example(_sweep_case(0.25), "Dyadic")
 @example(_sweep_case(1.0), "Dyadic")
 @example(_sweep_case(1.0), "MeanStress")  # the bound unit step
+@example(_sweep_case(1 - 2**-25), "MeanStress")  # 1 in float32, but blended
 @example(_sweep_case(0.5), "Split")
 def test_single_sample_states_match_unfused_step(case, mode):
     params, x, loss, eta = case

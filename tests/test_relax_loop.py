@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import ALL_ACTS, make_chain
 from dyadicbp import (
     Activation,
+    ConfigError,
     LossKind,
     LossSpec,
     NumericError,
@@ -117,6 +118,23 @@ def test_float64_target_with_float32_params_is_rejected():
     for call in calls:
         with pytest.raises(ShapeError, match="dtype"):
             call()
+
+
+@pytest.mark.parametrize("mode", tuple(SINGLE))
+def test_eta_that_casts_to_zero_is_rejected(mode):
+    # 1e-46 is positive, but 0.0 in float32: every step would be a no-op
+    # that stops at step 1 as converged with an all-zero gradient.
+    target = np.zeros((2, 4), dtype=np.float32)
+    params, x = _float32_instance(target)
+    batch_loss = LossSpec(LossKind.MSE, target)
+    cfg = RelaxConfig(eta=1e-46, mode=mode)
+    with pytest.raises(ConfigError, match="eta"):
+        SINGLE[mode](params, x[:, 0], LossSpec(LossKind.MSE, target[:, 0]), cfg)
+    with pytest.raises(ConfigError, match="eta"):
+        relax_batch(params, x, batch_loss, cfg)
+    # float64 holds 1e-46: the same config relaxes there.
+    wide_loss = LossSpec(LossKind.MSE, target.astype(np.float64))
+    relax_batch(params.astype(np.float64), x.astype(np.float64), wide_loss, cfg)
 
 
 def test_integer_target_is_cast_to_parameter_dtype():
