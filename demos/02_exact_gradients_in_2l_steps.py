@@ -59,7 +59,12 @@ if not (identical and same_stress):
     sys.exit("TwoL is not bitwise equal to classical backprop")
 
 # --- the same thing as a monitored relaxation -------------------------------
-m, s, bundle, trace = relax_dyadic(params, x0, loss, RelaxConfig(eta=1.0))
+# An on_step observer sees the state after every update; Dyadic hands it
+# the doubled state (x, z). states[k] is the state after update k.
+states = [(np.zeros(params.state_size), np.zeros(params.state_size))]
+m, s, bundle, trace = relax_dyadic(
+    params, x0, loss, RelaxConfig(eta=1.0), on_step=lambda k, x, z: states.append((x, z))
+)
 print(f"\nstopping rule fired at iteration {trace.iterations_used} "
       f"(settled at 2L = {2 * L}, detected one step later)")
 relaxed = np.array_equal(bundle.flat(), ref.flat())
@@ -67,9 +72,14 @@ print("relaxed gradients bitwise identical to backprop:", relaxed)
 if not relaxed:
     sys.exit("the unit-step Dyadic relaxation is not bitwise equal to classical backprop")
 
+# The step delta is the loop's stopping quantity, ||dm|| + ||ds||, with
+# the mean (x + z) / 2 and the stress x - z.
+mean_stress = [(0.5 * (x + z), x - z) for x, z in states]
 print("\n  k | step delta | energy")
 for k in (1, 2, L, 2 * L - 1, 2 * L, trace.iterations_used):
-    print(f" {k:2d} | {trace.deltas[k - 1]:10.3e} | {trace.energies[k - 1]:+.6f}")
+    (m_k, s_k), (m_prev, s_prev) = mean_stress[k], mean_stress[k - 1]
+    delta = np.linalg.norm(m_k - m_prev) + np.linalg.norm(s_k - s_prev)
+    print(f" {k:2d} | {delta:10.3e} | {energy(params, x0, loss, *states[k]):+.6f}")
 
 # The relaxations return the mean and stress as plain (n,) arrays; the
 # energy takes the doubled state x = m + s/2, z = m - s/2.

@@ -12,7 +12,8 @@ Dyadic step runs in (x, z) takes the same pair as its (x, z)), one
 step of a whole Dyadic relaxation (``dyadic_relax_step``: ``_relax`` from
 zero at eta 0.5, default tolerance, divided by its step count) and one
 call of the public Dyadic relaxation at ``k_max=1`` (``dyadic_relax_call``:
-``relax_dyadic`` for a single state, ``relax_batch`` for a batch), its
+``relax_dyadic`` for a single state, with no step records in either
+tree, ``relax_batch`` for a batch), its
 fixed cost per call beside the cost per step, one TwoL gradient
 (``twoL_call``: ``relax_twoL``, or ``relax_batch`` in TwoL mode) and one
 backprop gradient (``bp_call``: ``classical_backprop``, or
@@ -132,13 +133,17 @@ def kernel_calls(pkg, depth: int, dtype, batch):
     cfg = pkg.RelaxConfig(eta=0.5)
     one_step = pkg.RelaxConfig(eta=0.5, k_max=1)
     two_l = pkg.RelaxConfig(mode=pkg.RelaxMode.TWO_L)
+    # A tree whose relax_dyadic still takes record_steps records every step
+    # unless told not to; this tree's records only through an observer.
+    takes_records = "record_steps" in inspect.signature(pkg.relax_dyadic).parameters
+    quiet = {"record_steps": False} if takes_records else {}
 
     def relax():
         return dynamics._relax(params, beta, loss, cfg, step)
 
     def relax_call():
         if batch is None:
-            return pkg.relax_dyadic(params, x0, loss, one_step, record_steps=False)
+            return pkg.relax_dyadic(params, x0, loss, one_step, **quiet)
         return pkg.relax_batch(params, x0, loss, one_step)
 
     def twoL_call():

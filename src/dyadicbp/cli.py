@@ -22,13 +22,13 @@ import numpy as np
 import yaml
 
 from .datasets import generate_dataset, write_dataset_csv
+from .dynamics import _trajectory
 from .errors import ConfigError, ConvergenceError, NumericError, ShapeError
 from .training import (
     ExperimentConfig,
     SWEEP_FIELDS,
     _ETA_DRIVEN,
     _random_instance,
-    _sample_gradient,
     check_gradients,
     sweep_eta,
     train,
@@ -163,12 +163,11 @@ def _cmd_relax(config: ExperimentConfig) -> Optional[str]:
         )
     rng = np.random.default_rng(config.seed)
     params, x0, loss = _random_instance(config, rng)
-    _, trace = _sample_gradient(params, x0, loss, config, record_steps=True)
+    trace, records = _trajectory(params, x0, loss, config.relax_config())
 
     # One row per Euler update, with the stress norm of each layer.
     stress = tuple(f"stress_{i}" for i in range(1, params.depth + 1))
     fieldnames = ("k", "delta_norm", "energy") + stress
-    records = zip(trace.deltas, trace.energies, trace.stress_block_norms)
     rows = [
         {"k": k, "delta_norm": delta, "energy": energy, **dict(zip(stress, norms))}
         for k, (delta, energy, norms) in enumerate(records, start=1)

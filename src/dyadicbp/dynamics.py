@@ -13,7 +13,9 @@ One Euler loop, ``_relax``, runs every convergence-driven scheme (Dyadic,
 MeanStress, Split) for a single sample or a column batch: it starts
 from zero, takes the scheme's Euler step, freezes each column once its
 increment drops below the tolerance or stalls at the rounding noise of
-its state (the precision floor), and records a trace only when asked.
+its state (the precision floor), and hands each update's stepped pair
+to an ``on_step`` observer when given one (``_trajectory`` records from
+it).
 Dyadic and MeanStress step (m, s), the same flow in the same
 coordinates (dm = (dx + dz) / 2 and ds = dx - dz), by one kernel at
 every step size: it writes the cancelled two-phase map, which at unit
@@ -45,7 +47,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -143,22 +145,15 @@ class RelaxStatus(enum.Enum):
 
 @dataclass
 class RelaxTrace:
-    """Per-iteration diagnostics of one relaxation run.
+    """How one relaxation run ended.
 
-    Record i describes the state after update i + 1: the stopping
-    quantity delta (the summed L2 norms of the increments of the stepped
-    pair, ||dm|| + ||ds||, or ||dx|| + ||dz|| for Split), the energy,
-    and the per-layer stress norms. ``iterations_used``
-    equals the number of Euler updates performed, so with step records
-    on all record lists have that length; with ``record_steps=False``
-    they are empty. ``status`` says why the run stopped (see
-    ``_relax``), and ``converged`` is true unless it ran out of budget.
+    ``iterations_used`` is the number of Euler updates performed,
+    ``status`` says why the run stopped (see ``_relax``), and
+    ``converged`` is true unless it ran out of budget. An ``on_step``
+    observer sees the state of every update.
     """
 
     iterations_used: int = 0
-    deltas: list[float] = field(default_factory=list)
-    energies: list[float] = field(default_factory=list)
-    stress_block_norms: list[tuple[float, ...]] = field(default_factory=list)
     status: RelaxStatus = RelaxStatus.OUT_OF_BUDGET
 
     @property
@@ -480,27 +475,16 @@ def _bind_pair_norm(pair: np.ndarray) -> Callable[[], object]:
     return lambda: add(sqrt(add(np.multiply(pair, pair, pair), 1, None, norms), norms), 0)
 
 
-def _record(
-    params: NetworkParams,
-    trace: RelaxTrace,
-    beta: np.ndarray,
-    loss: LossSpec,
-    delta: float,
-    m: np.ndarray,
-    s: np.ndarray,
-) -> None:
-    offs = params.offsets
-    trace.deltas.append(delta)
-    trace.energies.append(_energy_ms(params, beta, loss, m, s))
-    trace.stress_block_norms.append(
-        tuple(float(np.linalg.norm(s[offs[i] : offs[i + 1]])) for i in range(params.depth))
-    )
-
-
 # The precision floor of ``_relax``: its gate in tolerances and its
 # width in eps of the state's norm.
 _FLOOR_GATE = 1e3
 _FLOOR_ULPS = 16
+
+
+def _check_eta(eta: float, dtype: np.dtype) -> None:
+    """ConfigError if ``eta`` casts to 0.0 in ``dtype``: every step a no-op."""
+    if dtype.type(eta) == 0:
+        raise ConfigError(f"step size eta {eta!r} is 0 in {dtype.name}")
 
 
 def _limits(cfg: RelaxConfig, dtype: np.dtype) -> tuple[float, float]:
@@ -525,13 +509,17 @@ def _below_floor(delta, stalled, state: np.ndarray, scale):
     return below
 
 
+def _mean_stress(a: np.ndarray, b: np.ndarray, doubled: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(m, s) of a stepped pair: (0.5 (x + z), x - z) of Split's (x, z)."""
+    return (0.5 * (a + b), a - b) if doubled else (a, b)
+
+
 def _relax(
     params: NetworkParams,
     beta: np.ndarray,
     loss: LossSpec,
     cfg: RelaxConfig,
     step: Callable[..., tuple[Step, Step]],
-    trace: Optional[RelaxTrace] = None,
     on_step: Optional[StepCallback] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Euler-relax an (n,) or (n, B) state from zero under ``step``, one of
@@ -551,8 +539,8 @@ def _relax(
     raises NumericError, and an eta that casts to 0.0 in the state's
     dtype (every step a no-op) raises ConfigError.
 
-    ``trace`` (single sample) receives one record per update and
-    ``on_step`` receives (k, first, second) copies. Returns the final
+    ``on_step`` receives (k, first, second) copies of the stepped pair
+    after each update, the only way to watch the loop. Returns the final
     (m, s) and per column the iterations, the converged flag (either
     stop) and the floored flag (the precision floor); a column with
     neither flag ran out of budget at k_max.
@@ -570,8 +558,7 @@ def _relax(
     doubled = cfg.mode is RelaxMode.SPLIT
     columns = beta.shape[1:]
     dtype = beta.dtype
-    if dtype.type(cfg.eta) == 0:
-        raise ConfigError(f"step size eta {cfg.eta!r} is 0 in {dtype.name}")
+    _check_eta(cfg.eta, dtype)
     ws = _Workspace(beta.shape, dtype)
     active = np.ones(columns, dtype=bool)
     iterations = np.full(columns, cfg.k_max)
@@ -586,9 +573,6 @@ def _relax(
     sides = ((back, ws.next, ws.state), (forward, ws.state, ws.next))  # by k & 1
     diff = ws.diff
     norm = _bind_pair_norm(diff)
-
-    def mean_stress(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (0.5 * (a + b), a - b) if doubled else (a, b)
 
     for k in range(1, cfg.k_max + 1):
         advance, old, state = sides[k & 1]
@@ -606,8 +590,6 @@ def _relax(
             raise NumericError("relaxation state diverged (non-finite step delta)")
         if frozen is not None:  # frozen columns keep their state
             np.copyto(state, old, where=frozen)
-        if trace is not None:
-            _record(params, trace, beta, loss, delta, *mean_stress(*state))
         if on_step is not None:
             on_step(k, state[0].copy(), state[1].copy())
         if not columns:
@@ -639,7 +621,7 @@ def _relax(
                     break
                 frozen = ~active
         previous = delta
-    return (*mean_stress(*state), iterations, converged, floored)
+    return (*_mean_stress(*state, doubled), iterations, converged, floored)
 
 
 def _prepare(
@@ -662,20 +644,20 @@ def _relax_sample(
     on_step: Optional[StepCallback],
     mode: RelaxMode,
     caller: str,
-    record_steps: bool,
 ) -> tuple[np.ndarray, np.ndarray, GradientBundle, RelaxTrace]:
+    """A single-sample relaxation of ``mode``: ``on_step`` observes the
+    stepped pair, and the energy of the returned state is checked
+    (NumericError if not finite)."""
     if cfg.mode is not mode:
         raise ConfigError(f"{caller} requires mode {mode.value}, got {cfg.mode.value}")
     x0, loss = _prepare(params, x0, loss)
     beta = beta_array(params, x0)
     trace = RelaxTrace()
-    records = trace if record_steps else None
-    m, s, iters, conv, floored = _relax(params, beta, loss, cfg, _STEPS[mode], records, on_step)
+    m, s, iters, conv, floored = _relax(params, beta, loss, cfg, _STEPS[mode], on_step)
     # sigma and sigma' at the final pre-activation, for the energy and delta.
     sig, dsig = np.empty_like(m), np.empty_like(m)
     _sigma_pair_array(params, apply_w_array(params, m) + beta, sig, dsig)
-    if not record_steps:  # the last record's energy check
-        _energy_ms(params, beta, loss, m, s, sig)
+    _energy_ms(params, beta, loss, m, s, sig)
     trace.iterations_used = int(iters)
     if floored:
         trace.status = RelaxStatus.PRECISION_FLOOR
@@ -683,6 +665,34 @@ def _relax_sample(
         trace.status = RelaxStatus.CONVERGED
     bundle = GradientBundle(*_grads_from_delta(params, x0, m, np.multiply(dsig, s, out=dsig)))
     return m, s, bundle, trace
+
+
+def _trajectory(
+    params: NetworkParams, x0: np.ndarray, loss: LossSpec, cfg: RelaxConfig
+) -> tuple[RelaxTrace, list[tuple[float, float, tuple[float, ...]]]]:
+    """The single-sample relaxation of ``cfg.mode`` and one row per update:
+    (delta, energy, per-layer stress norms) of its stepped pair, (m, s),
+    or Split's (x, z) with (m, s) = (0.5 (x + z), x - z), as ``_relax``
+    forms them. The delta is the loop's norm of the increment from the
+    previous pair, from the all-zero pair the loop starts at. The first
+    non-finite energy raises NumericError at its update."""
+    x0, loss = _prepare(params, x0, loss)
+    beta = beta_array(params, x0)
+    doubled = cfg.mode is RelaxMode.SPLIT
+    previous = np.zeros((2, params.state_size), dtype=beta.dtype)
+    diff = np.empty_like(previous)
+    norm, blocks = _bind_pair_norm(diff), _block_slices(params)
+    rows = []
+
+    def record(k: int, first: np.ndarray, second: np.ndarray) -> None:
+        np.subtract((first, second), previous, diff)
+        previous[0], previous[1] = first, second
+        m, s = _mean_stress(first, second, doubled)
+        stress = tuple(float(np.linalg.norm(s[sl])) for sl in blocks)
+        rows.append((norm(), _energy_ms(params, beta, loss, m, s), stress))
+
+    trace = _relax_sample(params, x0, loss, cfg, record, cfg.mode, "_trajectory")[3]
+    return trace, rows
 
 
 def _doubled(on_step: StepCallback) -> StepCallback:
@@ -696,8 +706,6 @@ def relax_dyadic(
     loss: LossSpec,
     cfg: RelaxConfig,
     on_step: Optional[StepCallback] = None,
-    *,
-    record_steps: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, GradientBundle, RelaxTrace]:
     """Relax the doubled state (x, z) by forward Euler on the saddle flow.
 
@@ -712,17 +720,12 @@ def relax_dyadic(
     running out of budget is reported (``converged`` false), not raised.
     Returns the mean, the stress, the extracted gradient, and the trace.
     ``on_step`` (if given) receives (k, x, z) after each update, formed
-    as (m + s/2, m - s/2) from the stepped pair. The trace
-    records the delta, energy and stress norms of every update only with
-    ``record_steps``; without, the same bits come back with the trace's
-    counts and status alone, and the energy (NumericError if not finite)
-    is checked only at the end, so a transient overflow of it with
-    finite increments no longer raises.
+    as (m + s/2, m - s/2) from the stepped pair. The energy of the
+    returned state is checked (NumericError if not finite); a transient
+    overflow of it with finite increments does not raise.
     """
     doubled = None if on_step is None else _doubled(on_step)
-    return _relax_sample(
-        params, x0, loss, cfg, doubled, RelaxMode.DYADIC, "relax_dyadic", record_steps
-    )
+    return _relax_sample(params, x0, loss, cfg, doubled, RelaxMode.DYADIC, "relax_dyadic")
 
 
 def relax_mean_stress(
@@ -731,8 +734,6 @@ def relax_mean_stress(
     loss: LossSpec,
     cfg: RelaxConfig,
     on_step: Optional[StepCallback] = None,
-    *,
-    record_steps: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, GradientBundle, RelaxTrace]:
     """Relax in mean/stress coordinates by forward Euler.
 
@@ -741,12 +742,10 @@ def relax_mean_stress(
     unit-step run is identical, float for float, to the discrete
     two-phase scheme, which is what makes the layerwise freezing of the
     mean hold as exact equality of stored floats rather than up to
-    rounding. ``on_step`` receives (k, m, s) copies after each update;
-    ``record_steps`` as in ``relax_dyadic``.
+    rounding. ``on_step`` receives (k, m, s) copies after each update.
     """
     return _relax_sample(
-        params, x0, loss, cfg, on_step, RelaxMode.MEAN_STRESS, "relax_mean_stress",
-        record_steps,
+        params, x0, loss, cfg, on_step, RelaxMode.MEAN_STRESS, "relax_mean_stress"
     )
 
 
@@ -780,8 +779,6 @@ def relax_split(
     loss: LossSpec,
     cfg: RelaxConfig,
     on_step: Optional[StepCallback] = None,
-    *,
-    record_steps: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, GradientBundle, RelaxTrace]:
     """Relax the decoupled split scheme: per-state drives and Jacobians.
 
@@ -795,11 +792,9 @@ def relax_split(
     The loss gradient is evaluated once, at the midpoint output:
     evaluated at each state's own output, the cost would bias the output
     stress to (4/3) g for MSE. ``on_step`` receives (k, x, z) copies
-    after each update; ``record_steps`` as in ``relax_dyadic``.
+    after each update.
     """
-    return _relax_sample(
-        params, x0, loss, cfg, on_step, RelaxMode.SPLIT, "relax_split", record_steps
-    )
+    return _relax_sample(params, x0, loss, cfg, on_step, RelaxMode.SPLIT, "relax_split")
 
 
 def stability_check(

@@ -26,6 +26,7 @@ from .dynamics import (
     RelaxConfig,
     RelaxMode,
     RelaxTrace,
+    _check_eta,
     relax_batch,
     relax_dyadic,
     relax_mean_stress,
@@ -165,6 +166,8 @@ class ExperimentConfig:
             raise ConfigError("widths must be a non-empty list of positive integers")
         if self.method not in (GradientMethod.BP, GradientMethod.FINITE_DIFF):
             self.relax_config()  # fail on eta, k_max or tol before any output
+        if self.method in _ETA_DRIVEN:
+            _check_eta(self.eta, self.dtype)
 
     @property
     def dtype(self) -> np.dtype:
@@ -583,11 +586,9 @@ def _sample_gradient(
     x0: np.ndarray,
     loss: LossSpec,
     config: ExperimentConfig,
-    record_steps: bool = False,
 ) -> tuple[GradientBundle, Optional[RelaxTrace]]:
     """Gradient of one sample by the configured method, and the trace of
-    a step-size-driven relaxation (None for the other methods), with
-    per-step records only if ``record_steps``.
+    a step-size-driven relaxation (None for the other methods).
 
     The engines are read as module globals at each call, so rebinding
     them here (as the benchmark's span tracer does) reaches every call.
@@ -606,7 +607,7 @@ def _sample_gradient(
     else:
         relax = relax_split
     cfg = config.relax_config()
-    _, _, bundle, trace = relax(params, x0, loss, cfg, record_steps=record_steps)
+    _, _, bundle, trace = relax(params, x0, loss, cfg)
     return bundle, trace
 
 

@@ -114,9 +114,7 @@ def two_phase_states(params, x0, loss):
     steps = 2 * params.depth
     cfg = RelaxConfig(eta=1.0, k_max=steps, tol=1e-300, mode=RelaxMode.MEAN_STRESS)
     states = []
-    relax_mean_stress(
-        params, x0, loss, cfg, on_step=lambda k, m, s: states.append((m, s)), record_steps=False
-    )
+    relax_mean_stress(params, x0, loss, cfg, on_step=lambda k, m, s: states.append((m, s)))
     return states + states[-1:] * (steps - len(states))
 
 

@@ -73,6 +73,7 @@ def test_unreadable_dataset_exits_1(tmp_path, capsys, body, names_file):
     assert (str(data) in err) == names_file
 
 
-def test_eta_that_is_zero_in_float32_exits_1(tmp_path, capsys):
-    err = run_cli("relax", None, tmp_path, capsys, "--precision", "32", "--eta", "1e-46")
-    assert "eta" in err
+@pytest.mark.parametrize("command", ("train", "check", "relax", "sweep"))
+def test_eta_that_is_zero_in_float32_exits_1(tmp_path, capsys, command):
+    err = run_cli(command, None, tmp_path, capsys, "--precision", "32", "--eta", "1e-46")
+    assert err == "error: step size eta 1e-46 is 0 in float32\n"

@@ -84,7 +84,7 @@ def test_unit_step_dyadic_sample_is_backprop_bitwise(case):
     params, x, loss = case
     for j in range(x.shape[1]):
         loss_j = LossSpec(loss.kind, loss.target[:, j])
-        _, _, bundle, trace = relax_dyadic(params, x[:, j], loss_j, UNIT, record_steps=False)
+        _, _, bundle, trace = relax_dyadic(params, x[:, j], loss_j, UNIT)
         ref, _ = classical_backprop(params, x[:, j], loss_j)
         got = bundle.weight_grads + bundle.bias_grads
         assert _bits(got) == _bits(ref.weight_grads + ref.bias_grads)
@@ -104,15 +104,16 @@ def test_dyadic_returns_mean_stress_bits_at_every_step_size(case, eta):
     assert dyadic[3].tolist() == mean_stress[3].tolist()
     x0 = x[:, 0]
     loss0 = LossSpec(loss.kind, loss.target[:, 0])
-    m1, s1, b1, t1 = relax_dyadic(params, x0, loss0, RelaxConfig(eta=eta, tol=1e-5))
-    m2, s2, b2, t2 = relax_mean_stress(
-        params, x0, loss0, RelaxConfig(eta=eta, tol=1e-5, mode=RelaxMode.MEAN_STRESS)
-    )
+    dyadic_cfg = RelaxConfig(eta=eta, tol=1e-5)
+    mean_stress_cfg = RelaxConfig(eta=eta, tol=1e-5, mode=RelaxMode.MEAN_STRESS)
+    m1, s1, b1, t1 = relax_dyadic(params, x0, loss0, dyadic_cfg)
+    m2, s2, b2, t2 = relax_mean_stress(params, x0, loss0, mean_stress_cfg)
     assert _bits((m1, s1, *b1.weight_grads, *b1.bias_grads)) == _bits(
         (m2, s2, *b2.weight_grads, *b2.bias_grads)
     )
     assert t1.iterations_used == t2.iterations_used
-    assert t1.deltas == t2.deltas
+    rows = dynamics._trajectory(params, x0, loss0, dyadic_cfg)[1]
+    assert rows == dynamics._trajectory(params, x0, loss0, mean_stress_cfg)[1]
 
 
 def test_dyadic_agrees_with_the_doubled_state_euler_loop():

@@ -41,6 +41,7 @@ from dyadicbp import (
     relax_twoL,
     stability_check,
 )
+from dyadicbp import dynamics
 from dyadicbp.reference import backprop_batch
 
 
@@ -459,22 +460,21 @@ def test_gradient_from_equilibrium_single_linear_layer_closed_form():
 def test_trace_invariants_and_nonconvergence_flag():
     rng = np.random.default_rng(86)
     params, x0, loss = make_instance(rng)
-    _, _, _, trace = relax_dyadic(
-        params, x0, loss, _cfg(RelaxMode.DYADIC, eta=0.05, k_max=5, tol=1e-14)
-    )
+    cfg = _cfg(RelaxMode.DYADIC, eta=0.05, k_max=5, tol=1e-14)
+    _, _, _, trace = relax_dyadic(params, x0, loss, cfg)
     assert not trace.converged
     assert trace.iterations_used == 5
-    assert len(trace.deltas) == 5
-    assert len(trace.energies) == 5
-    assert len(trace.stress_block_norms) == 5
-    assert all(len(t) == params.depth for t in trace.stress_block_norms)
+    recorded, rows = dynamics._trajectory(params, x0, loss, cfg)
+    assert (recorded.iterations_used, recorded.status) == (5, trace.status)
+    assert len(rows) == 5
+    assert all(len(norms) == params.depth for _, _, norms in rows)
 
-    _, _, _, trace2 = relax_dyadic(
-        params, x0, loss, _cfg(RelaxMode.DYADIC, eta=1.0, tol=1e-6)
-    )
+    cfg = _cfg(RelaxMode.DYADIC, eta=1.0, tol=1e-6)
+    _, _, _, trace2 = relax_dyadic(params, x0, loss, cfg)
     assert trace2.converged
-    assert trace2.deltas[-1] < 1e-6
-    assert len(trace2.deltas) == trace2.iterations_used
+    _, rows = dynamics._trajectory(params, x0, loss, cfg)
+    assert rows[-1][0] < 1e-6  # the last update's delta
+    assert len(rows) == trace2.iterations_used
 
 
 def test_relax_config_validation():

@@ -242,7 +242,7 @@ def test_a_relaxation_whose_output_turns_non_finite_raises_numeric_error(relax, 
     mode = {relax_dyadic: RelaxMode.DYADIC, relax_mean_stress: RelaxMode.MEAN_STRESS}
     cfg = RelaxConfig(eta=1.0, k_max=50, mode=mode.get(relax, RelaxMode.SPLIT))
     with np.errstate(all="ignore"), pytest.raises(NumericError):
-        relax(params, x0, loss, cfg, record_steps=False)
+        relax(params, x0, loss, cfg)
     batch = np.ones((2, 3), np.float32)
     loss = LossSpec(kind, np.repeat(loss.target[:, None], 3, axis=1))
     with np.errstate(all="ignore"), pytest.raises(NumericError):

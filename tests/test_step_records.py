@@ -1,9 +1,13 @@
-"""Step records are opt-in: a single-sample relaxation with
-``record_steps=False`` returns the same bits, iteration count and
-converged flag as with records on, with empty per-step lists, and still
-raises NumericError on a state whose energy is not finite. The block
-layout that every step reads is computed once per NetworkParams."""
+"""Step records come from an observer of the stepped pair. An ``on_step``
+observer changes no bits of a single-sample relaxation, and
+``dynamics._trajectory`` reports the relaxation's iterations and status
+with one row per update, equal to rows rebuilt from the public
+``on_step`` copies (Dyadic's equal MeanStress's). A state whose energy
+is not finite raises NumericError: a plain call after its last update,
+``_trajectory`` at the update. The block layout that every step reads is
+computed once per NetworkParams."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -27,7 +31,8 @@ from dyadicbp import (
     relax_mean_stress,
     relax_split,
 )
-from dyadicbp.network import _activation_runs, _block_slices
+from dyadicbp import dynamics
+from dyadicbp.network import _activation_runs, _block_slices, beta_array
 
 SINGLE = {
     "Dyadic": relax_dyadic,
@@ -78,24 +83,55 @@ def record_cases(draw):
 
 
 @given(record_cases())
-def test_records_off_returns_the_same_bits(case):
+def test_an_observer_changes_no_bits_and_trajectory_has_a_row_per_update(case):
     relax, params, x0, loss, cfg = case
+    seen = []
     m1, s1, b1, t1 = relax(params, x0, loss, cfg)
-    m2, s2, b2, t2 = relax(params, x0, loss, cfg, record_steps=False)
+    m2, s2, b2, t2 = relax(params, x0, loss, cfg, on_step=lambda k, a, b: seen.append(k))
     assert_same_bits(m2, m1)
     assert_same_bits(s2, s1)
     for got, want in zip(b2.weight_grads + b2.bias_grads, b1.weight_grads + b1.bias_grads):
         assert_same_bits(got, want)
     assert len(b2.weight_grads) == len(b1.weight_grads) == params.depth
-    assert t2.iterations_used == t1.iterations_used
-    assert t2.converged == t1.converged
-    assert type(t2.iterations_used) is int and type(t2.converged) is bool
-    assert t2.deltas == [] and t2.energies == [] and t2.stress_block_norms == []
+    assert (t2.iterations_used, t2.status) == (t1.iterations_used, t1.status)
+    assert type(t1.iterations_used) is int and type(t1.converged) is bool
     n = t1.iterations_used
-    assert len(t1.deltas) == len(t1.energies) == len(t1.stress_block_norms) == n
+    assert seen == list(range(1, n + 1))
+    trace, rows = dynamics._trajectory(params, x0, loss, cfg)
+    assert (trace.iterations_used, trace.status) == (n, t1.status)
+    assert len(rows) == n
+    assert all(len(norms) == params.depth for _, _, norms in rows)
 
 
-def test_blowup_raises_numeric_error_with_records_off():
+def _rebuilt_rows(params, x0, loss, cfg):
+    """The step records of a MeanStress or Split run, rebuilt from the
+    (k, first, second) copies its public ``on_step`` receives: the summed
+    norms of the two halves' increments (from the zero pair), the energy
+    at (m, s) and the per-block stress norms."""
+    zero = np.zeros(params.state_size, dtype=params.dtype)
+    pairs = [(zero, zero)]
+    SINGLE[cfg.mode.value](params, x0, loss, cfg, on_step=lambda k, a, b: pairs.append((a, b)))
+    beta = beta_array(params, x0)
+    rows = []
+    for (a0, b0), (a, b) in zip(pairs, pairs[1:]):
+        delta = float(np.linalg.norm(a - a0) + np.linalg.norm(b - b0))
+        m, s = (0.5 * (a + b), a - b) if cfg.mode is RelaxMode.SPLIT else (a, b)
+        stress = tuple(float(np.linalg.norm(s[sl])) for sl in _block_slices(params))
+        rows.append((delta, dynamics._energy_ms(params, beta, loss, m, s), stress))
+    return rows
+
+
+@given(record_cases())
+def test_trajectory_rows_equal_rows_rebuilt_from_the_public_observer(case):
+    _, params, x0, loss, cfg = case
+    rows = dynamics._trajectory(params, x0, loss, cfg)[1]
+    if cfg.mode is RelaxMode.DYADIC:  # its observer sees (x, z); it steps (m, s)
+        cfg = dataclasses.replace(cfg, mode=RelaxMode.MEAN_STRESS)
+        assert dynamics._trajectory(params, x0, loss, cfg)[1] == rows
+    assert _rebuilt_rows(params, x0, loss, cfg) == rows
+
+
+def test_blowup_raises_numeric_error_with_and_without_records():
     # The case of test_dynamics' blow-up test: the step delta overflows.
     rng = np.random.default_rng(88)
     params = make_chain(rng, depth=2, acts=(Activation.IDENTITY,))
@@ -105,15 +141,17 @@ def test_blowup_raises_numeric_error_with_records_off():
         warnings.simplefilter("ignore", RuntimeWarning)
         cfg = RelaxConfig(eta=4.0, k_max=1000, tol=1e-12)
         with pytest.raises(NumericError):
-            relax_dyadic(params, x0, loss, cfg, record_steps=False)
+            relax_dyadic(params, x0, loss, cfg)
+        with pytest.raises(NumericError):
+            dynamics._trajectory(params, x0, loss, cfg)
 
 
 @pytest.mark.parametrize("mode", tuple(SINGLE))
-def test_final_state_with_non_finite_energy_raises_with_records_off(mode):
+def test_final_state_with_non_finite_energy_raises(mode):
     # float32, output near 4e19: every step delta and the gradient stay
-    # finite, but the loss at the output, 0.5 |m_L|^2, overflows. Records
-    # on raise at the first such update; records off run all k_max steps
-    # and raise on the energy of the state they would return.
+    # finite, but the loss at the output, 0.5 |m_L|^2, overflows. A plain
+    # call runs all k_max steps and raises on the energy of the state it
+    # would return; the step records raise at the first such update.
     dt = np.float32
     weight = np.full((2, 1), 4e19, dtype=dt)
     layer = LayerParams(LayerSpec(2, Activation.IDENTITY), weight, np.zeros(2, dt))
@@ -126,13 +164,9 @@ def test_final_state_with_non_finite_energy_raises_with_records_off(mode):
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(NumericError):
             SINGLE[mode](params, x0, loss, cfg, on_step=lambda k, a, b: steps.append(k))
-        assert len(steps) < cfg.k_max
-        steps.clear()
+        assert steps == list(range(1, cfg.k_max + 1))
         with pytest.raises(NumericError):
-            SINGLE[mode](
-                params, x0, loss, cfg, on_step=lambda k, a, b: steps.append(k), record_steps=False
-            )
-    assert steps == list(range(1, cfg.k_max + 1))
+            dynamics._trajectory(params, x0, loss, cfg)
 
 
 def _fresh_layout(params):
