@@ -1,4 +1,4 @@
-"""Write a fixed matrix of 43 output CSVs through the CLI and print their SHA-256.
+"""Write a fixed matrix of 31 output CSVs through the CLI and print their SHA-256.
 
 Usage (from a checkout's root):
 
@@ -6,13 +6,13 @@ Usage (from a checkout's root):
 
 The matrix covers every CLI subcommand that writes numbers:
 
-- ``check`` (5 trials) and ``relax`` for Dyadic, MeanStress and Split at
-  eta 1.0 and 0.5, precision 64 and 32 (24 files);
-- ``sweep`` (3 trials at eta 0.25, 0.5, 1.0) for the same three methods
-  at both precisions (6 files);
+- ``check`` (5 trials) and ``relax`` for Dyadic and Split at eta 1.0
+  and 0.5, precision 64 and 32 (16 files);
+- ``sweep`` (3 trials at eta 0.25, 0.5, 1.0) for the same two methods
+  at both precisions (4 files);
 - ``train`` on a small two-moons net (widths 16, 16, 16, 2; 2 epochs,
-  200 samples, eta 0.5, k_max 400) for Dyadic, MeanStress, Split, TwoL
-  and BP at both precisions (10 files);
+  200 samples, eta 0.5, k_max 400) for Dyadic, Split, TwoL and BP at
+  both precisions (8 files);
 - ``gen-data`` for TwoMoons (2 classes), Spirals (3 classes) and
   GaussianBlobs (4 classes), 200 samples each (3 files).
 
@@ -20,7 +20,7 @@ Each line reads ``sha256  path`` with the path relative to OUT_DIR.
 Save the listing of one checkout and pass it as ``--against LISTING``
 when running another: the script then prints, instead of the listing,
 each path whose digest differs or that is missing on either side, then
-a count such as ``37 of 43 outputs match; 6 differ``, and exits 1 if
+a count such as ``25 of 31 outputs match; 6 differ``, and exits 1 if
 any differs. The imported package location and the CLI's own messages
 go to standard error.
 """
@@ -35,7 +35,7 @@ from typing import Optional
 import dyadicbp
 from dyadicbp.cli import main
 
-METHODS = ("Dyadic", "MeanStress", "Split")
+METHODS = ("Dyadic", "Split")
 TRAIN_METHODS = METHODS + ("TwoL", "BP")
 PRECISIONS = ("64", "32")
 TRAIN_CONFIG = """\

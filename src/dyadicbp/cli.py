@@ -53,7 +53,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="RNG seed")
     parser.add_argument(
         "--method",
-        help="gradient method: BP, Dyadic, MeanStress, TwoL, Split, FiniteDiff",
+        help="gradient method: BP, Dyadic, TwoL, Split, FiniteDiff",
     )
     parser.add_argument("--precision", type=int, choices=(32, 64), help="float width")
     parser.add_argument("--out", dest="out_dir", help="output directory")

@@ -9,20 +9,21 @@ into two exact discrete maps (the inertial term cancels), so the mean
 settles layer by layer in L steps and the stress flushes to the exact
 backprop sensitivities in the following L steps.
 
-One Euler loop, ``_relax``, runs every convergence-driven scheme (Dyadic,
-MeanStress, Split) for a single sample or a column batch: it starts
-from zero, takes the scheme's Euler step, freezes each column once its
-increment drops below the tolerance or stalls at the rounding noise of
-its state (the precision floor), and hands each update's stepped pair
-to an ``on_step`` observer when given one (``_trajectory`` records from
-it).
-Dyadic and MeanStress step (m, s), the same flow in the same
-coordinates (dm = (dx + dz) / 2 and ds = dx - dz), by one kernel at
-every step size: it writes the cancelled two-phase map, which at unit
-step is the step and returns backprop's bits, and at any other step
-size blends the state toward it (``_mean_stress_steps``). Dyadic forms
-(x, z) = (m + s/2, m - s/2) only for its ``on_step`` observer. Split
-has no mean/stress form and steps (x, z) under its velocity field.
+One Euler loop, ``_relax``, runs both convergence-driven schemes (Dyadic,
+Split) for a single sample or a column batch: it starts from zero,
+takes the scheme's Euler step, freezes each column once its increment
+drops below the tolerance or stalls at the rounding noise of its state
+(the precision floor), and hands each update's stepped pair to an
+``on_step`` observer when given one (``_trajectory`` records from it).
+Dyadic steps the flow of (x, z) in its mean/stress coordinates
+(dm = (dx + dz) / 2 and ds = dx - dz), by one kernel at every step
+size: it writes the cancelled two-phase map, which at unit step is the
+step and returns backprop's bits, and at any other step size blends
+the state toward it (``_mean_stress_steps``). ``relax_mean_stress``
+observes that stepped (m, s); ``relax_dyadic`` forms
+(x, z) = (m + s/2, m - s/2) from it for its ``on_step`` observer. Split
+has no mean/stress form and steps (x, z) under its velocity field
+(``_split_steps``).
 Each column reports why it stopped as a ``RelaxStatus``. TwoL runs the
 exact 2L schedule instead, as an O(L) block wavefront on per-layer
 blocks (``_twoL_wavefront``), for a sample and a batch alike: it builds
@@ -97,7 +98,6 @@ class RelaxMode(enum.Enum):
     """Which relaxation scheme a RelaxConfig drives."""
 
     DYADIC = "Dyadic"
-    MEAN_STRESS = "MeanStress"
     TWO_L = "TwoL"
     SPLIT = "Split"
 
@@ -200,7 +200,6 @@ class _Workspace:
 
 
 Step = Callable[[], np.ndarray]  # a bound Euler step; returns the pair it wrote
-Bind = Callable[[np.ndarray, np.ndarray], Callable[[], None]]
 
 
 def _bind_pre_activation(
@@ -333,30 +332,6 @@ def _twoL_wavefront(
             s = params.layers[i].weight.T @ delta
 
 
-def _euler(
-    field, params: NetworkParams, beta: np.ndarray, loss: LossSpec, eta, ws: _Workspace
-) -> tuple[Step, Step]:
-    """The Euler steps under the velocity ``field`` from ``ws.state`` into
-    ``ws.next`` and back: the velocity into the candidate pair, then state
-    + eta * velocity for both halves at once (IEEE addition commutes),
-    with eta cast to the state's dtype here, as numpy would cast it."""
-    bind = field(params, beta, loss, ws)
-    eta = np.full((), eta, dtype=ws.state.dtype)
-
-    def side(state: np.ndarray, nxt: np.ndarray) -> Step:
-        velocity = bind(state, nxt)
-
-        def step() -> np.ndarray:
-            velocity()
-            np.multiply(nxt, eta, nxt)
-            np.add(nxt, state, nxt)
-            return nxt
-
-        return step
-
-    return side(ws.state, ws.next), side(ws.next, ws.state)
-
-
 def _mean_stress_steps(
     params: NetworkParams, beta: np.ndarray, loss: LossSpec, eta, ws: _Workspace
 ) -> tuple[Step, Step]:
@@ -397,14 +372,18 @@ def _mean_stress_steps(
     return side(ws.state, ws.next), side(ws.next, ws.state)
 
 
-def _split_velocity_arrays(
-    params: NetworkParams, beta: np.ndarray, loss: LossSpec, ws: _Workspace
-) -> Bind:
-    """``bind(state, nxt)``: a closure writing (dx, dz) at the state (x, z)
-    into ``nxt``, with its temporaries made once per call."""
+def _split_steps(
+    params: NetworkParams, beta: np.ndarray, loss: LossSpec, eta, ws: _Workspace
+) -> tuple[Step, Step]:
+    """The Euler steps of Split's (x, z) from ``ws.state`` into ``ws.next``
+    and back: the velocity (dx, dz) into the candidate pair, then
+    state + eta * velocity for both halves at once (IEEE addition
+    commutes), with eta cast to the state's dtype here, as numpy would
+    cast it. The temporaries are made once per call."""
     pre, dsig = ws.pre, ws.dsig
     m, s, sig, wt = np.empty((4, *pre.shape), dtype=pre.dtype)
     half = np.full((), 0.5, dtype=pre.dtype)
+    eta = np.full((), eta, dtype=pre.dtype)
     out = params.output_slice
     # sigma and sigma' of x's pre-activation, then of z's into m (Split has
     # no mean). Halving keeps the +0.0 rows of wt that W^T leaves empty.
@@ -414,13 +393,13 @@ def _split_velocity_arrays(
     mid, half_g = np.empty((2, *pre[out].shape), dtype=pre.dtype)
     gradient = _bind_gradient(loss, mid, half_g)
 
-    def bind(state: np.ndarray, nxt: np.ndarray) -> Callable[[], None]:
+    def side(state: np.ndarray, nxt: np.ndarray) -> Step:
         (x, z), (dx, dz) = state, nxt
         x_out, z_out, dx_out, dz_out = x[out], z[out], dx[out], dz[out]
         pre_x = _bind_pre_activation(params, beta, x, pre)
         pre_z = _bind_pre_activation(params, beta, z, pre)
 
-        def velocity() -> None:
+        def step() -> np.ndarray:
             np.add(x_out, z_out, mid)
             np.multiply(mid, half, mid)
             gradient()
@@ -444,20 +423,19 @@ def _split_velocity_arrays(
             np.subtract(sig, z, dz)
             np.subtract(dz, wt, dz)
             np.subtract(dz_out, half_g, dz_out)
+            np.multiply(nxt, eta, nxt)
+            np.add(nxt, state, nxt)
+            return nxt
 
-        return velocity
+        return step
 
-    return bind
+    return side(ws.state, ws.next), side(ws.next, ws.state)
 
 
 # The Euler steps of each convergence-driven scheme, bound once per call:
-# ``_STEPS[mode](params, beta, loss, eta, ws)``. Dyadic and MeanStress step
-# (m, s); Split steps the doubled state (x, z).
-_STEPS = {
-    RelaxMode.DYADIC: _mean_stress_steps,
-    RelaxMode.MEAN_STRESS: _mean_stress_steps,
-    RelaxMode.SPLIT: partial(_euler, _split_velocity_arrays),
-}
+# ``_STEPS[mode](params, beta, loss, eta, ws)``. Dyadic steps (m, s);
+# Split steps the doubled state (x, z).
+_STEPS = {RelaxMode.DYADIC: _mean_stress_steps, RelaxMode.SPLIT: _split_steps}
 
 
 def _bind_pair_norm(pair: np.ndarray) -> Callable[[], object]:
@@ -710,20 +688,23 @@ def relax_dyadic(
     """Relax the doubled state (x, z) by forward Euler on the saddle flow.
 
     The flow is stepped in its mean/stress coordinates, m = (x + z) / 2
-    and s = x - z, where the Euler step is ``relax_mean_stress``'s and
-    at eta = 1 the cancelled two-phase map: the unit-step gradient is
-    backprop's, bit for bit. Starts from x = z = 0 and stops when
-    ||dm|| + ||ds||, the summed L2 norms of the two increments, drops
-    below the tolerance, or when it stalls at the float rounding noise
-    of the state (the precision floor of ``_relax``), or when the
-    iteration budget runs out. The trace's ``status`` names which;
-    running out of budget is reported (``converged`` false), not raised.
-    Returns the mean, the stress, the extracted gradient, and the trace.
-    ``on_step`` (if given) receives (k, x, z) after each update, formed
-    as (m + s/2, m - s/2) from the stepped pair. The energy of the
-    returned state is checked (NumericError if not finite); a transient
-    overflow of it with finite increments does not raise.
+    and s = x - z: this is ``relax_mean_stress`` seen through (x, z),
+    and at eta = 1 its step is the cancelled two-phase map, so the
+    unit-step gradient is backprop's, bit for bit. Starts from
+    x = z = 0 and stops when ||dm|| + ||ds||, the summed L2 norms of the
+    two increments, drops below the tolerance, or when it stalls at the
+    float rounding noise of the state (the precision floor of
+    ``_relax``), or when the iteration budget runs out. The trace's
+    ``status`` names which; running out of budget is reported
+    (``converged`` false), not raised. Returns the mean, the stress, the
+    extracted gradient, and the trace. ``on_step`` (if given) receives
+    (k, x, z) after each update, formed as (m + s/2, m - s/2) from the
+    stepped pair. The energy of the returned state is checked
+    (NumericError if not finite); a transient overflow of it with finite
+    increments does not raise.
     """
+    # Not a call of relax_mean_stress, so that a wrapper of either entry
+    # point sees each relaxation once.
     doubled = None if on_step is None else _doubled(on_step)
     return _relax_sample(params, x0, loss, cfg, doubled, RelaxMode.DYADIC, "relax_dyadic")
 
@@ -735,18 +716,19 @@ def relax_mean_stress(
     cfg: RelaxConfig,
     on_step: Optional[StepCallback] = None,
 ) -> tuple[np.ndarray, np.ndarray, GradientBundle, RelaxTrace]:
-    """Relax in mean/stress coordinates by forward Euler.
+    """The Dyadic relaxation of ``relax_dyadic`` observed in (m, s).
 
-    Each step writes the cancelled two-phase map and, at eta other than
-    1, blends the state toward it (see ``_mean_stress_steps``). So the
-    unit-step run is identical, float for float, to the discrete
-    two-phase scheme, which is what makes the layerwise freezing of the
-    mean hold as exact equality of stored floats rather than up to
-    rounding. ``on_step`` receives (k, m, s) copies after each update.
+    Takes a Dyadic ``cfg`` and returns ``relax_dyadic``'s m, s, gradient
+    and trace. Each step writes the cancelled two-phase map and, at eta
+    other than 1, blends the state toward it (see
+    ``_mean_stress_steps``). So the unit-step run is identical, float for
+    float, to the discrete two-phase scheme, which is what makes the
+    layerwise freezing of the mean hold as exact equality of stored
+    floats rather than up to rounding. ``on_step`` receives (k, m, s)
+    copies of the stepped pair after each update, the only exact view of
+    it: (m, s) rebuilt from ``relax_dyadic``'s (x, z) is not.
     """
-    return _relax_sample(
-        params, x0, loss, cfg, on_step, RelaxMode.MEAN_STRESS, "relax_mean_stress"
-    )
+    return _relax_sample(params, x0, loss, cfg, on_step, RelaxMode.DYADIC, "relax_mean_stress")
 
 
 def relax_twoL(
@@ -762,8 +744,8 @@ def relax_twoL(
     steps, O(L) block kernels (``_twoL_wavefront``, the same wavefront
     as ``relax_batch``'s TwoL), whose per-layer blocks are concatenated
     into the returned m and s. The full-state transients of the schedule
-    are those of ``relax_mean_stress`` at eta = 1, whose ``on_step`` sees
-    each one.
+    are those of the Dyadic relaxation at eta = 1, which
+    ``relax_mean_stress``'s ``on_step`` sees one by one.
     """
     x0, loss = _prepare(params, x0, loss)
     layers = list(_twoL_wavefront(params, x0, loss))[::-1]

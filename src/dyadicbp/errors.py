@@ -29,12 +29,14 @@ class ConvergenceError(RuntimeError):
 
 
 def enum_from_name(cls, name, what: str):
-    """Member of ``cls`` named by ``name``, ignoring case, blanks, "_" and "-"."""
+    """Member of ``cls`` named by ``name``, ignoring case, blanks, "_" and "-";
+    a ConfigError naming the valid spellings if there is none."""
     key = str(name).strip().lower().replace("_", "").replace("-", "")
     for member in cls:
         if member.value.lower() == key:
             return member
-    raise ConfigError(f"unknown {what} {name!r}")
+    valid = ", ".join(member.value for member in cls)
+    raise ConfigError(f"unknown {what} {name!r} (one of {valid})")
 
 
 def typed(kinds: tuple, what: str):

@@ -29,7 +29,6 @@ from .dynamics import (
     _check_eta,
     relax_batch,
     relax_dyadic,
-    relax_mean_stress,
     relax_split,
     relax_twoL,
 )
@@ -68,7 +67,6 @@ class GradientMethod(enum.Enum):
 
     BP = "BP"
     DYADIC = "Dyadic"
-    MEAN_STRESS = "MeanStress"
     TWO_L = "TwoL"
     SPLIT = "Split"
     FINITE_DIFF = "FiniteDiff"
@@ -79,9 +77,7 @@ class GradientMethod(enum.Enum):
 
 
 # Methods whose behaviour depends on the relaxation step size.
-_ETA_DRIVEN = frozenset(
-    {GradientMethod.DYADIC, GradientMethod.MEAN_STRESS, GradientMethod.SPLIT}
-)
+_ETA_DRIVEN = frozenset({GradientMethod.DYADIC, GradientMethod.SPLIT})
 
 _DESK_HIDDEN = (32,) * 8
 
@@ -600,12 +596,7 @@ def _sample_gradient(
         return finite_difference_grad(params, x0, loss, h=config.fd_step), None
     if method is GradientMethod.TWO_L:
         return relax_twoL(params, x0, loss)[2], None
-    if method is GradientMethod.DYADIC:
-        relax = relax_dyadic
-    elif method is GradientMethod.MEAN_STRESS:
-        relax = relax_mean_stress
-    else:
-        relax = relax_split
+    relax = relax_dyadic if method is GradientMethod.DYADIC else relax_split
     cfg = config.relax_config()
     _, _, bundle, trace = relax(params, x0, loss, cfg)
     return bundle, trace

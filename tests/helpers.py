@@ -73,31 +73,26 @@ def make_instance(rng, **chain_kwargs):
     return params, x0, loss
 
 
-def bound_velocity(field, params, beta, loss, first, second):
-    """The velocity ``field`` bound on a workspace whose state pair is
-    (first, second), and the workspace: the closure writes the velocity
-    into ``ws.next``."""
-    ws = _Workspace(beta.shape, np.result_type(beta, first, second))
-    velocity = field(params, beta, loss, ws)(ws.state, ws.next)
-    ws.state[...] = first, second
-    return velocity, ws
-
-
 def saddle_velocities(params, x0, loss, x, z):
     """(dx, dz) of the saddle flow at the arrays (x, z), by the oracle's
     unfused velocity: the package steps this flow in (m, s) only."""
     return _saddle_velocity(params, beta_array(params, x0), loss, x, z)
 
 
-def mean_stress_velocities(params, x0, loss, m, s):
-    """(dm, ds) of the mean/stress flow at the arrays (m, s): the package's
-    unit step from (m, s) minus (m, s), the difference its step at any
-    other eta scales and adds back."""
+def unit_step_velocities(mode, params, x0, loss, first, second):
+    """The velocity of ``mode``'s flow at the state pair (first, second):
+    the package's unit step from the pair minus the pair, the difference
+    its step at any other eta scales and adds back."""
     beta = beta_array(params, x0)
-    ws = _Workspace(beta.shape, np.result_type(beta, m, s))
-    step, _ = _STEPS[RelaxMode.MEAN_STRESS](params, beta, loss, 1.0, ws)
-    ws.state[...] = m, s
+    ws = _Workspace(beta.shape, np.result_type(beta, first, second))
+    step, _ = _STEPS[mode](params, beta, loss, 1.0, ws)
+    ws.state[...] = first, second
     return tuple(step() - ws.state)
+
+
+def mean_stress_velocities(params, x0, loss, m, s):
+    """(dm, ds) of the mean/stress flow, Dyadic's, at the arrays (m, s)."""
+    return unit_step_velocities(RelaxMode.DYADIC, params, x0, loss, m, s)
 
 
 def gradient_from_equilibrium(params, x0, m, s):
@@ -112,7 +107,7 @@ def two_phase_states(params, x0, loss):
     that stops early at an exact fixed point (a zero increment) is padded
     with its last state."""
     steps = 2 * params.depth
-    cfg = RelaxConfig(eta=1.0, k_max=steps, tol=1e-300, mode=RelaxMode.MEAN_STRESS)
+    cfg = RelaxConfig(eta=1.0, k_max=steps, tol=1e-300)
     states = []
     relax_mean_stress(params, x0, loss, cfg, on_step=lambda k, m, s: states.append((m, s)))
     return states + states[-1:] * (steps - len(states))

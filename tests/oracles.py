@@ -281,17 +281,12 @@ def _mean_stress(params, beta, loss, m, s, eta):
     return m + eta * dm, s + eta * ds
 
 
-def doubled(m, s):
-    """The doubled state (x, z) = (m + s/2, m - s/2) of a mean and stress."""
-    return m + 0.5 * s, m - 0.5 * s
-
-
 def unfused_step(mode, params, beta, loss, a, b, eta):
-    """One Euler step of ``mode`` from the state (a, b). "Dyadic" and
-    "MeanStress" step the mean/stress flow in (m, s); "Split" steps
-    (x, z), and so does "Saddle": the Dyadic flow in its doubled
-    coordinates, through the velocity of the saddle energy."""
-    if mode in ("Dyadic", "MeanStress"):
+    """One Euler step of ``mode`` from the state (a, b). "Dyadic" steps
+    the mean/stress flow in (m, s); "Split" steps (x, z), and so does
+    "Saddle": the Dyadic flow in its doubled coordinates, through the
+    velocity of the saddle energy."""
+    if mode == "Dyadic":
         return _mean_stress(params, beta, loss, a, b, eta)
     velocity = _saddle_velocity if mode == "Saddle" else _split_velocity
     da, db = velocity(params, beta, loss, a, b)

@@ -101,7 +101,7 @@ def test_criterion_02_unit_step_euler_equals_discrete_two_phase():
         m2 = np.zeros_like(beta)
         s2 = np.zeros_like(beta)
         for m1, s1 in two_phase_states(params, x0, loss):
-            m2, s2 = oracles.unfused_step("MeanStress", params, beta, loss, m2, s2, 1.0)
+            m2, s2 = oracles.unfused_step("Dyadic", params, beta, loss, m2, s2, 1.0)
             worst = max(
                 worst,
                 float(np.abs(m1 - m2).max(initial=0.0)),

@@ -46,8 +46,8 @@ def _no_step(k, first, second):
 
 SAMPLE_RELAXATIONS = {
     "Dyadic": lambda p, x, loss: relax_dyadic(p, x, loss, RelaxConfig(), _no_step),
-    "MeanStress": lambda p, x, loss: relax_mean_stress(
-        p, x, loss, RelaxConfig(mode=RelaxMode.MEAN_STRESS), _no_step
+    "relax_mean_stress": lambda p, x, loss: relax_mean_stress(
+        p, x, loss, RelaxConfig(), _no_step
     ),
     "Split": lambda p, x, loss: relax_split(
         p, x, loss, RelaxConfig(mode=RelaxMode.SPLIT), _no_step

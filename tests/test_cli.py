@@ -223,7 +223,7 @@ def test_snake_case_names_are_accepted(tmp_path):
     cfg = tmp_path / "snake.yaml"
     cfg.write_text(
         "seed: 6\n"
-        "method: mean_stress\n"
+        "method: two_l\n"
         "loss: softmax_cross_entropy\n"
         "network:\n"
         "  input_dim: 3\n"
@@ -236,7 +236,7 @@ def test_snake_case_names_are_accepted(tmp_path):
     out = tmp_path / "run"
     assert main(["check", "--config", str(cfg), "--trials", "1", "--out", str(out)]) == 0
     rows = _read_table(out / "check.csv")[2]
-    assert rows[0][1] == "MeanStress"
+    assert rows[0][1] == "TwoL"
 
 
 def test_unknown_dataset_kind_exits_1(tmp_path, capsys):

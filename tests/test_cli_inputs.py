@@ -77,3 +77,9 @@ def test_unreadable_dataset_exits_1(tmp_path, capsys, body, names_file):
 def test_eta_that_is_zero_in_float32_exits_1(tmp_path, capsys, command):
     err = run_cli(command, None, tmp_path, capsys, "--precision", "32", "--eta", "1e-46")
     assert err == "error: step size eta 1e-46 is 0 in float32\n"
+
+
+def test_retired_method_name_exits_1_naming_the_valid_methods(tmp_path, capsys):
+    err = run_cli("check", None, tmp_path, capsys, "--method", "MeanStress")
+    assert "unknown gradient method 'MeanStress'" in err
+    assert "Dyadic" in err

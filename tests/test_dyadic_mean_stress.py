@@ -3,7 +3,9 @@
 - At eta = 1 its step is the cancelled two-phase map, so its gradient is
   backprop's bit for bit after 2L + 1 updates, the paper's claim, in
   float32 and float64, for one sample and a column batch.
-- At every step size it returns MeanStress's bits and iteration counts.
+- ``relax_mean_stress`` is the same relaxation observed in (m, s): at
+  every step size it returns ``relax_dyadic``'s bits and trace, and each
+  (x, z) Dyadic's ``on_step`` sees is formed from its (m, s).
 - It agrees with the oracle's Euler loop in the doubled coordinates
   (x, z) up to rounding and the two loops' stopping quantities.
 - Its ``on_step`` still observes (x, z).
@@ -92,28 +94,26 @@ def test_unit_step_dyadic_sample_is_backprop_bitwise(case):
         assert trace.converged
 
 
-@given(tanh_batches(max_depth=6, max_batch=8), st.sampled_from(ETAS))
-def test_dyadic_returns_mean_stress_bits_at_every_step_size(case, eta):
+@given(tanh_batches(max_depth=6, max_batch=2), st.sampled_from(ETAS))
+def test_relax_mean_stress_is_relax_dyadic_observed_in_mean_stress(case, eta):
     params, x, loss = case
-    dyadic = relax_batch(params, x, loss, RelaxConfig(eta=eta, tol=1e-5))
-    mean_stress = relax_batch(
-        params, x, loss, RelaxConfig(eta=eta, tol=1e-5, mode=RelaxMode.MEAN_STRESS)
-    )
-    assert _bits(dyadic[0] + dyadic[1]) == _bits(mean_stress[0] + mean_stress[1])
-    assert dyadic[2].tolist() == mean_stress[2].tolist()
-    assert dyadic[3].tolist() == mean_stress[3].tolist()
-    x0 = x[:, 0]
-    loss0 = LossSpec(loss.kind, loss.target[:, 0])
-    dyadic_cfg = RelaxConfig(eta=eta, tol=1e-5)
-    mean_stress_cfg = RelaxConfig(eta=eta, tol=1e-5, mode=RelaxMode.MEAN_STRESS)
-    m1, s1, b1, t1 = relax_dyadic(params, x0, loss0, dyadic_cfg)
-    m2, s2, b2, t2 = relax_mean_stress(params, x0, loss0, mean_stress_cfg)
-    assert _bits((m1, s1, *b1.weight_grads, *b1.bias_grads)) == _bits(
-        (m2, s2, *b2.weight_grads, *b2.bias_grads)
-    )
-    assert t1.iterations_used == t2.iterations_used
-    rows = dynamics._trajectory(params, x0, loss0, dyadic_cfg)[1]
-    assert rows == dynamics._trajectory(params, x0, loss0, mean_stress_cfg)[1]
+    cfg = RelaxConfig(eta=eta, tol=1e-5)
+    for j in range(x.shape[1]):
+        x0, loss_j = x[:, j], LossSpec(loss.kind, loss.target[:, j])
+        pairs, doubled = [], []
+        m1, s1, b1, t1 = relax_mean_stress(
+            params, x0, loss_j, cfg, on_step=lambda k, m, s: pairs.append((k, m, s))
+        )
+        m2, s2, b2, t2 = relax_dyadic(
+            params, x0, loss_j, cfg, on_step=lambda k, a, b: doubled.append((k, a, b))
+        )
+        assert _bits((m1, s1, *b1.weight_grads, *b1.bias_grads)) == _bits(
+            (m2, s2, *b2.weight_grads, *b2.bias_grads)
+        )
+        assert (t1.iterations_used, t1.status) == (t2.iterations_used, t2.status)
+        assert [k for k, _, _ in pairs] == [k for k, _, _ in doubled]
+        for (_, m, s), (_, a, b) in zip(pairs, doubled):
+            assert _bits((a, b)) == _bits((m + 0.5 * s, m - 0.5 * s))
 
 
 def test_dyadic_agrees_with_the_doubled_state_euler_loop():

@@ -8,7 +8,6 @@ import pytest
 import oracles
 from helpers import (
     SMOOTH_ACTS,
-    bound_velocity,
     gradient_from_equilibrium,
     make_chain,
     make_instance,
@@ -16,6 +15,7 @@ from helpers import (
     mean_stress_velocities,
     saddle_velocities,
     two_phase_states,
+    unit_step_velocities,
 )
 from dyadicbp import (
     Activation,
@@ -245,7 +245,7 @@ def test_forward_layer_freezing_is_exact():
             params,
             x0,
             loss,
-            _cfg(RelaxMode.MEAN_STRESS, eta=1.0, k_max=2 * params.depth, tol=1e-300),
+            _cfg(RelaxMode.DYADIC, eta=1.0, k_max=2 * params.depth, tol=1e-300),
             on_step=lambda k, m, s: states.append(m),
         )
         offs = params.offsets
@@ -291,22 +291,6 @@ def test_twoL_single_layer_converges_in_two_steps():
     np.testing.assert_array_equal(bundle.flat(), ref.flat())
 
 
-def test_change_of_variables_dyadic_equals_mean_stress():
-    rng = np.random.default_rng(77)
-    for eta in (0.4, 0.75, 1.0):
-        params, x0, loss = make_instance(rng)
-        m1, s1, b1, t1 = relax_dyadic(
-            params, x0, loss, _cfg(RelaxMode.DYADIC, eta=eta, tol=1e-11, k_max=3000)
-        )
-        m2, s2, b2, t2 = relax_mean_stress(
-            params, x0, loss, _cfg(RelaxMode.MEAN_STRESS, eta=eta, tol=1e-11, k_max=3000)
-        )
-        assert t1.converged and t2.converged
-        np.testing.assert_allclose(m1, m2, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(s1, s2, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(b1.flat(), b2.flat(), rtol=0, atol=1e-12)
-
-
 def test_stress_stays_exactly_zero_without_a_source():
     # Output layer with zero weight and bias plus a zero target keeps
     # the loss gradient identically zero along the whole trajectory, so
@@ -326,7 +310,7 @@ def test_stress_stays_exactly_zero_without_a_source():
         params,
         x0,
         loss,
-        _cfg(RelaxMode.MEAN_STRESS, eta=0.7, k_max=60, tol=1e-300),
+        _cfg(RelaxMode.DYADIC, eta=0.7, k_max=60, tol=1e-300),
         on_step=lambda k, m, s: seen.append(s),
     )
     assert seen and all(np.all(s == 0.0) for s in seen)
@@ -367,16 +351,10 @@ def test_split_zero_loss_gradient_keeps_states_equal():
 
 def test_split_velocities_match_saddle_flow_at_equal_states():
     rng = np.random.default_rng(80)
-    from dyadicbp.dynamics import _split_velocity_arrays
-    from dyadicbp.network import beta_array
-
     params, x0, loss = make_instance(rng)
     v = rng.standard_normal(params.state_size)
-    beta = beta_array(params, x0)
     dx_ref, dz_ref = saddle_velocities(params, x0, loss, v, v.copy())
-    velocity, ws = bound_velocity(_split_velocity_arrays, params, beta, loss, v, v.copy())
-    velocity()
-    dx, dz = ws.next
+    dx, dz = unit_step_velocities(RelaxMode.SPLIT, params, x0, loss, v, v.copy())
     np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-13)
     np.testing.assert_allclose(dz, dz_ref, rtol=0, atol=1e-13)
 
@@ -499,9 +477,9 @@ def test_relax_mode_mismatch_is_config_error():
     rng = np.random.default_rng(87)
     params, x0, loss = make_instance(rng, depth=2)
     with pytest.raises(ConfigError):
-        relax_dyadic(params, x0, loss, _cfg(RelaxMode.MEAN_STRESS))
+        relax_dyadic(params, x0, loss, _cfg(RelaxMode.SPLIT))
     with pytest.raises(ConfigError):
-        relax_mean_stress(params, x0, loss, _cfg(RelaxMode.DYADIC))
+        relax_mean_stress(params, x0, loss, _cfg(RelaxMode.SPLIT))
     with pytest.raises(ConfigError):
         relax_split(params, x0, loss, _cfg(RelaxMode.DYADIC))
 
@@ -572,7 +550,7 @@ def test_dense_jacobian_eigenvalues_are_minus_one():
 
 def test_relax_batch_matches_single_sample_runs():
     rng = np.random.default_rng(94)
-    for mode in (RelaxMode.DYADIC, RelaxMode.MEAN_STRESS, RelaxMode.SPLIT):
+    for mode in (RelaxMode.DYADIC, RelaxMode.SPLIT):
         params = make_chain(rng, depth=3, identity_output=True)
         batch = 5
         xb = rng.standard_normal((params.input_dim, batch))
@@ -583,11 +561,7 @@ def test_relax_batch_matches_single_sample_runs():
         ws, bs, iters, conv = relax_batch(params, xb, loss, cfg)
         assert conv.all()
 
-        single = {
-            RelaxMode.DYADIC: relax_dyadic,
-            RelaxMode.MEAN_STRESS: relax_mean_stress,
-            RelaxMode.SPLIT: relax_split,
-        }[mode]
+        single = relax_dyadic if mode is RelaxMode.DYADIC else relax_split
         acc_w = [np.zeros_like(w) for w in ws]
         acc_b = [np.zeros_like(b) for b in bs]
         for j in range(batch):

@@ -239,8 +239,8 @@ def _overflowing_net(dtype):
 def test_a_relaxation_whose_output_turns_non_finite_raises_numeric_error(relax, kind):
     params, x0 = _overflowing_net(np.float32)
     loss = LossSpec(kind, np.array([1.0, 0.0], np.float32))
-    mode = {relax_dyadic: RelaxMode.DYADIC, relax_mean_stress: RelaxMode.MEAN_STRESS}
-    cfg = RelaxConfig(eta=1.0, k_max=50, mode=mode.get(relax, RelaxMode.SPLIT))
+    mode = RelaxMode.SPLIT if relax is relax_split else RelaxMode.DYADIC
+    cfg = RelaxConfig(eta=1.0, k_max=50, mode=mode)
     with np.errstate(all="ignore"), pytest.raises(NumericError):
         relax(params, x0, loss, cfg)
     batch = np.ones((2, 3), np.float32)

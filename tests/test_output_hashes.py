@@ -1,8 +1,10 @@
 """``scripts/output_hashes.py --against`` names every output whose
 digest differs from a saved listing, or that either side lacks, and
-counts how many match and how many differ."""
+counts how many match and how many differ. The counts its docstring
+states are the matrix's."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_hashes.py"
@@ -44,3 +46,15 @@ def test_summary_counts_matching_and_differing_outputs():
     # One differing digest, one path missing, one not in the listing.
     assert hashes.summary(fresh, saved) == "1 of 4 outputs match; 3 differ"
     assert len(hashes.mismatches(fresh, saved)) == 3
+
+
+def test_docstring_counts_the_runs_of_the_matrix():
+    # Each run writes one CSV: the docstring's total and its per-command
+    # counts must add up to the runs the script makes.
+    configs = {name: f"{name}.yaml" for name in ("train", *hashes.DATASET_CONFIGS)}
+    count = len(list(hashes.runs(configs)))
+    doc = hashes.__doc__
+    total = int(re.search(r"matrix of (\d+) output CSVs", doc).group(1))
+    parts = [int(n) for n in re.findall(r"\((\d+) files\)", doc)]
+    assert total == sum(parts) == count
+    assert f" of {count} outputs match" in doc

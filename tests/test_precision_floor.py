@@ -153,7 +153,7 @@ def test_a_float32_tolerance_below_the_subnormals_stops_at_a_fixed_point():
     x0 = rng.standard_normal(3).astype(np.float32)
     loss = LossSpec(LossKind.MSE, rng.standard_normal(2).astype(np.float32))
     for tol in (1e-30, 1e-300):
-        cfg = RelaxConfig(eta=1.0, k_max=50, tol=tol, mode=RelaxMode.MEAN_STRESS)
+        cfg = RelaxConfig(eta=1.0, k_max=50, tol=tol)
         trace = relax_mean_stress(params, x0, loss, cfg)[3]
         assert trace.status is RelaxStatus.CONVERGED
         assert trace.iterations_used == 2 * params.depth + 1
@@ -192,7 +192,7 @@ def _stop_cases(rng, dtype, batch):
 
 
 @pytest.mark.parametrize("batch", (None, 3), ids=("sample", "batch"))
-@pytest.mark.parametrize("mode", (RelaxMode.DYADIC, RelaxMode.MEAN_STRESS, RelaxMode.SPLIT))
+@pytest.mark.parametrize("mode", (RelaxMode.DYADIC, RelaxMode.SPLIT))
 @pytest.mark.parametrize("dtype", (np.float32, np.float64))
 def test_stop_tests_stop_where_the_ufunc_tests_stop(dtype, mode, batch):
     rng = np.random.default_rng(17)

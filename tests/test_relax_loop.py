@@ -23,7 +23,6 @@ from dyadicbp import (
     random_network,
     relax_batch,
     relax_dyadic,
-    relax_mean_stress,
     relax_split,
     relax_twoL,
 )
@@ -31,11 +30,7 @@ from dyadicbp import dynamics
 from dyadicbp.network import beta_array
 from dyadicbp.reference import backprop_batch
 
-SINGLE = {
-    RelaxMode.DYADIC: relax_dyadic,
-    RelaxMode.MEAN_STRESS: relax_mean_stress,
-    RelaxMode.SPLIT: relax_split,
-}
+SINGLE = {RelaxMode.DYADIC: relax_dyadic, RelaxMode.SPLIT: relax_split}
 
 
 @st.composite

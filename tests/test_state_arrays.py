@@ -116,7 +116,7 @@ def test_public_states_are_plain_arrays_of_the_params_dtype(dtype):
     }
     for name, relax, mode in (
         ("relax_dyadic", relax_dyadic, RelaxMode.DYADIC),
-        ("relax_mean_stress", relax_mean_stress, RelaxMode.MEAN_STRESS),
+        ("relax_mean_stress", relax_mean_stress, RelaxMode.DYADIC),
         ("relax_split", relax_split, RelaxMode.SPLIT),
     ):
         cfg = RelaxConfig(mode=mode, k_max=50)

@@ -2,12 +2,11 @@
 observer changes no bits of a single-sample relaxation, and
 ``dynamics._trajectory`` reports the relaxation's iterations and status
 with one row per update, equal to rows rebuilt from the public
-``on_step`` copies (Dyadic's equal MeanStress's). A state whose energy
+``on_step`` copies (for Dyadic, ``relax_mean_stress``'s). A state whose energy
 is not finite raises NumericError: a plain call after its last update,
 ``_trajectory`` at the update. The block layout that every step reads is
 computed once per NetworkParams."""
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -34,11 +33,7 @@ from dyadicbp import (
 from dyadicbp import dynamics
 from dyadicbp.network import _activation_runs, _block_slices, beta_array
 
-SINGLE = {
-    "Dyadic": relax_dyadic,
-    "MeanStress": relax_mean_stress,
-    "Split": relax_split,
-}
+SINGLE = {"Dyadic": relax_dyadic, "Split": relax_split}
 
 
 def assert_same_bits(got, want):
@@ -104,13 +99,15 @@ def test_an_observer_changes_no_bits_and_trajectory_has_a_row_per_update(case):
 
 
 def _rebuilt_rows(params, x0, loss, cfg):
-    """The step records of a MeanStress or Split run, rebuilt from the
-    (k, first, second) copies its public ``on_step`` receives: the summed
+    """The step records of a run, rebuilt from the (k, first, second)
+    copies of its stepped pair that a public ``on_step`` receives, (m, s)
+    from ``relax_mean_stress`` or (x, z) from ``relax_split``: the summed
     norms of the two halves' increments (from the zero pair), the energy
     at (m, s) and the per-block stress norms."""
     zero = np.zeros(params.state_size, dtype=params.dtype)
     pairs = [(zero, zero)]
-    SINGLE[cfg.mode.value](params, x0, loss, cfg, on_step=lambda k, a, b: pairs.append((a, b)))
+    relax = relax_split if cfg.mode is RelaxMode.SPLIT else relax_mean_stress
+    relax(params, x0, loss, cfg, on_step=lambda k, a, b: pairs.append((a, b)))
     beta = beta_array(params, x0)
     rows = []
     for (a0, b0), (a, b) in zip(pairs, pairs[1:]):
@@ -125,9 +122,6 @@ def _rebuilt_rows(params, x0, loss, cfg):
 def test_trajectory_rows_equal_rows_rebuilt_from_the_public_observer(case):
     _, params, x0, loss, cfg = case
     rows = dynamics._trajectory(params, x0, loss, cfg)[1]
-    if cfg.mode is RelaxMode.DYADIC:  # its observer sees (x, z); it steps (m, s)
-        cfg = dataclasses.replace(cfg, mode=RelaxMode.MEAN_STRESS)
-        assert dynamics._trajectory(params, x0, loss, cfg)[1] == rows
     assert _rebuilt_rows(params, x0, loss, cfg) == rows
 
 

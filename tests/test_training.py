@@ -61,7 +61,7 @@ def test_from_mapping_reads_nested_sections():
         {
             "seed": 11,
             "precision": 32,
-            "method": "mean_stress",
+            "method": "finite_diff",
             "loss": "mse",
             "network": {
                 "input_dim": 3,
@@ -75,7 +75,7 @@ def test_from_mapping_reads_nested_sections():
     )
     assert config.seed == 11
     assert config.precision == 32
-    assert config.method is GradientMethod.MEAN_STRESS
+    assert config.method is GradientMethod.FINITE_DIFF
     assert config.loss_kind is LossKind.MSE
     assert config.input_dim == 3
     assert config.widths == (4, 4, 2)
@@ -189,7 +189,7 @@ def test_resolved_lr_scales_with_batch_size():
 
 def test_gradient_method_from_name_normalizes():
     assert GradientMethod.from_name("bp") is GradientMethod.BP
-    assert GradientMethod.from_name("mean_stress") is GradientMethod.MEAN_STRESS
+    assert GradientMethod.from_name("finite_diff") is GradientMethod.FINITE_DIFF
     assert GradientMethod.from_name("two-l") is GradientMethod.TWO_L
     assert GradientMethod.from_name("FINITEDIFF") is GradientMethod.FINITE_DIFF
     with pytest.raises(ConfigError):

@@ -4,7 +4,7 @@ TwoL computes only the settling block of each step. These properties
 pin it to the references over every activation (ReLU with exact-zero
 pre-activations included), both losses, both precisions, depths 1-7
 and batches 1-8. The full-state two-phase sweep, the unit-step
-MeanStress run of ``helpers.two_phase_states``, ends at the same state
+Dyadic run of ``helpers.two_phase_states``, ends at the same state
 and meets the paper's settle steps: mean block l is final from step l,
 stress block l from step 2L - l + 1. At the depth-17 training
 benchmark's shapes the batch wavefront also equals backprop bitwise,
