@@ -3,6 +3,7 @@ on stderr, no traceback, and no output written before the check."""
 
 import pytest
 
+from dyadicbp import Activation, ConfigError, DatasetKind, GradientMethod, LossKind, RelaxMode
 from dyadicbp.cli import main
 from dyadicbp.training import ExperimentConfig
 
@@ -64,3 +65,28 @@ def test_int_values_stay_ints():
     config = ExperimentConfig.from_mapping({"relax": {"eta": 1}, "optimizer": {"momentum": 0}})
     assert type(config.eta) is int and type(config.momentum) is int
     assert config.to_canonical()["relax"]["eta"] == 1
+
+
+@pytest.mark.parametrize(
+    "cls",
+    (RelaxMode, GradientMethod, LossKind, Activation, DatasetKind),
+    ids=lambda cls: cls.__name__,
+)
+def test_unknown_name_error_lists_every_valid_spelling(cls):
+    with pytest.raises(ConfigError, match=r"unknown .* 'no-such-name' \(one of ") as info:
+        cls.from_name("no-such-name")
+    listed = str(info.value).split("(one of ", 1)[1]
+    assert listed == ", ".join(member.value for member in cls) + ")"
+
+
+@pytest.mark.parametrize("name", ("MeanStress", "mean_stress", "MEAN-STRESS"))
+def test_retired_method_name_in_a_config_exits_1(tmp_path, capsys, name):
+    # MeanStress was a second name for Dyadic; no spelling of it is a method.
+    cfg = tmp_path / "retired.yaml"
+    cfg.write_text(f"method: {name}\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown gradient method '{name}' (one of BP, Dyadic,")
+    assert "Traceback" not in err
+    assert not out.exists()

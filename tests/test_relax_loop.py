@@ -23,6 +23,7 @@ from dyadicbp import (
     random_network,
     relax_batch,
     relax_dyadic,
+    relax_mean_stress,
     relax_split,
     relax_twoL,
 )
@@ -31,6 +32,13 @@ from dyadicbp.network import beta_array
 from dyadicbp.reference import backprop_batch
 
 SINGLE = {RelaxMode.DYADIC: relax_dyadic, RelaxMode.SPLIT: relax_split}
+
+# Each public single-sample entry point, and the mode of the config it takes.
+ENTRY_POINTS = {
+    "relax_dyadic": (relax_dyadic, RelaxMode.DYADIC),
+    "relax_mean_stress": (relax_mean_stress, RelaxMode.DYADIC),
+    "relax_split": (relax_split, RelaxMode.SPLIT),
+}
 
 
 @st.composite
@@ -178,3 +186,27 @@ def test_on_step_receives_copies_of_the_state(mode, shape, eta):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes()
+
+
+@pytest.mark.parametrize("eta", (0.5, 1.0))
+@pytest.mark.parametrize("entry", tuple(ENTRY_POINTS))
+def test_public_on_step_cannot_reach_the_relaxation(entry, eta):
+    # The same through each public entry point: a callback that writes
+    # into the pair it receives changes no bit of what the call returns.
+    rng = np.random.default_rng(14)
+    params = random_network(3, (5, 4, 3), Activation.TANH, rng, bias_std=0.5)
+    x0 = rng.standard_normal(3)
+    loss = LossSpec(LossKind.MSE, rng.standard_normal(3))
+    relax, mode = ENTRY_POINTS[entry]
+    cfg = RelaxConfig(eta=eta, k_max=200, tol=1e-10, mode=mode)
+    seen = []
+    runs = []
+    for cb in (None, lambda k, a, b: (seen.append(k), _poison(k, a, b))):
+        m, s, bundle, trace = relax(params, x0, loss, cfg, on_step=cb)
+        runs.append(([m, s, *bundle.weight_grads, *bundle.bias_grads], trace))
+    (want, trace), (got, trace_cb) = runs
+    assert trace.converged and seen == list(range(1, trace.iterations_used + 1))
+    assert (trace_cb.iterations_used, trace_cb.status) == (trace.iterations_used, trace.status)
+    for g, w in zip(got, want):
+        assert np.isfinite(g).all()
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

@@ -140,8 +140,16 @@ def test_blowup_raises_numeric_error_with_and_without_records():
             dynamics._trajectory(params, x0, loss, cfg)
 
 
-@pytest.mark.parametrize("mode", tuple(SINGLE))
-def test_final_state_with_non_finite_energy_raises(mode):
+# Each single-sample entry point, and the mode of the config it takes.
+ENTRY_POINTS = {
+    "Dyadic": (relax_dyadic, RelaxMode.DYADIC),
+    "relax_mean_stress": (relax_mean_stress, RelaxMode.DYADIC),
+    "Split": (relax_split, RelaxMode.SPLIT),
+}
+
+
+@pytest.mark.parametrize("entry", tuple(ENTRY_POINTS))
+def test_final_state_with_non_finite_energy_raises(entry):
     # float32, output near 4e19: every step delta and the gradient stay
     # finite, but the loss at the output, 0.5 |m_L|^2, overflows. A plain
     # call runs all k_max steps and raises on the energy of the state it
@@ -152,12 +160,13 @@ def test_final_state_with_non_finite_energy_raises(mode):
     params = NetworkParams(1, (layer,))
     x0 = np.ones(1, dtype=dt)
     loss = LossSpec(LossKind.MSE, np.zeros(2, dt))
-    cfg = RelaxConfig(eta=0.1, k_max=60, tol=1e-6, mode=RelaxMode.from_name(mode))
+    relax, mode = ENTRY_POINTS[entry]
+    cfg = RelaxConfig(eta=0.1, k_max=60, tol=1e-6, mode=mode)
     steps = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(NumericError):
-            SINGLE[mode](params, x0, loss, cfg, on_step=lambda k, a, b: steps.append(k))
+            relax(params, x0, loss, cfg, on_step=lambda k, a, b: steps.append(k))
         assert steps == list(range(1, cfg.k_max + 1))
         with pytest.raises(NumericError):
             dynamics._trajectory(params, x0, loss, cfg)
